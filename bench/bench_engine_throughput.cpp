@@ -35,14 +35,12 @@
 //                     nightly)
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/parallel.hpp"
 #include "tufp/util/stats.hpp"
@@ -86,12 +84,6 @@ struct BenchCase {
   // from the other hubs' reclaims.
   int source_stride = 1;
   int target_radius = 0;
-  // Sharded serving layer (DESIGN.md §13): >1 wraps the engine in
-  // ShardedEpochEngine, so every winner runs the two-phase reserve/commit
-  // protocol across the region shards. The load side stays byte-identical
-  // to the unsharded case (the protocol is a differential shadow of the
-  // decider); the row measures the protocol's clear-throughput overhead.
-  int shards = 1;
 };
 
 struct BenchRow {
@@ -158,15 +150,7 @@ BenchRow run_case(const BenchCase& c) {
   config.payments = c.payments;
   config.solver.num_threads = c.threads;
   config.persistent_residual = c.persistent;
-  std::unique_ptr<ShardedEpochEngine> sharded;
-  std::unique_ptr<EpochEngine> single;
-  if (c.shards > 1) {
-    sharded =
-        std::make_unique<ShardedEpochEngine>(scenario.graph, config, c.shards);
-  } else {
-    single = std::make_unique<EpochEngine>(scenario.graph, config);
-  }
-  EpochEngine& engine = sharded ? sharded->engine() : *single;
+  EpochEngine engine(scenario.graph, config);
 
   PoissonStream stream(scenario.graph, scenario.request_config,
                        /*rate=*/10000.0, c.requests, /*seed=*/1,
@@ -249,7 +233,6 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
        << ", \"source_pool\": " << r.config.source_pool
        << ", \"source_stride\": " << r.config.source_stride
        << ", \"target_radius\": " << r.config.target_radius
-       << ", \"shards\": " << r.config.shards
        << ", \"openmp\": " << (openmp_available() ? "true" : "false")
        << ", \"admitted\": " << r.admitted
        << ", \"admitted_fraction\": " << r.admitted_fraction
@@ -375,18 +358,6 @@ int main(int argc, char** argv) {
     grid.assume_connected = true;  // undirected mesh: always connected
     grid.source_pool = 8;
     add_pair(grid);
-    // Sharded serving row (DESIGN.md §13): the grid world once more with
-    // the persistent engine wrapped in a 4-shard coordinator. The decider
-    // and its admissions are byte-identical to scale-grid316-persistent
-    // (the sharded-differential oracle pins that), so the
-    // clear_requests_per_second ratio against that row isolates the
-    // two-phase reserve/commit protocol's overhead — gated in CI as
-    // shard4 >= 0.5x the unsharded persistent row.
-    BenchCase grid_shard = grid;
-    grid_shard.name = "scale-grid316-shard4-persistent";
-    grid_shard.persistent = true;
-    grid_shard.shards = 4;
-    cases.push_back(grid_shard);
     BenchCase telecom;
     telecom.name = "scale-telecom100k";
     telecom.rows = 0;

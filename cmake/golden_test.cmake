@@ -1,14 +1,16 @@
 # Golden-trace comparison, run as a ctest via `cmake -P`.
 #
 # Inputs: ENGINE (binary path), ARGS (one shell-style argument string),
-# GOLDEN (committed expected stdout), OUT (scratch path for actual stdout).
-# Optional: EXPECT_RC (expected exit status, default 0 — repro replays
-# exit 1 by contract when the violation re-fires); INPUT (file piped to
-# the tool's stdin — how the tufp_serve session goldens drive a daemon
-# the same way a shell pipe would).
+# OUT (scratch path for actual stdout).
+# Optional: GOLDEN (committed expected stdout; without it only the exit
+# status is checked, as the usage-error tests do); EXPECT_RC (expected
+# exit status, default 0 — repro replays exit 1 by contract when the
+# violation re-fires); INPUT (file piped to the tool's stdin — how the
+# tufp_serve session goldens drive a daemon the same way a shell pipe
+# would).
 # The tool's stdout is its deterministic channel (wall-clock goes to
 # stderr), so the comparison is byte-for-byte.
-foreach(var ENGINE ARGS GOLDEN OUT)
+foreach(var ENGINE ARGS OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_test.cmake requires -D${var}=...")
   endif()
@@ -34,6 +36,9 @@ execute_process(
 if(NOT run_rc EQUAL EXPECT_RC)
   message(FATAL_ERROR "${ENGINE} ${ARGS} exited ${run_rc}"
           " (expected ${EXPECT_RC})\n${stderr_text}")
+endif()
+if(NOT DEFINED GOLDEN)
+  return()
 endif()
 
 execute_process(

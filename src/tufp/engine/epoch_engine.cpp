@@ -16,14 +16,9 @@ namespace tufp {
 
 namespace {
 
-// Canonical trace-lattice width: shard_conflict decision records name
-// the owner of the bottleneck edge under a fixed 8-way ShardPlan, never
-// the runtime --shards layout (DESIGN.md §14).
-constexpr int kTraceLatticeShards = 8;
-
-// Solver-exit reject reason -> wire outcome. kCapacityRace is the
-// cross-shard vocabulary: the request fit the epoch-start residual but
-// lost the intra-epoch capacity race to earlier winners.
+// Solver-exit reject reason -> wire outcome. kCapacityRace maps to
+// shard_conflict: the request fit the epoch-start residual but lost the
+// capacity race to earlier winners within the epoch.
 obs::DecisionOutcome outcome_of(RejectReason reason) {
   switch (reason) {
     case RejectReason::kNoPath: return obs::DecisionOutcome::kNoPath;
@@ -42,9 +37,7 @@ obs::DecisionOutcome outcome_of(RejectReason reason) {
 EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
                          EpochEngineConfig config)
     : base_(std::move(base_graph)),
-      config_(std::move(config)),
-      trace_lattice_(base_ != nullptr ? base_->num_edges() : 1,
-                     kTraceLatticeShards) {
+      config_(std::move(config)) {
   TUFP_REQUIRE(base_ != nullptr && base_->finalized(),
                "engine requires a finalized base graph");
   TUFP_REQUIRE(base_->num_edges() >= 1, "engine requires a non-empty graph");
@@ -87,8 +80,8 @@ const EpochEngine::BaseBfsTree& EpochEngine::base_bfs(VertexId source) {
   const auto it = base_bfs_trees_.find(source);
   if (it != base_bfs_trees_.end()) return it->second;
   // Canonical parent tree: plain queue BFS in CSR arc order, a pure
-  // function of the topology — every run, kernel, thread count and shard
-  // layout walks the same route for a given terminal pair.
+  // function of the topology — every run, kernel and thread count walks
+  // the same route for a given terminal pair.
   BaseBfsTree tree;
   const auto n = static_cast<std::size_t>(base_->num_vertices());
   tree.parent_vertex.assign(n, kInvalidVertex);
@@ -158,8 +151,7 @@ int EpochEngine::reclaim_expired(double now) {
   // reclaim touched must be stamped (and last_decrease bumped) or the
   // cross-epoch tree cache could serve a path priced before the capacity
   // returned (residual_csr.hpp).
-  if (config_.inject_reclaim_leak > 0.0 || rgraph_ || observer_ != nullptr ||
-      trace_ != nullptr) {
+  if (config_.inject_reclaim_leak > 0.0 || rgraph_ || trace_ != nullptr) {
     std::vector<temporal::Lease> drained;
     expired = ledger_->reclaim_until(effective, base_->capacities(), residual,
                                      &drained);
@@ -198,11 +190,6 @@ int EpochEngine::reclaim_expired(double now) {
         metrics_.counters().trees_kept_on_reclaim += r.kept;
         metrics_.counters().trees_dropped_on_reclaim += r.dropped;
       }
-    }
-    // Observers see the drained leases in ledger drain order — the same
-    // serial event stream the residual restore above applied.
-    if (observer_ != nullptr && !drained.empty()) {
-      observer_->on_reclaimed(drained);
     }
     if (trace_ != nullptr && !drained.empty()) {
       // One lease_expired record per drained lease, in drain order,
@@ -343,9 +330,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   report.close_time = close_time;
   ++metrics_.counters().epochs;
   metrics_.batch_sizes().add(static_cast<double>(batch.size()));
-  // Before the boundary reclaim, so the epoch's drains are attributed to
-  // the epoch whose clear triggered them.
-  if (observer_ != nullptr) observer_->on_epoch_start(report.epoch, close_time);
 
   // Epoch boundary: return expired leases' capacity *before* compiling
   // the residual snapshot, so this auction runs over the residual left by
@@ -476,7 +460,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
     report.solve_seconds = timer.elapsed_seconds();
     metrics_.solve_seconds().record(report.solve_seconds);
     trace_epoch_ = -1;
-    if (observer_ != nullptr) observer_->on_epoch_end(report);
     return report;
   }
 
@@ -597,11 +580,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
             rec.path.push_back(persistent ? e : snapshot->base_edge(e));
           }
           rec.bottleneck_edge = bottleneck;
-          if (outcome == obs::DecisionOutcome::kShardConflict &&
-              bottleneck >= 0) {
-            rec.conflict_shard =
-                trace_lattice_.shard_of(static_cast<EdgeId>(bottleneck));
-          }
           trace_->record(rec);
         }
       }
@@ -618,24 +596,16 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
     // never scheduled.
     const double expires =
         timed.duration < kInf ? close_time + timed.duration : kInf;
-    // Both the ledger and the observer speak base edge ids; in snapshot
+    // Both the ledger and the trace speak base edge ids; in snapshot
     // mode the path's snapshot ids are translated first.
     std::vector<EdgeId> base_edges;
-    const bool need_base =
-        ledger_ != nullptr || observer_ != nullptr || trace_ != nullptr;
-    if (need_base) {
+    if (ledger_ != nullptr || trace_ != nullptr) {
       base_edges.reserve(path.size());
       if (persistent) {
         base_edges.assign(path.begin(), path.end());
       } else {
         for (EdgeId e : path) base_edges.push_back(snapshot->base_edge(e));
       }
-    }
-    // Reservation point: the observer sees the winner before its
-    // decrement lands (the reserve half of a two-phase protocol).
-    if (observer_ != nullptr) {
-      observer_->on_winner(timed.sequence, base_edges, demand, close_time,
-                           expires);
     }
     if (trace_ != nullptr) {
       obs::DecisionRecord rec;
@@ -689,7 +659,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   report.solve_seconds = timer.elapsed_seconds();
   metrics_.solve_seconds().record(report.solve_seconds);
   trace_epoch_ = -1;
-  if (observer_ != nullptr) observer_->on_epoch_end(report);
   return report;
 }
 

@@ -49,7 +49,6 @@
 #include "tufp/engine/snapshot.hpp"
 #include "tufp/graph/residual_csr.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
-#include "tufp/shard/partition.hpp"
 #include "tufp/temporal/lease_ledger.hpp"
 #include "tufp/ufp/bounded_ufp.hpp"
 #include "tufp/ufp/workspace.hpp"
@@ -151,12 +150,14 @@ struct AdmissionReport {
   // Per-outcome rejection split (DESIGN.md §14): every rejected valid
   // request lands in exactly one bucket, classified at the solver's
   // serial exit (bounded_ufp.hpp RejectReason) — deterministic across
-  // kernels, thread counts and shard layouts, so telemetry gates on them
-  // exactly. no_path + capacity_blocked + lost_auction + shard_conflict
+  // kernels and thread counts, so telemetry gates on them exactly.
+  // no_path + capacity_blocked + lost_auction + shard_conflict
   // == batch_size - invalid_rejected - admitted.
   int no_path = 0;
   int capacity_blocked = 0;
   int lost_auction = 0;
+  // Fit the epoch-start residual but lost the capacity race to earlier
+  // winners within the epoch (RejectReason::kCapacityRace).
   int shard_conflict = 0;
   double close_time = 0.0;       // virtual clock at which the epoch cleared
   double offered_value = 0.0;
@@ -183,33 +184,6 @@ struct AdmissionReport {
   double solve_seconds = 0.0;        // wall clock — NOT deterministic
   double reclaim_seconds = 0.0;      // wall clock — NOT deterministic
   std::vector<AdmissionRecord> allocations;  // when record_allocations
-};
-
-// Serial observation points on the engine's admission path, the hook
-// surface the sharded admission layer (engine/sharded_engine.hpp) builds
-// on. Every callback fires on the engine's single-threaded commit loop,
-// in canonical order — epochs in sequence, winners of an epoch in
-// request-index (lex-min tie-broken) order, reclaims in the ledger's
-// (expiry, lease id) drain order — so an observer's state is a pure
-// function of the admission history, independent of thread count and
-// kernel. Observers must not mutate the engine; the byte-identity
-// guarantee (sharded == single, residual-differential) depends on it.
-class AdmissionObserver {
- public:
-  virtual ~AdmissionObserver() = default;
-  // Entry of every epoch clear, before the boundary reclaim.
-  virtual void on_epoch_start(int epoch, double close_time) = 0;
-  // One winner, immediately BEFORE its residual decrement is committed —
-  // the reservation point of a two-phase protocol. `base_edges` is the
-  // winning path in base edge ids (translated in snapshot mode);
-  // `expires_at` is kInf for permanent admissions.
-  virtual void on_winner(std::int64_t sequence,
-                         std::span<const EdgeId> base_edges, double demand,
-                         double close_time, double expires_at) = 0;
-  // Leases drained at a reclaim point, in drain order. Never empty.
-  virtual void on_reclaimed(std::span<const temporal::Lease> drained) = 0;
-  // Exit of every epoch clear, report complete.
-  virtual void on_epoch_end(const AdmissionReport& report) = 0;
 };
 
 // Lifetime aggregate returned by run().
@@ -289,12 +263,6 @@ class EpochEngine {
     metrics_.counters().invalid_rejected += n;
   }
 
-  // Attaches the admission observer (nullptr to detach). At most one;
-  // the engine does not own it.
-  void set_admission_observer(AdmissionObserver* observer) {
-    observer_ = observer;
-  }
-
   // Attaches a decision-provenance trace (obs/trace.hpp; nullptr to
   // detach, not owned). Every request offered to the engine then
   // terminates in exactly one DecisionRecord, emitted on the serial
@@ -348,14 +316,7 @@ class EpochEngine {
   std::unique_ptr<temporal::LeaseLedger> ledger_;
   double total_capacity_ = 0.0;
   EngineMetrics metrics_;
-  AdmissionObserver* observer_ = nullptr;
   obs::DecisionTrace* trace_ = nullptr;
-  // Canonical trace lattice: shard_conflict records name the shard that
-  // owns the bottleneck edge under this FIXED 8-way partition of the
-  // base edge space — a pure function of the topology, deliberately
-  // independent of the runtime `--shards N` layout so decision records
-  // stay byte-identical across shard counts (DESIGN.md §14).
-  shard::ShardPlan trace_lattice_;
   // Memoized base-topology BFS parent trees, one per distinct rejected
   // source. The base graph is immutable, so trees never invalidate; only
   // the bottleneck scan reads live residual state.

@@ -69,11 +69,12 @@ struct EngineCounters {
   // Per-outcome split of `rejected` (DESIGN.md §14): every valid-but-
   // rejected request is classified at the solver's serial exit into
   // exactly one bucket, so no_path + capacity_blocked + lost_auction +
-  // shard_conflict == rejected. Deterministic across kernels, thread
-  // counts and shard layouts; gated exactly by tools/check_trend.py.
+  // shard_conflict == rejected. Deterministic across kernels and thread
+  // counts; gated exactly by tools/check_trend.py.
   std::int64_t no_path = 0;
   std::int64_t capacity_blocked = 0;
   std::int64_t lost_auction = 0;
+  // Fit the epoch-start residual, lost the capacity race within the epoch.
   std::int64_t shard_conflict = 0;
   double offered_value = 0.0;        // sum of bids offered to auctions
   double admitted_value = 0.0;       // sum of winning bids

@@ -310,10 +310,4 @@ std::size_t SourceTreeCache::num_trees() const {
   return trees_.size();
 }
 
-ResidualWindow ResidualGraph::window(EdgeId begin, EdgeId end) const {
-  TUFP_REQUIRE(begin >= 0 && begin <= end && end <= base_->num_edges(),
-               "shard window outside the base edge space");
-  return ResidualWindow(this, begin, end);
-}
-
 }  // namespace tufp

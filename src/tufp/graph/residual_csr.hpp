@@ -98,35 +98,6 @@ class ResidualView {
   ResidualGraph* rg_;
 };
 
-// Shard-local window onto a ResidualGraph: the read interface a region
-// shard (shard/partition.hpp) gets over the slice of the edge space it
-// owns. A window is a sub-span view — no copy, no edge-id translation
-// (window offsets are base ids minus begin) — and is how the sharded
-// admission layer (engine/sharded_engine.hpp) audits its own replicated
-// per-shard residual store against the global one: per-edge `==`, not a
-// tolerance, since both sides apply bitwise-identical update sequences.
-class ResidualWindow {
- public:
-  EdgeId begin_edge() const { return begin_; }
-  EdgeId end_edge() const { return end_; }
-  int size() const { return static_cast<int>(end_ - begin_); }
-  bool contains(EdgeId e) const { return e >= begin_ && e < end_; }
-
-  // Live residual / base capacity of base edge `e` (must be in-window).
-  double residual(EdgeId e) const;
-  double capacity(EdgeId e) const;
-  std::span<const double> residual_span() const;
-
- private:
-  friend class ResidualGraph;
-  ResidualWindow(const ResidualGraph* rg, EdgeId begin, EdgeId end)
-      : rg_(rg), begin_(begin), end_(end) {}
-
-  const ResidualGraph* rg_;
-  EdgeId begin_;
-  EdgeId end_;
-};
-
 // The persistent per-world edge store. Owns the residual/stamp/blocked
 // arrays for the lifetime of a world; the engine opens an epoch, solves
 // against view(), commits winners, and lets the lease ledger write
@@ -196,10 +167,6 @@ class ResidualGraph {
 
   ResidualView view() { return ResidualView(this); }
 
-  // Shard-local read window over [begin, end) of the base edge space.
-  // Requires 0 <= begin <= end <= num_edges.
-  ResidualWindow window(EdgeId begin, EdgeId end) const;
-
  private:
   std::shared_ptr<const Graph> base_;
   double floor_;
@@ -219,17 +186,6 @@ class ResidualGraph {
   // out the raw span, closed by note_reclaimed(). open_epoch() checks it.
   bool reclaim_window_open_ = false;
 };
-
-inline double ResidualWindow::residual(EdgeId e) const {
-  return rg_->residual()[static_cast<std::size_t>(e)];
-}
-inline double ResidualWindow::capacity(EdgeId e) const {
-  return rg_->base().capacities()[static_cast<std::size_t>(e)];
-}
-inline std::span<const double> ResidualWindow::residual_span() const {
-  return rg_->residual().subspan(static_cast<std::size_t>(begin_),
-                                 static_cast<std::size_t>(end_ - begin_));
-}
 
 // Cross-epoch settled-tree cache: the per-source shortest-path trees the
 // sharded sp_cache refresh computes at each epoch's first refresh, kept

@@ -97,24 +97,6 @@ void EpochTelemetry::on_sanity(std::int64_t epoch, int checks_run,
   emit(Channel::kDeterministic, obj.str());
 }
 
-void EpochTelemetry::on_shard_epoch(int epoch, int shard,
-                                    std::int64_t reservations,
-                                    std::int64_t conflicts,
-                                    std::int64_t aborts, std::int64_t commits,
-                                    std::int64_t reclaims) {
-  JsonObject obj;
-  obj.field("event", "shard_epoch")
-      .field("chan", "det")
-      .field("epoch", epoch)
-      .field("shard", shard)
-      .field("reservations", reservations)
-      .field("conflicts", conflicts)
-      .field("aborts", aborts)
-      .field("commits", commits)
-      .field("reclaims", reclaims);
-  emit(Channel::kDeterministic, obj.str());
-}
-
 void EpochTelemetry::on_invalid(std::int64_t epoch, std::string_view reason,
                                 std::int64_t total_invalid) {
   JsonObject obj;

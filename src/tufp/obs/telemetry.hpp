@@ -91,16 +91,6 @@ class EpochTelemetry {
   // of the serving loop's observable behavior).
   void on_sanity(std::int64_t epoch, int checks_run, int violations);
 
-  // Emits `shard_epoch` (det) — one region shard's two-phase protocol
-  // activity over one epoch (engine/sharded_engine.hpp counter deltas).
-  // Every field is a pure function of the admission history, so the
-  // events are byte-identical across thread counts and kernels like any
-  // other det event. Plain integers keep obs/ decoupled from the shard
-  // layer's types.
-  void on_shard_epoch(int epoch, int shard, std::int64_t reservations,
-                      std::int64_t conflicts, std::int64_t aborts,
-                      std::int64_t commits, std::int64_t reclaims);
-
   // Emits `invalid` (det) — one wire-level framing shed (oversized or
   // truncated line) in a serving session, with the driver's running
   // invalid total. Deterministic: a pure function of the input bytes.

@@ -45,7 +45,6 @@ std::string DecisionRecord::to_json() const {
       .field("warm_tree", warm_tree)
       .field("density", density)
       .field("bottleneck_edge", bottleneck_edge)
-      .field("conflict_shard", conflict_shard)
       .field("admitted_at", admitted_at)
       .field("expires_at", expires_at);
   return obj.str();

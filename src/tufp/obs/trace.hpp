@@ -6,12 +6,13 @@
 //     terminates in exactly ONE canonical `DecisionRecord`: admitted,
 //     no_path, capacity_blocked (with the bottleneck base-edge id),
 //     lost_auction (with the request's exit density), shard_conflict
-//     (with the conflicting canonical-lattice shard id), invalid, or —
-//     for the reclaim path — lease_expired. Records are rendered through
-//     util/json.hpp and are byte-identical across SP kernels, thread
-//     counts and `--shards N`: the classification runs in the decider's
-//     serial exit path over deterministic solver state, never inside the
-//     parallel region (the trace-differential sim oracle enforces this).
+//     (fit the epoch-start residual but lost the capacity race within the
+//     epoch; with the bottleneck base-edge id), invalid, or — for the
+//     reclaim path — lease_expired. Records are rendered through
+//     util/json.hpp and are byte-identical across SP kernels and thread
+//     counts: the classification runs in the engine's serial exit path
+//     over deterministic solver state, never inside the parallel region
+//     (the trace-differential sim oracle enforces this).
 //
 //   * Spans (wall) — nested `TUFP_SPAN("phase")` scopes over the epoch
 //     phases (reclaim/validate/snapshot/solve/payments/commit),
@@ -59,9 +60,9 @@ enum class DecisionOutcome {
 // Canonical wire name ("admitted", "no_path", ...).
 const char* decision_name(DecisionOutcome outcome);
 
-// One terminal decision for one request (or one lease reclaim). Edge and
-// shard ids are plain integers — base-graph edge ids and canonical-lattice
-// shard ids — keeping this header decoupled from the graph types.
+// One terminal decision for one request (or one lease reclaim). Edge ids
+// are plain integers — base-graph edge ids — keeping this header
+// decoupled from the graph types.
 struct DecisionRecord {
   std::int64_t sequence = -1;  // global request id (lease owner for expiry)
   std::int64_t epoch = -1;
@@ -76,7 +77,6 @@ struct DecisionRecord {
   bool warm_tree = false;     // SP provenance: cross-epoch warm cache hit
   double density = 0.0;       // (d/v)·|p|_y at solver exit (lost_auction)
   std::int64_t bottleneck_edge = -1;  // capacity_blocked / shard_conflict
-  std::int64_t conflict_shard = -1;   // shard_conflict (canonical lattice)
   double admitted_at = 0.0;   // lease grant time (admitted / lease_expired)
   double expires_at = 0.0;    // lease expiry (inf = holds forever)
 

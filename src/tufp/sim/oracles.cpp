@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <utility>
 
 #include "tufp/engine/epoch_engine.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/mechanism/allocation_rule.hpp"
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
@@ -945,279 +943,6 @@ std::vector<Violation> oracle_residual_differential(OracleContext& ctx) {
   return out;
 }
 
-// ------------------------------------------------------- sharded replay
-
-// Protocol-level observations of one sharded replay: the coordinator's
-// exact-state audit after every epoch (and after the horizon drain), plus
-// the lifetime totals of the two-phase counters.
-struct ShardedProbe {
-  std::vector<std::string> audit;  // verify() failures, prefixed by epoch
-  shard::ShardCounters totals;
-  std::int64_t winners = 0;
-  std::int64_t cross_shard_winners = 0;
-};
-
-void audit_sharded(const ShardedEpochEngine& sharded, const std::string& at,
-                   ShardedProbe* probe) {
-  for (const std::string& v : sharded.verify()) {
-    probe->audit.push_back(at + ": " + v);
-  }
-}
-
-void finish_probe(const ShardedEpochEngine& sharded, ShardedProbe* probe) {
-  probe->totals = sharded.totals();
-  probe->winners = sharded.winners();
-  probe->cross_shard_winners = sharded.cross_shard_winners();
-}
-
-// run_world_engine through a ShardedEpochEngine decider: identical replay
-// loop, identical config — the digests must therefore be byte-identical,
-// and the per-epoch audit proves the shard layer reconstructed the global
-// state exactly while producing them.
-EngineRun run_world_engine_sharded(const SimWorld& world,
-                                   PaymentPolicy payments, int num_threads,
-                                   int num_shards, ShardedProbe* probe) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = payments;
-  config.record_allocations = true;
-  config.persistent_residual = true;
-  config.track_leases = false;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  config.solver.num_threads = num_threads;
-  ShardedEpochEngine sharded(world.instance.shared_graph(), config,
-                             num_shards);
-  EpochEngine& engine = sharded.engine();
-
-  EngineRun run;
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
-    t.sequence = static_cast<std::int64_t>(i);
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    const AdmissionReport report = engine.run_epoch(batch);
-    run.epochs.push_back({report.epoch, report.batch_size, report.admitted,
-                          report.revenue, report.admitted_value,
-                          report.solver_iterations, report.sp_computations,
-                          report.sp_tree_runs, report.allocations});
-    if (probe != nullptr) {
-      audit_sharded(sharded, "epoch " + std::to_string(report.epoch), probe);
-    }
-    batch.clear();
-  }
-  run.residual.assign(engine.residual().begin(), engine.residual().end());
-  if (probe != nullptr) finish_probe(sharded, probe);
-  return run;
-}
-
-// run_world_engine_temporal through a sharded decider, with the same
-// per-epoch + post-horizon audit.
-TemporalRun run_world_engine_temporal_sharded(const SimWorld& world,
-                                              int num_threads, int num_shards,
-                                              ShardedProbe* probe) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = PaymentPolicy::kNone;
-  config.record_allocations = true;
-  config.track_leases = true;
-  config.persistent_residual = true;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  config.solver.num_threads = num_threads;
-  ShardedEpochEngine sharded(world.instance.shared_graph(), config,
-                             num_shards);
-  EpochEngine& engine = sharded.engine();
-  const temporal::LeaseLedger& ledger = *engine.lease_ledger();
-  const Graph& base = world.instance.graph();
-  const auto edges = static_cast<std::size_t>(base.num_edges());
-
-  TemporalRun run;
-  double max_finite_duration = 0.0;
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
-    t.sequence = static_cast<std::int64_t>(i);
-    t.duration = i < world.durations.size() ? world.durations[i] : kInf;
-    if (t.duration < kInf) {
-      max_finite_duration = std::max(max_finite_duration, t.duration);
-    }
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    TemporalEpoch epoch;
-    epoch.report = engine.run_epoch(batch);
-    run.last_close = std::max(run.last_close, epoch.report.close_time);
-    epoch.residual.assign(engine.residual().begin(),
-                          engine.residual().end());
-    epoch.leased.resize(edges);
-    for (EdgeId e = 0; e < base.num_edges(); ++e) {
-      epoch.leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    }
-    if (probe != nullptr) {
-      audit_sharded(sharded, "epoch " + std::to_string(epoch.report.epoch),
-                    probe);
-    }
-    run.epochs.push_back(std::move(epoch));
-    batch.clear();
-  }
-
-  const double horizon = run.last_close + max_finite_duration + 1.0;
-  run.reclaimed_at_horizon = engine.reclaim_expired(horizon);
-  run.final_residual.assign(engine.residual().begin(),
-                            engine.residual().end());
-  run.final_leased.resize(edges);
-  run.final_active_on_edge.resize(edges);
-  for (EdgeId e = 0; e < base.num_edges(); ++e) {
-    run.final_leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    run.final_active_on_edge[static_cast<std::size_t>(e)] =
-        ledger.active_on_edge(e);
-  }
-  run.final_active = ledger.active_count();
-  run.trees_kept_on_reclaim =
-      engine.metrics().counters().trees_kept_on_reclaim;
-  run.trees_dropped_on_reclaim =
-      engine.metrics().counters().trees_dropped_on_reclaim;
-  if (probe != nullptr) {
-    audit_sharded(sharded, "horizon", probe);
-    finish_probe(sharded, probe);
-  }
-  return run;
-}
-
-// The tentpole differential of the sharding PR: the sharded multi-engine
-// service against the single engine, byte-for-byte — every report digest,
-// payment, residual, ledger view and solver counter — across both SP
-// kernels and thread counts, plain AND temporal churn replays. On top,
-// the two-phase protocol counters themselves must agree across legs:
-// they are declared a pure function of the admission history, so a
-// kernel or thread count changing any of them is a determinism bug even
-// if the admissions match.
-std::vector<Violation> oracle_sharded_differential(OracleContext& ctx) {
-  std::vector<Violation> out;
-  constexpr int kShards = 4;
-  struct LegCounters {
-    shard::ShardCounters plain, temporal;
-    std::string name;
-  };
-  std::vector<LegCounters> legs;
-  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-    SimWorld world = ctx.world;
-    world.solver.sp_kernel = kernel;
-    const char* kname = kernel == SpKernel::kHeap ? "heap" : "bucket";
-    for (const int threads : {1, 4}) {
-      const std::string leg =
-          std::string(kname) + " t" + std::to_string(threads);
-      ShardedProbe plain_probe;
-      const EngineRun single = run_world_engine(
-          world, PaymentPolicy::kDualPrice, threads,
-          /*temporal_path=*/false, /*persistent=*/true);
-      const EngineRun sharded = run_world_engine_sharded(
-          world, PaymentPolicy::kDualPrice, threads, kShards, &plain_probe);
-      const std::string diff = engine_run_diff(single, sharded);
-      if (!diff.empty()) {
-        add(&out, "sharded-differential",
-            leg + ": sharded vs single engine: " + diff);
-      }
-      ShardedProbe temporal_probe;
-      const TemporalRun tsingle =
-          run_world_engine_temporal(world, threads, /*persistent=*/true);
-      const TemporalRun tsharded = run_world_engine_temporal_sharded(
-          world, threads, kShards, &temporal_probe);
-      const std::string tdiff = temporal_run_diff(tsingle, tsharded);
-      if (!tdiff.empty()) {
-        add(&out, "sharded-differential",
-            leg + ": sharded vs single temporal replay: " + tdiff);
-      }
-      for (const ShardedProbe* p : {&plain_probe, &temporal_probe}) {
-        if (p->totals.aborts != 0 || p->totals.releases != 0) {
-          add(&out, "sharded-differential",
-              leg + ": two-phase abort/release on a decider-selected "
-                    "winner set (aborts " +
-                  std::to_string(p->totals.aborts) + ", releases " +
-                  std::to_string(p->totals.releases) + ")");
-        }
-      }
-      legs.push_back({plain_probe.totals, temporal_probe.totals, leg});
-    }
-  }
-  const auto counters_equal = [](const shard::ShardCounters& a,
-                                 const shard::ShardCounters& b) {
-    return a.reservations == b.reservations && a.conflicts == b.conflicts &&
-           a.aborts == b.aborts && a.commits == b.commits &&
-           a.releases == b.releases && a.reclaims == b.reclaims;
-  };
-  for (std::size_t i = 1; i < legs.size(); ++i) {
-    if (!counters_equal(legs[i].plain, legs[0].plain) ||
-        !counters_equal(legs[i].temporal, legs[0].temporal)) {
-      add(&out, "sharded-differential",
-          "two-phase protocol counters diverge across legs: " + legs[0].name +
-              " vs " + legs[i].name);
-    }
-  }
-  return out;
-}
-
-// Per-shard + global lease conservation, extending the PR-5 temporal
-// oracles to the shard layer: after every epoch (and the horizon drain),
-// each shard's residual store and lease book must reconstruct the global
-// residual and ledger gauges on its window with exact (==) equality, the
-// shard windows must tile the edge space, and the merged protocol
-// counters must satisfy the winner-accounting conservation law (verify()
-// checks all of it; two lattices exercise boundary placement).
-std::vector<Violation> oracle_shard_conserve(OracleContext& ctx) {
-  std::vector<Violation> out;
-  for (const int shards : {3, 4}) {
-    // Plan tiling: every edge owned by exactly one shard, windows
-    // contiguous and exhaustive.
-    const shard::ShardPlan plan(ctx.world.instance.graph().num_edges(),
-                                shards);
-    EdgeId expect = 0;
-    for (int s = 0; s < plan.num_shards(); ++s) {
-      const shard::ShardWindow& w = plan.window(s);
-      if (w.begin != expect || w.end < w.begin) {
-        add(&out, "shard-conserve",
-            "plan windows do not tile the edge space at shard " +
-                std::to_string(s));
-      }
-      expect = w.end;
-    }
-    if (expect != ctx.world.instance.graph().num_edges()) {
-      add(&out, "shard-conserve", "plan windows stop short of the edge space");
-    }
-    for (EdgeId e = 0; e < ctx.world.instance.graph().num_edges(); ++e) {
-      const int s = plan.shard_of(e);
-      if (!plan.window(s).contains(e)) {
-        add(&out, "shard-conserve",
-            "shard_of(" + std::to_string(e) + ") = " + std::to_string(s) +
-                " does not own the edge");
-        break;
-      }
-    }
-
-    ShardedProbe probe;
-    (void)run_world_engine_temporal_sharded(ctx.world, /*num_threads=*/1,
-                                            shards, &probe);
-    for (const std::string& v : probe.audit) {
-      add(&out, "shard-conserve",
-          "shards=" + std::to_string(shards) + " " + v);
-    }
-  }
-  return out;
-}
-
 // --------------------------------------------------- decision trace legs
 
 // Captures the decision channel into memory: the trace-differential
@@ -1232,14 +957,11 @@ class CapturingSink final : public obs::TelemetrySink {
 };
 
 // Replays the world with a DecisionTrace attached and returns the
-// rendered decision lines. `num_shards == 0` runs the bare engine;
-// otherwise the same replay goes through a ShardedEpochEngine observer
-// (which must not perturb the decision stream). `temporal_path` replays
-// with the sampled durations and drains to the post-run horizon, so
-// lease_expired records are part of the diffed history too.
+// rendered decision lines. `temporal_path` replays with the sampled
+// durations and drains to the post-run horizon, so lease_expired records
+// are part of the diffed history too.
 std::vector<std::string> run_world_trace(const SimWorld& world,
-                                         int num_threads, int num_shards,
-                                         bool temporal_path) {
+                                         int num_threads, bool temporal_path) {
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
   config.payments = PaymentPolicy::kDualPrice;
@@ -1252,19 +974,8 @@ std::vector<std::string> run_world_trace(const SimWorld& world,
 
   CapturingSink sink;
   obs::DecisionTrace trace(&sink);
-  std::unique_ptr<ShardedEpochEngine> sharded;
-  std::unique_ptr<EpochEngine> single;
-  EpochEngine* engine = nullptr;
-  if (num_shards > 0) {
-    sharded = std::make_unique<ShardedEpochEngine>(
-        world.instance.shared_graph(), config, num_shards);
-    engine = &sharded->engine();
-  } else {
-    single =
-        std::make_unique<EpochEngine>(world.instance.shared_graph(), config);
-    engine = single.get();
-  }
-  engine->set_decision_trace(&trace);
+  EpochEngine engine(world.instance.shared_graph(), config);
+  engine.set_decision_trace(&trace);
 
   const auto& requests = world.instance.requests();
   std::vector<TimedRequest> batch;
@@ -1286,22 +997,21 @@ std::vector<std::string> run_world_trace(const SimWorld& world,
         i + 1 < requests.size()) {
       continue;
     }
-    const AdmissionReport report = engine->run_epoch(batch);
+    const AdmissionReport report = engine.run_epoch(batch);
     last_close = std::max(last_close, report.close_time);
     batch.clear();
   }
   if (temporal_path) {
-    (void)engine->reclaim_expired(last_close + max_finite_duration + 1.0);
+    (void)engine.reclaim_expired(last_close + max_finite_duration + 1.0);
   }
-  engine->set_decision_trace(nullptr);
+  engine.set_decision_trace(nullptr);
   return std::move(sink.lines);
 }
 
 // The tentpole differential of the provenance PR: the rendered decision
-// stream — every outcome, density, bottleneck edge, conflict shard,
-// payment and warm/fresh provenance bit, as bytes — must be identical
-// across SP kernels, thread counts and shard layouts, on both the plain
-// and the churn replay. On top, the stream must satisfy the terminal-
+// stream — every outcome, density, bottleneck edge, payment and
+// warm/fresh provenance bit, as bytes — must be identical across SP
+// kernels and thread counts, on both the plain and the churn replay. On top, the stream must satisfy the terminal-
 // decision contract: exactly one non-expiry record per offered request,
 // in ascending sequence order within each epoch.
 std::vector<Violation> oracle_trace_differential(OracleContext& ctx) {
@@ -1315,46 +1025,41 @@ std::vector<Violation> oracle_trace_differential(OracleContext& ctx) {
       world.solver.sp_kernel = kernel;
       const char* kname = kernel == SpKernel::kHeap ? "heap" : "bucket";
       for (const int threads : {1, 4}) {
-        for (const int shards : {0, 4}) {
-          const std::string leg = std::string(mode) + " " + kname + " t" +
-                                  std::to_string(threads) +
-                                  (shards > 0
-                                       ? " shards" + std::to_string(shards)
-                                       : " unsharded");
-          std::vector<std::string> lines =
-              run_world_trace(world, threads, shards, temporal_path);
-          if (reference_leg.empty()) {
-            // One-decision-per-request audit on the reference leg only
-            // (equality transports it to every other leg).
-            std::int64_t decisions = 0;
-            for (const std::string& line : lines) {
-              if (line.find("\"outcome\":\"lease_expired\"") ==
-                  std::string::npos) {
-                ++decisions;
-              }
+        const std::string leg = std::string(mode) + " " + kname + " t" +
+                                std::to_string(threads);
+        std::vector<std::string> lines =
+            run_world_trace(world, threads, temporal_path);
+        if (reference_leg.empty()) {
+          // One-decision-per-request audit on the reference leg only
+          // (equality transports it to every other leg).
+          std::int64_t decisions = 0;
+          for (const std::string& line : lines) {
+            if (line.find("\"outcome\":\"lease_expired\"") ==
+                std::string::npos) {
+              ++decisions;
             }
-            const auto offered =
-                static_cast<std::int64_t>(world.instance.requests().size());
-            if (decisions != offered) {
-              add(&out, "trace-differential",
-                  leg + ": " + std::to_string(decisions) +
-                      " terminal decisions for " + std::to_string(offered) +
-                      " offered requests");
-            }
-            reference = std::move(lines);
-            reference_leg = leg;
-            continue;
           }
-          if (lines == reference) continue;
-          const std::size_t n = std::min(lines.size(), reference.size());
-          std::size_t k = 0;
-          while (k < n && lines[k] == reference[k]) ++k;
-          add(&out, "trace-differential",
-              leg + " diverges from " + reference_leg + " at record " +
-                  std::to_string(k) + ": " +
-                  (k < reference.size() ? reference[k] : "<end>") + " vs " +
-                  (k < lines.size() ? lines[k] : "<end>"));
+          const auto offered =
+              static_cast<std::int64_t>(world.instance.requests().size());
+          if (decisions != offered) {
+            add(&out, "trace-differential",
+                leg + ": " + std::to_string(decisions) +
+                    " terminal decisions for " + std::to_string(offered) +
+                    " offered requests");
+          }
+          reference = std::move(lines);
+          reference_leg = leg;
+          continue;
         }
+        if (lines == reference) continue;
+        const std::size_t n = std::min(lines.size(), reference.size());
+        std::size_t k = 0;
+        while (k < n && lines[k] == reference[k]) ++k;
+        add(&out, "trace-differential",
+            leg + " diverges from " + reference_leg + " at record " +
+                std::to_string(k) + ": " +
+                (k < reference.size() ? reference[k] : "<end>") + " vs " +
+                (k < lines.size() ? lines[k] : "<end>"));
       }
     }
   }
@@ -1399,15 +1104,8 @@ constexpr OracleEntry kCatalogue[] = {
     {"residual-differential",
      "persistent residual engine byte-identical to the snapshot engine",
      oracle_residual_differential},
-    {"sharded-differential",
-     "sharded multi-engine service byte-identical to the single engine",
-     oracle_sharded_differential},
-    {"shard-conserve",
-     "per-shard residual and lease books reconstruct the global state",
-     oracle_shard_conserve},
     {"trace-differential",
-     "decision provenance stream byte-identical across kernels, threads "
-     "and shard layouts",
+     "decision provenance stream byte-identical across kernels and threads",
      oracle_trace_differential},
 };
 

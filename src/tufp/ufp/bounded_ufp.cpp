@@ -163,7 +163,7 @@ BoundedUfpResult run_bounded_ufp(const detail::Substrate& sub,
     // Serial exit-state classification (DESIGN.md §14): every input here —
     // cached entries, the live residual, the epoch-start capacities — is a
     // deterministic function of the admission history, so the records are
-    // byte-identical across kernels, thread counts and shard layouts.
+    // byte-identical across kernels and thread counts.
     // Staleness is benign AND deterministic: in saturation mode the loop
     // exits right after a refresh (entries fresh); under the faithful
     // threshold any still-fitting request is lost_auction regardless of

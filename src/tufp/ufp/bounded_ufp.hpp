@@ -70,8 +70,8 @@ struct BoundedUfpConfig {
   // and export per-request warm-tree provenance (result.warm). The
   // classification reads only the solver's own deterministic exit state —
   // cached entries, the live residual, the epoch-start capacities — so
-  // records are identical across kernels, thread counts and shard
-  // layouts (the trace-differential oracle's contract, DESIGN.md §14).
+  // records are identical across kernels and thread counts (the
+  // trace-differential oracle's contract, DESIGN.md §14).
   // Cost: O(rejected × path length) once per solve.
   bool classify_rejections = false;
 
@@ -89,9 +89,9 @@ struct IterationRecord {
 };
 
 // Why an unselected request lost, judged at loop exit (DESIGN.md §14).
-// The solver speaks capacity language only; the engine maps kCapacityRace
-// onto its shard vocabulary (the request lost an intra-epoch capacity
-// race to earlier winners — the cross-shard-contention outcome class).
+// The solver speaks capacity language only; the engine reports
+// kCapacityRace as the shard_conflict outcome (the request lost the
+// capacity race to earlier winners within the epoch).
 enum class RejectReason {
   kNoPath,          // no residual-feasible route exists at all
   kBlockedAtStart,  // candidate path short of capacity even at epoch start

@@ -1,12 +1,10 @@
-// EpochEngine::reset() vs warm state (DESIGN.md §12/§13): after a full
+// EpochEngine::reset() vs warm state (DESIGN.md §12): after a full
 // churn replay — reclaims fired, warm trees stored and revalidated,
 // ledger clocks advanced — reset() must return the engine to a state
 // byte-indistinguishable from freshly constructed. Pinned by replaying
 // the same churn world twice through one engine (reset between) and
 // comparing every deterministic report field, the final residual and the
-// lifetime counters against a fresh engine's replay with exact ==. The
-// sharded coordinator's reset() is held to the same bar, shard books
-// included.
+// lifetime counters against a fresh engine's replay with exact ==.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +12,6 @@
 #include <vector>
 
 #include "tufp/engine/epoch_engine.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/sim/world.hpp"
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/temporal/duration.hpp"
@@ -145,56 +142,6 @@ TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
             fresh.metrics().counters().sp_tree_runs);
   EXPECT_EQ(warm.metrics().counters().trees_kept_on_reclaim,
             fresh.metrics().counters().trees_kept_on_reclaim);
-}
-
-TEST(EngineReset, ShardedResetRestoresEveryShardAndTheCoordinator) {
-  sim::ScaleChurnSpec spec;
-  spec.rows = 20;
-  spec.cols = 20;
-  spec.num_requests = 400;
-  spec.source_pool = 8;
-  spec.target_radius = 4;
-  spec.durations = DurationProfile::kHeavyTailed;
-  spec.seed = 31;
-  const sim::SimWorld world = sim::make_scale_churn_world(spec);
-  ASSERT_FALSE(world.durations.empty());
-
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.track_leases = true;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-
-  ShardedEpochEngine sharded(world.instance.shared_graph(), config, 3);
-  const std::vector<ReportDigest> first = replay(world, sharded.engine());
-  const shard::ShardCounters first_totals = sharded.totals();
-  EXPECT_GT(first_totals.commits, 0);
-  EXPECT_TRUE(sharded.verify().empty());
-
-  sharded.reset();
-  EXPECT_EQ(sharded.winners(), 0);
-  EXPECT_EQ(sharded.totals().commits, 0);
-  EXPECT_TRUE(sharded.epoch_reports().empty());
-  for (int s = 0; s < sharded.num_shards(); ++s) {
-    const shard::ShardWindow& w = sharded.plan().window(s);
-    for (EdgeId e = w.begin; e < w.end; ++e) {
-      EXPECT_EQ(sharded.shard(s).residual(e), sharded.shard(s).capacity(e));
-    }
-    EXPECT_EQ(sharded.shard(s).book().active_leases(), 0);
-  }
-
-  const std::vector<ReportDigest> after_reset = replay(world, sharded.engine());
-  expect_same_run(first, after_reset, "sharded reset replay");
-  EXPECT_TRUE(sharded.verify().empty());
-
-  // The protocol history replays identically too, counter for counter.
-  const shard::ShardCounters again = sharded.totals();
-  EXPECT_EQ(again.reservations, first_totals.reservations);
-  EXPECT_EQ(again.conflicts, first_totals.conflicts);
-  EXPECT_EQ(again.aborts, first_totals.aborts);
-  EXPECT_EQ(again.commits, first_totals.commits);
-  EXPECT_EQ(again.releases, first_totals.releases);
-  EXPECT_EQ(again.reclaims, first_totals.reclaims);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // byte-exact DecisionRecord wire format, the bounded trace ring, the
 // nested span profiler, and — on a live engine — one pinned record per
 // outcome class plus byte-identity of the full decision stream across SP
-// kernels, thread counts and shard layouts (the trace-differential sim
-// oracle, here run on one world of every family).
+// kernels and thread counts (the trace-differential sim oracle, here run
+// on one world of every family).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "tufp/engine/epoch_engine.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/graph/graph.hpp"
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
-#include "tufp/shard/partition.hpp"
 #include "tufp/sim/oracles.hpp"
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/util/math.hpp"
@@ -79,8 +77,7 @@ TEST(DecisionRecord, JsonIsByteExact) {
             "\"outcome\":\"admitted\",\"close_time\":1.5,\"value\":4,"
             "\"demand\":0.5,\"path\":[3,5],\"payment\":0.25,"
             "\"warm_tree\":true,\"density\":0,\"bottleneck_edge\":-1,"
-            "\"conflict_shard\":-1,\"admitted_at\":1.5,"
-            "\"expires_at\":\"inf\"}");
+            "\"admitted_at\":1.5,\"expires_at\":\"inf\"}");
 }
 
 TEST(DecisionTrace, RingIsBoundedOldestFirst) {
@@ -143,9 +140,8 @@ TEST(SpanProfiler, SpanIsNoOpWithoutInstalledProfiler) {
 
 // Funnel: 0->2, 1->2 feed the shared edge 2->3 which fans out 3->4,
 // 3->5. Edge e2 holds one winner; the loser fit at epoch start but lost
-// the intra-epoch race -> shard_conflict naming e2 and its canonical-
-// lattice owner.
-TEST(DecisionTraceEngine, ShardConflictNamesFunnelEdgeAndLatticeShard) {
+// the intra-epoch race -> shard_conflict naming e2.
+TEST(DecisionTraceEngine, ShardConflictNamesFunnelEdge) {
   Graph g = Graph::directed(6);
   g.add_edge(0, 2, 10.0);  // e0
   g.add_edge(1, 2, 10.0);  // e1
@@ -162,7 +158,6 @@ TEST(DecisionTraceEngine, ShardConflictNamesFunnelEdgeAndLatticeShard) {
                           make_timed(0.0, 1, 1.0, 1.0, kInf, 1, 5)});
       });
   ASSERT_EQ(lines.size(), 2u);
-  const int lattice_shard = shard::ShardPlan(5, 8).shard_of(2);
   int admitted = 0;
   int conflicts = 0;
   for (const std::string& line : lines) {
@@ -174,10 +169,6 @@ TEST(DecisionTraceEngine, ShardConflictNamesFunnelEdgeAndLatticeShard) {
     EXPECT_NE(line.find("\"outcome\":\"shard_conflict\""), std::string::npos)
         << line;
     EXPECT_NE(line.find("\"bottleneck_edge\":2"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"conflict_shard\":" +
-                        std::to_string(lattice_shard)),
-              std::string::npos)
-        << line;
   }
   EXPECT_EQ(admitted, 1);
   EXPECT_EQ(conflicts, 1);
@@ -243,9 +234,9 @@ TEST(DecisionTraceEngine, InvalidAndLeaseExpiryEmitRecords) {
 
 // ------------------------------------------------------- byte identity
 
-// The same batch replayed across {heap,bucket} x {1,4 threads} x
-// {bare, 4-shard} engines must produce byte-identical decision streams.
-TEST(DecisionTraceEngine, StreamIsByteIdenticalAcrossKernelsThreadsShards) {
+// The same batch replayed across {heap,bucket} x {1,4 threads} engines
+// must produce byte-identical decision streams.
+TEST(DecisionTraceEngine, StreamIsByteIdenticalAcrossKernelsAndThreads) {
   const auto build = [] {
     Graph g = Graph::directed(6);
     g.add_edge(0, 2, 10.0);
@@ -265,35 +256,18 @@ TEST(DecisionTraceEngine, StreamIsByteIdenticalAcrossKernelsThreadsShards) {
   std::vector<std::vector<std::string>> legs;
   for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
     for (const int threads : {1, 4}) {
-      for (const int shards : {0, 4}) {
-        EpochEngineConfig config;
-        config.max_batch = 2;
-        config.solver.sp_kernel = kernel;
-        config.solver.num_threads = threads;
-        std::ostringstream det;
-        obs::StreamSink sink(&det, nullptr);
-        obs::DecisionTrace trace(&sink);
-        std::shared_ptr<const Graph> graph = build();
-        std::unique_ptr<ShardedEpochEngine> sharded;
-        std::unique_ptr<EpochEngine> bare;
-        EpochEngine* engine = nullptr;
-        if (shards > 0) {
-          sharded =
-              std::make_unique<ShardedEpochEngine>(graph, config, shards);
-          engine = &sharded->engine();
-        } else {
-          bare = std::make_unique<EpochEngine>(graph, config);
-          engine = bare.get();
-        }
-        engine->set_decision_trace(&trace);
-        engine->run_epoch(epoch1);
-        engine->run_epoch(epoch2, 2.0);
-        engine->reclaim_expired(10.0);
-        legs.push_back(split_lines(det.str()));
-      }
+      EpochEngineConfig config;
+      config.max_batch = 2;
+      config.solver.sp_kernel = kernel;
+      config.solver.num_threads = threads;
+      legs.push_back(traced_run(build(), config, [&](EpochEngine& engine) {
+        engine.run_epoch(epoch1);
+        engine.run_epoch(epoch2, 2.0);
+        engine.reclaim_expired(10.0);
+      }));
     }
   }
-  ASSERT_EQ(legs.size(), 8u);
+  ASSERT_EQ(legs.size(), 4u);
   EXPECT_GE(legs[0].size(), 5u);  // 4 requests + >= 1 reclaim
   for (std::size_t i = 1; i < legs.size(); ++i) {
     EXPECT_EQ(legs[i], legs[0]) << "leg " << i;
@@ -301,7 +275,7 @@ TEST(DecisionTraceEngine, StreamIsByteIdenticalAcrossKernelsThreadsShards) {
 }
 
 // The trace-differential oracle on one world of every family: the full
-// kernel x thread x shard x {plain, churn} matrix, plus the exactly-one-
+// kernel x thread x {plain, churn} matrix, plus the exactly-one-
 // decision-per-request audit, on generated worlds.
 TEST(DecisionTraceEngine, TraceDifferentialHoldsOnEveryWorldFamily) {
   const std::vector<std::string> only{"trace-differential"};

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,21 @@ inline std::vector<std::string> split_csv(const std::string& csv) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+// Runs a tool's argument parser. std::stoi and friends report a malformed
+// or out-of-range number by throwing std::invalid_argument or
+// std::out_of_range (both std::logic_error); that is a usage error like
+// any other bad flag — one line on stderr and exit 2, never an abort.
+template <typename Parse>
+auto parse_args(const std::string& tool, Parse parse) {
+  try {
+    return parse();
+  } catch (const std::logic_error& e) {
+    std::cerr << tool << ": malformed or out-of-range number (" << e.what()
+              << ")\n";
+    std::exit(2);
+  }
 }
 
 // The shared --sp-kernel vocabulary. Every tool that exposes the flag

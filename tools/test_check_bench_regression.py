@@ -158,20 +158,20 @@ class RatioGateBaselineCoverage(Harness):
     # matches nothing.
     CURRENT = [
         {"case": "scale-grid316-persistent", "clear_requests_per_second": 4e4},
-        {"case": "scale-grid316-shard4-persistent",
+        {"case": "scale-grid316-t4-persistent",
          "clear_requests_per_second": 3.5e4},
     ]
 
     def test_exact_gate_case_absent_from_baseline_is_a_hard_error(self):
-        baseline = [self.CURRENT[0]]  # shard4 rows never baselined
+        baseline = [self.CURRENT[0]]  # t4 rows never baselined
         rc, out, err = self.run_gate(
             baseline, self.CURRENT,
             argv=["--min-ratio",
-                  "scale-grid316-shard4-persistent/"
+                  "scale-grid316-t4-persistent/"
                   "scale-grid316-persistent=0.5"])
         self.assertEqual(rc, 2, msg=out + err)
         self.assertIn("absent from the baseline", err)
-        self.assertIn("scale-grid316-shard4-persistent", err)
+        self.assertIn("scale-grid316-t4-persistent", err)
         self.assertIn("--update", err)
 
     def test_glob_substituted_pair_absent_from_baseline_is_a_hard_error(self):
@@ -183,7 +183,7 @@ class RatioGateBaselineCoverage(Harness):
         rc, out, err = self.run_gate(
             baseline, self.CURRENT,
             argv=["--min-ratio",
-                  "scale-grid316-shard4-*/scale-grid316-*=0.5"])
+                  "scale-grid316-t4-*/scale-grid316-*=0.5"])
         self.assertEqual(rc, 2, msg=out + err)
         self.assertIn("absent from the baseline", err)
 
@@ -191,7 +191,7 @@ class RatioGateBaselineCoverage(Harness):
         rc, out, err = self.run_gate(
             self.CURRENT, self.CURRENT,
             argv=["--min-ratio",
-                  "scale-grid316-shard4-persistent/"
+                  "scale-grid316-t4-persistent/"
                   "scale-grid316-persistent=0.5"])
         self.assertEqual(rc, 0, msg=out + err)
         self.assertIn("1 ratio gate(s) held", out)

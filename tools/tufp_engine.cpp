@@ -29,14 +29,6 @@
 //                            explicit thread request
 //   --eps X                  solver accuracy parameter (default 1/6)
 //   --sp-kernel auto|heap|bucket  shortest-path queue  (default auto)
-//   --shards N               region shards behind the decider (default 1
-//                            = plain single engine). N > 1 runs every
-//                            admission through the two-phase
-//                            reserve/commit protocol (DESIGN.md §13);
-//                            stdout stays byte-identical to --shards 1 —
-//                            the protocol observes the decider, it never
-//                            changes outcomes. Per-shard activity goes to
-//                            --telemetry (shard_epoch events) and stderr.
 // Leases (DESIGN.md §10):
 //   --duration-profile none|fixed|exponential|heavy-tailed|diurnal|
 //                      flash-crowd                     (default none =
@@ -61,8 +53,8 @@
 //   --trace PATH|-           per-request decision provenance records
 //                            (DESIGN.md §14): one JSONL line per terminal
 //                            decision, det channel, byte-identical across
-//                            --threads/--sp-kernel/--shards. `-` writes to
-//                            stdout (implies --quiet semantics for diffs)
+//                            --threads/--sp-kernel. `-` writes to stdout
+//                            (implies --quiet semantics for diffs)
 //   --flame PATH             collapsed-stack phase-span dump (flamegraph.pl
 //                            format) + span summary on stderr; wall-clock,
 //                            never byte-stable
@@ -83,7 +75,6 @@
 #include "cli_util.hpp"
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/json.hpp"
@@ -119,7 +110,6 @@ struct Options {
   int threads = 0;
   double eps = 1.0 / 6.0;
   std::string sp_kernel = "auto";
-  int shards = 1;
 
   std::string duration_profile = "none";
   double duration_mean = 1.0;
@@ -144,7 +134,7 @@ struct Options {
                "  [--burst-size N] [--burst-period X] [--seed S]\n"
                "  [--epochs N] [--epoch-duration X] [--queue N]\n"
                "  [--payments none|dual|critical] [--threads N] [--eps X]\n"
-               "  [--sp-kernel auto|heap|bucket] [--shards N]\n"
+               "  [--sp-kernel auto|heap|bucket]\n"
                "  [--duration-profile none|fixed|exponential|heavy-tailed|"
                "diurnal|flash-crowd]\n"
                "  [--duration-mean X] [--duration-period X] [--horizon X]\n"
@@ -182,7 +172,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--threads") opt.threads = std::stoi(value(i));
     else if (a == "--eps") opt.eps = std::stod(value(i));
     else if (a == "--sp-kernel") opt.sp_kernel = value(i);
-    else if (a == "--shards") opt.shards = std::stoi(value(i));
     else if (a == "--duration-profile") opt.duration_profile = value(i);
     else if (a == "--duration-mean") opt.duration_mean = std::stod(value(i));
     else if (a == "--duration-period") opt.duration_period = std::stod(value(i));
@@ -196,7 +185,7 @@ Options parse(int argc, char** argv) {
     else if (a == "--flame") opt.flame = value(i);
     else usage();
   }
-  if (opt.epochs < 1 || opt.requests < 0 || opt.shards < 1) usage();
+  if (opt.epochs < 1 || opt.requests < 0) usage();
   return opt;
 }
 
@@ -264,7 +253,8 @@ void write_json(const std::string& path, const Options& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  const Options opt =
+      cli::parse_args("tufp_engine", [&] { return parse(argc, argv); });
   cli::require_threads_supported("tufp_engine", opt.threads);
   try {
     if (opt.scenario != "grid" && opt.scenario != "random") usage();
@@ -311,18 +301,7 @@ int main(int argc, char** argv) {
     config.solver.num_threads = opt.threads;
     config.solver.sp_kernel = cli::parse_sp_kernel("tufp_engine", opt.sp_kernel);
 
-    // --shards N>1 interposes the two-phase region-shard protocol behind
-    // the same decider; driving sharded->engine() keeps every stdout byte
-    // identical to the single-engine run (the CI smoke cmp's the two).
-    std::unique_ptr<ShardedEpochEngine> sharded;
-    std::unique_ptr<EpochEngine> single;
-    if (opt.shards > 1) {
-      sharded = std::make_unique<ShardedEpochEngine>(scenario.graph, config,
-                                                     opt.shards);
-    } else {
-      single = std::make_unique<EpochEngine>(scenario.graph, config);
-    }
-    EpochEngine& engine = sharded ? sharded->engine() : *single;
+    EpochEngine engine(scenario.graph, config);
 
     // Live telemetry (DESIGN.md §11): per-epoch JSONL through the same
     // serializer tufp_serve streams. `-` splits channels across
@@ -352,8 +331,8 @@ int main(int argc, char** argv) {
     }
 
     // Decision provenance stream (DESIGN.md §14): one det JSONL line per
-    // terminal decision, diffable byte-for-byte across --threads,
-    // --sp-kernel and --shards (tufp_trace diff pins it; so does CI).
+    // terminal decision, diffable byte-for-byte across --threads and
+    // --sp-kernel (tufp_trace diff pins it; so does CI).
     std::ofstream trace_file;
     std::unique_ptr<obs::StreamSink> trace_sink;
     std::unique_ptr<obs::DecisionTrace> trace;
@@ -390,18 +369,7 @@ int main(int argc, char** argv) {
     series.set_precision(2);
     const EngineSummary summary =
         engine.run(*stream, [&](const AdmissionReport& r) {
-      if (telemetry) {
-        telemetry->on_epoch(r, engine.metrics());
-        if (sharded && !sharded->epoch_reports().empty()) {
-          const ShardEpochReport& sr = sharded->epoch_reports().back();
-          for (std::size_t s = 0; s < sr.per_shard.size(); ++s) {
-            const shard::ShardCounters& c = sr.per_shard[s];
-            telemetry->on_shard_epoch(sr.epoch, static_cast<int>(s),
-                                      c.reservations, c.conflicts, c.aborts,
-                                      c.commits, c.reclaims);
-          }
-        }
-      }
+      if (telemetry) telemetry->on_epoch(r, engine.metrics());
       auto row = series.row();
       row.cell(r.epoch)
           .cell(r.batch_size)
@@ -475,24 +443,6 @@ int main(int argc, char** argv) {
                  ledger != nullptr ? ledger->active_count() : 0,
                  engine.metrics().occupancy());
       std::cerr << "wrote " << opt.json_path << "\n";
-    }
-
-    // Shard protocol audit + totals. Deterministic, but kept on stderr:
-    // stdout must stay byte-identical across --shards values.
-    if (sharded) {
-      const std::vector<std::string> violations = sharded->verify();
-      for (const std::string& v : violations) {
-        std::cerr << "tufp_engine: shard audit: " << v << "\n";
-      }
-      if (!violations.empty()) return 1;
-      const shard::ShardCounters t = sharded->totals();
-      std::cerr << "shards: n=" << sharded->num_shards()
-                << " winners=" << sharded->winners()
-                << " cross_shard=" << sharded->cross_shard_winners()
-                << " reservations=" << t.reservations
-                << " conflicts=" << t.conflicts << " aborts=" << t.aborts
-                << " commits=" << t.commits << " reclaims=" << t.reclaims
-                << "\n";
     }
 
     if (!opt.flame.empty()) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "tufp/mechanism/truthfulness_audit.hpp"
 #include "tufp/util/table.hpp"
 #include "tufp/workload/io.hpp"
@@ -139,7 +140,8 @@ int run_muca(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  const Options opt =
+      cli::parse_args("tufp_mechanism", [&] { return parse(argc, argv); });
   try {
     const std::string kind = detect_kind(opt.path);
     if (kind == "ufp") return run_ufp(opt);

@@ -34,13 +34,6 @@
 //   --queue N                bounded queue capacity (default 65536)
 //   --payments none|dual|critical                     (default dual)
 //   --threads N / --eps X / --sp-kernel auto|heap|bucket
-//   --shards N               region shards behind the decider (default 1).
-//                            N > 1 routes every admission through the
-//                            two-phase reserve/commit protocol
-//                            (DESIGN.md §13); the deterministic telemetry
-//                            stream stays byte-identical to --shards 1,
-//                            and --sanity audits the shard books against
-//                            the global stores on every sweep
 //   --horizon X              advance the clock to X at shutdown and
 //                            reclaim what expired (default 0)
 // Framing:
@@ -108,7 +101,6 @@
 #include "cli_util.hpp"
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/obs/sanity.hpp"
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
@@ -144,7 +136,6 @@ struct Options {
   int threads = 0;
   double eps = 1.0 / 6.0;
   std::string sp_kernel = "auto";
-  int shards = 1;
   double horizon = 0.0;
   std::size_t max_line = 65536;
 
@@ -167,7 +158,7 @@ struct Options {
          "  [--vertices N] [--edges N] [--capacity X] [--seed S]\n"
          "  [--max-batch N] [--epoch-duration X] [--queue N]\n"
          "  [--payments none|dual|critical] [--threads N] [--eps X]\n"
-         "  [--sp-kernel auto|heap|bucket] [--shards N] [--horizon X]\n"
+         "  [--sp-kernel auto|heap|bucket] [--horizon X]\n"
          "  [--max-line BYTES]\n"
          "  [--telemetry PATH|-] [--det-only] [--hist-every N]\n"
          "  [--trace PATH] [--sanity every-N] [--repro-dir DIR]\n"
@@ -202,7 +193,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--threads") opt.threads = std::stoi(value(i));
     else if (a == "--eps") opt.eps = std::stod(value(i));
     else if (a == "--sp-kernel") opt.sp_kernel = value(i);
-    else if (a == "--shards") opt.shards = std::stoi(value(i));
     else if (a == "--horizon") opt.horizon = std::stod(value(i));
     else if (a == "--max-line") opt.max_line = std::stoull(value(i));
     else if (a == "--telemetry") opt.telemetry = value(i);
@@ -218,8 +208,7 @@ Options parse(int argc, char** argv) {
     else if (a == "--inject") opt.inject = value(i);
     else usage();
   }
-  if (opt.max_batch < 1 || opt.epoch_duration < 0.0 || opt.shards < 1 ||
-      opt.max_line < 1) {
+  if (opt.max_batch < 1 || opt.epoch_duration < 0.0 || opt.max_line < 1) {
     usage();
   }
   if (!opt.inject.empty() && opt.inject != "leak-expired-capacity") usage();
@@ -232,6 +221,20 @@ PaymentPolicy parse_payments(const std::string& name) {
   if (name == "dual") return PaymentPolicy::kDualPrice;
   if (name == "critical") return PaymentPolicy::kCritical;
   usage();
+}
+
+EpochEngineConfig engine_config(const Options& opt) {
+  EpochEngineConfig config;
+  config.max_batch = opt.max_batch;
+  config.queue_capacity = opt.queue;
+  config.payments = parse_payments(opt.payments);
+  config.solver.epsilon = opt.eps;
+  config.solver.num_threads = opt.threads;
+  config.solver.sp_kernel = cli::parse_sp_kernel("tufp_serve", opt.sp_kernel);
+  if (opt.inject == "leak-expired-capacity") {
+    config.inject_reclaim_leak = 0.05;
+  }
+  return config;
 }
 
 // A line source: stdin, one socket connection after another, or the
@@ -373,31 +376,10 @@ class ServeSession {
  public:
   ServeSession(const Options& opt, std::shared_ptr<const Graph> graph,
                obs::TelemetrySink* sink, obs::DecisionTrace* trace)
-      : opt_(opt), queue_(opt.queue), sink_(sink), trace_(trace),
+      : opt_(opt), engine_(std::move(graph), engine_config(opt)),
+        queue_(opt.queue), sink_(sink), trace_(trace),
         telemetry_(sink, {opt.hist_every, !opt.det_only}) {
-    EpochEngineConfig config;
-    config.max_batch = opt.max_batch;
-    config.queue_capacity = opt.queue;
-    config.payments = parse_payments(opt.payments);
-    config.solver.epsilon = opt.eps;
-    config.solver.num_threads = opt.threads;
-    config.solver.sp_kernel = cli::parse_sp_kernel("tufp_serve", opt.sp_kernel);
-    if (opt.inject == "leak-expired-capacity") {
-      config.inject_reclaim_leak = 0.05;
-    }
-    // --shards N>1 interposes the two-phase region-shard protocol
-    // (DESIGN.md §13) behind the same decider; the session keeps driving
-    // the inner engine, so the det telemetry stream stays byte-identical
-    // to the single-engine daemon.
-    if (opt.shards > 1) {
-      sharded_ = std::make_unique<ShardedEpochEngine>(std::move(graph),
-                                                      config, opt.shards);
-      engine_ = &sharded_->engine();
-    } else {
-      single_ = std::make_unique<EpochEngine>(std::move(graph), config);
-      engine_ = single_.get();
-    }
-    if (trace_ != nullptr) engine_->set_decision_trace(trace_);
+    if (trace_ != nullptr) engine_.set_decision_trace(trace_);
     if (opt.epoch_duration > 0.0) window_end_ = opt.epoch_duration;
   }
 
@@ -495,7 +477,7 @@ class ServeSession {
     advance_clock(std::max(arrival, clock_));
     timed.arrival_time = clock_;
     const bool queued = queue_.push(timed);
-    engine_->record_ingest(1, queued ? 0 : 1);
+    engine_.record_ingest(1, queued ? 0 : 1);
     if (queued) maybe_clear_on_occupancy();
     return !violated_;
   }
@@ -505,10 +487,10 @@ class ServeSession {
   // with a deterministic `invalid` telemetry event — a framing error is
   // an observable fact about the session, not a silent stderr warning.
   void shed_invalid(std::string_view reason, const std::string& line) {
-    engine_->record_ingest(1, 0);
-    engine_->record_invalid(1);
-    telemetry_.on_invalid(engine_->epochs_run(), reason,
-                          engine_->metrics().counters().invalid_rejected);
+    engine_.record_ingest(1, 0);
+    engine_.record_invalid(1);
+    telemetry_.on_invalid(engine_.epochs_run(), reason,
+                          engine_.metrics().counters().invalid_rejected);
     std::cerr << "tufp_serve: shedding " << reason << " line (" << line.size()
               << " bytes)\n";
   }
@@ -553,21 +535,12 @@ class ServeSession {
       batch.push_back(std::move(item));
     }
     if (batch.empty()) return;
-    AdmissionReport report = engine_->run_epoch(batch, close_time);
+    AdmissionReport report = engine_.run_epoch(batch, close_time);
     report.queue_depth = static_cast<std::int64_t>(queue_.size());
-    telemetry_.on_epoch(report, engine_->metrics());
-    if (sharded_ && !sharded_->epoch_reports().empty()) {
-      const ShardEpochReport& sr = sharded_->epoch_reports().back();
-      for (std::size_t s = 0; s < sr.per_shard.size(); ++s) {
-        const shard::ShardCounters& c = sr.per_shard[s];
-        telemetry_.on_shard_epoch(sr.epoch, static_cast<int>(s),
-                                  c.reservations, c.conflicts, c.aborts,
-                                  c.commits, c.reclaims);
-      }
-    }
+    telemetry_.on_epoch(report, engine_.metrics());
     clock_ = std::max(clock_, close_time);
     if (opt_.sanity_every > 0 &&
-        engine_->epochs_run() % opt_.sanity_every == 0) {
+        engine_.epochs_run() % opt_.sanity_every == 0) {
       run_sanity();
     }
   }
@@ -575,8 +548,8 @@ class ServeSession {
   void drain(double t) {
     advance_clock(t);
     if (violated_) return;
-    const int reclaimed = engine_->reclaim_expired(clock_);
-    const auto* ledger = engine_->lease_ledger();
+    const int reclaimed = engine_.reclaim_expired(clock_);
+    const auto* ledger = engine_.lease_ledger();
     JsonObject obj;
     obj.field("event", "drain")
         .field("chan", "det")
@@ -584,7 +557,7 @@ class ServeSession {
         .field("reclaimed", reclaimed)
         .field("active_leases",
                ledger != nullptr ? ledger->active_count() : 0)
-        .field("occupancy", engine_->metrics().occupancy());
+        .field("occupancy", engine_.metrics().occupancy());
     sink_->emit(obs::Channel::kDeterministic, obj.str());
     // The reclaim path just ran: exactly when the oracles are worth
     // their cost (a leak can only appear on an expiry).
@@ -592,19 +565,10 @@ class ServeSession {
   }
 
   void run_sanity() {
-    std::vector<obs::SanityViolation> violations =
-        obs::run_sanity_checks(*engine_);
-    int checks = obs::sanity_check_count(*engine_);
-    // Sharded service: the per-shard residual stores and lease books are
-    // audited against the global state on the same sweep (exact ==, the
-    // shard-conserve invariant from the fuzzer, in service).
-    if (sharded_) {
-      ++checks;
-      for (std::string& detail : sharded_->verify()) {
-        violations.push_back({"shard-conserve", std::move(detail)});
-      }
-    }
-    telemetry_.on_sanity(engine_->epochs_run(), checks,
+    const std::vector<obs::SanityViolation> violations =
+        obs::run_sanity_checks(engine_);
+    const int checks = obs::sanity_check_count(engine_);
+    telemetry_.on_sanity(engine_.epochs_run(), checks,
                          static_cast<int>(violations.size()));
     if (violations.empty()) return;
     violated_ = true;
@@ -612,7 +576,7 @@ class ServeSession {
       JsonObject obj;
       obj.field("event", "sanity_violation")
           .field("chan", "det")
-          .field("epoch", engine_->epochs_run())
+          .field("epoch", engine_.epochs_run())
           .field("check", v.check)
           .field("detail", v.detail);
       sink_->emit(obs::Channel::kDeterministic, obj.str());
@@ -672,12 +636,12 @@ class ServeSession {
       run_sanity();
       if (violated_) return;
     }
-    const auto* ledger = engine_->lease_ledger();
+    const auto* ledger = engine_.lease_ledger();
     const double wall = timer_.elapsed_seconds();
-    const auto seen = engine_->metrics().counters().requests_seen;
-    telemetry_.finish(engine_->metrics(),
+    const auto seen = engine_.metrics().counters().requests_seen;
+    telemetry_.finish(engine_.metrics(),
                       ledger != nullptr ? ledger->active_count() : 0,
-                      engine_->metrics().occupancy(), wall,
+                      engine_.metrics().occupancy(), wall,
                       wall > 0.0 ? static_cast<double>(seen) / wall : 0.0);
   }
 
@@ -691,8 +655,8 @@ class ServeSession {
         .field("chan", "det")
         .field("tool", "tufp_serve")
         .field("source", source)
-        .field("vertices", engine_->base_graph().num_vertices())
-        .field("edges", engine_->base_graph().num_edges())
+        .field("vertices", engine_.base_graph().num_vertices())
+        .field("edges", engine_.base_graph().num_edges())
         .field("max_batch", opt_.max_batch)
         .field("epoch_duration", opt_.epoch_duration)
         .field("sanity_every", opt_.sanity_every);
@@ -700,9 +664,7 @@ class ServeSession {
   }
 
   const Options& opt_;
-  std::unique_ptr<ShardedEpochEngine> sharded_;  // only when --shards > 1
-  std::unique_ptr<EpochEngine> single_;          // only when --shards == 1
-  EpochEngine* engine_ = nullptr;  // the decider, whichever owns it
+  EpochEngine engine_;
   BoundedRequestQueue queue_;
   obs::TelemetrySink* sink_;
   obs::DecisionTrace* trace_;  // null without --trace
@@ -718,7 +680,8 @@ class ServeSession {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  const Options opt =
+      cli::parse_args("tufp_serve", [&] { return parse(argc, argv); });
   cli::require_threads_supported("tufp_serve", opt.threads);
   try {
     // Topology + (for --workload) the synthesized session script.

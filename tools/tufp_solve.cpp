@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "tufp/auction/bounded_muca.hpp"
 #include "tufp/auction/muca_exact.hpp"
 #include "tufp/baselines/greedy.hpp"
@@ -193,7 +194,8 @@ int solve_muca_file(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  const Options opt =
+      cli::parse_args("tufp_solve", [&] { return parse(argc, argv); });
   try {
     const std::string kind = detect_kind(opt.path);
     if (kind == "ufp") return solve_ufp_file(opt);

@@ -4,8 +4,8 @@
 // Usage:
 //   tufp_trace explain <trace.jsonl> <request-id>
 //       Narrate every record for the request: what was decided, why, and
-//       the evidence (path, density, bottleneck edge, conflict shard,
-//       payment, warm/fresh SP provenance, lease window).
+//       the evidence (path, density, bottleneck edge, payment, warm/fresh
+//       SP provenance, lease window).
 //   tufp_trace top <trace.jsonl> [--by outcome|edge|phase] [--limit N]
 //       Aggregate the trace: decision counts per outcome (default),
 //       bottleneck pressure per edge, or — for a collapsed-stack file
@@ -154,9 +154,7 @@ void narrate(const std::string& line) {
     std::cout << "  path " << path
               << " fit at epoch start but lost the intra-epoch capacity "
                  "race; bottleneck edge "
-              << int_field(line, "bottleneck_edge")
-              << " in canonical-lattice shard "
-              << int_field(line, "conflict_shard") << "\n";
+              << int_field(line, "bottleneck_edge") << "\n";
   } else if (outcome == "invalid") {
     std::cout << "  malformed bid, shed before any auction\n";
   } else if (outcome == "lease_expired") {
@@ -291,7 +289,11 @@ int main(int argc, char** argv) {
     for (std::size_t i = 2; i < args.size(); ++i) {
       if (args[i] == "--by" && i + 1 < args.size()) by = args[++i];
       else if (args[i] == "--limit" && i + 1 < args.size()) {
-        limit = std::stoi(args[++i]);
+        try {
+          limit = std::stoi(args[++i]);
+        } catch (const std::exception&) {
+          usage();
+        }
       } else {
         usage();
       }
