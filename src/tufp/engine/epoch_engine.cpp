@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "tufp/mechanism/allocation_rule.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
@@ -682,42 +681,31 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       return;
     }
     case PaymentPolicy::kCritical: {
-      // The bisection probes need an epoch instance. Persistent mode has
-      // none — compile it here from the frozen epoch-start residuals
-      // (live residuals are untouched until the winner loop below, so
-      // this is bit-for-bit the snapshot the legacy path would have
-      // built, and with it the payments are byte-identical too). The
-      // critical path is documented as the expensive policy; one compile
-      // per *paying* epoch keeps the no-payment hot path allocation-free.
-      std::optional<UfpInstance> local;
-      if (instance == nullptr) {
-        const GraphSnapshot snap = GraphSnapshot::compile(
-            base_, rgraph_->epoch_capacities(), config_.min_usable_capacity);
-        local.emplace(snap.graph(),
-                      std::vector<Request>(requests.begin(), requests.end()));
-        instance = &*local;
-      }
-      // Winner shard of the epoch clear: each winner's critical-value
-      // bisection is an independent re-solve against the same immutable
-      // epoch instance, so winners fan out across OpenMP threads and the
-      // results land in per-winner slots — byte-identical for any thread
-      // count, read back in arrival order by the allocation loop. The
-      // probe solves run serial (identical output): parallelism lives at
-      // the winner level here, and a parallel inner config would only
-      // allocate engine pools a nested region cannot use — or
-      // oversubscribe when nested OpenMP is enabled.
-      BoundedUfpConfig probe_cfg = solver_cfg;
-      probe_cfg.parallel = false;
-      const UfpRule rule = make_bounded_ufp_rule(probe_cfg);
+      // One shadowed replay per winner (bounded_ufp_critical_value):
+      // the exact critical value, read off the epoch re-run without the
+      // winner. Replays start from the epoch-start state the solve saw:
+      // the view's frozen epoch capacities (commits only land in the
+      // loop after this one) or, in snapshot mode, the epoch instance.
+      // Winners are independent and read only that immutable state, so
+      // they fan out across OpenMP threads into per-winner slots —
+      // byte-identical for any thread count, read back in arrival order
+      // by the allocation loop. Each replay solves serially (identical
+      // output): parallelism lives at the winner level here, and a
+      // parallel inner config would only allocate engine pools a nested
+      // region cannot use — or oversubscribe when nested OpenMP is
+      // enabled.
+      BoundedUfpConfig replay_cfg = solver_cfg;
+      replay_cfg.parallel = false;
       std::vector<int> winners;
-      for (int r = 0; r < instance->num_requests(); ++r) {
+      for (int r = 0; r < static_cast<int>(requests.size()); ++r) {
         if (run.solution.is_selected(r)) winners.push_back(r);
       }
       const auto price_winner = [&](int r) {
-        const double critical =
-            ufp_critical_value(*instance, rule, r, config_.payment_options);
         (*payments)[static_cast<std::size_t>(r)] =
-            std::min(critical, instance->request(r).value);
+            instance != nullptr
+                ? bounded_ufp_critical_value(*instance, r, replay_cfg)
+                : bounded_ufp_critical_value(rgraph_->view(), requests, r,
+                                             replay_cfg);
       };
 #if defined(TUFP_HAVE_OPENMP)
       if (config_.solver.parallel && winners.size() > 1) {

@@ -25,9 +25,12 @@
 // thread counts and runs (the determinism tests pin this).
 //
 // Payments per epoch (DESIGN.md §7):
-//   * kCritical — the paper's critical-value payment computed by bisection
-//     against the epoch instance. Truthful (Thm 2.3) but each winner costs
-//     O(log(1/tol)) full re-solves; intended for moderate epoch sizes.
+//   * kCritical — the paper's critical-value payment, exact: one
+//     shadowed replay of the epoch solve per winner
+//     (bounded_ufp_critical_value) yields the smallest double bid at
+//     which the winner would still have been selected. Truthful
+//     (Thm 2.3); each winner costs one serial re-solve, fanned out across
+//     winners.
 //   * kDualPrice — posted congestion price frozen at admission time:
 //     pay_r = v_r * min(1, alpha_r) where alpha_r = (d_r/v_r)*|p_r|_y is
 //     the normalized dual length of the winning path at selection. Cheap
@@ -48,7 +51,6 @@
 #include "tufp/engine/request_stream.hpp"
 #include "tufp/engine/snapshot.hpp"
 #include "tufp/graph/residual_csr.hpp"
-#include "tufp/mechanism/critical_payment.hpp"
 #include "tufp/temporal/lease_ledger.hpp"
 #include "tufp/ufp/bounded_ufp.hpp"
 #include "tufp/ufp/workspace.hpp"
@@ -78,7 +80,6 @@ struct EpochEngineConfig {
   double min_usable_capacity = 1.0;
 
   PaymentPolicy payments = PaymentPolicy::kDualPrice;
-  PaymentOptions payment_options;  // kCritical bisection control
 
   // Per-epoch solver settings. The engine forces capacity_guard on
   // (residual carry-over is meaningless without feasible epochs) and
@@ -279,7 +280,7 @@ class EpochEngine {
   AdmissionReport clear_epoch(const std::vector<TimedRequest>& batch,
                               double close_time);
   // `instance` is the epoch instance in snapshot mode, nullptr in
-  // persistent mode (kCritical compiles one lazily — see the .cpp).
+  // persistent mode (kCritical then replays over the residual view).
   void apply_payments(std::span<const Request> requests,
                       const UfpInstance* instance, const BoundedUfpResult& run,
                       const BoundedUfpConfig& solver_cfg,

@@ -32,16 +32,21 @@ double bisect_critical(double declared, WinsAt&& wins_at,
 
 }  // namespace
 
+bool ufp_wins_at(const UfpInstance& instance, const UfpRule& rule, int r,
+                 double v) {
+  Request probe = instance.request(r);
+  probe.value = v;
+  return rule(instance.with_request(r, probe)).is_selected(r);
+}
+
 double ufp_critical_value(const UfpInstance& instance, const UfpRule& rule,
                           int r, const PaymentOptions& options,
                           long* evaluations) {
-  const Request& declared = instance.request(r);
   const auto wins_at = [&](double v) {
-    Request probe = declared;
-    probe.value = v;
-    return rule(instance.with_request(r, probe)).is_selected(r);
+    return ufp_wins_at(instance, rule, r, v);
   };
-  return bisect_critical(declared.value, wins_at, options, evaluations);
+  return bisect_critical(instance.request(r).value, wins_at, options,
+                         evaluations);
 }
 
 double muca_critical_value(const MucaInstance& instance, const MucaRule& rule,

@@ -3,15 +3,22 @@
 // For a monotone allocation rule the set of winning declared values of an
 // agent (everything else fixed) is an up-closed interval; its infimum is
 // the agent's *critical value*, and charging exactly that makes
-// truth-telling a dominant strategy (Theorem 2.3). Monotonicity makes the
-// critical value computable by bisection on the declared value: each probe
-// re-runs the allocation rule on a single-declaration variant of the
-// instance. Losers pay zero (normalization).
+// truth-telling a dominant strategy (Theorem 2.3). Losers pay zero
+// (normalization).
 //
-// The bisection brackets theta within a configurable relative tolerance;
-// payments are reported as the upper end of the bracket, so they never
-// undercharge by more than the bracket width and never exceed the declared
-// value (individual rationality).
+// This header is the rule-agnostic reference: monotonicity alone makes
+// the critical value computable by bisection on the declared value, each
+// probe re-running the allocation rule on a single-declaration variant of
+// the instance. It serves the offline mechanism, the truthfulness audits
+// and the oracles. The bisection brackets theta within a configurable
+// relative tolerance; payments are reported as the upper end of the
+// bracket, so they never undercharge by more than the bracket width and
+// never exceed the declared value (individual rationality).
+//
+// For Algorithm 1 itself the serving path does not bisect:
+// bounded_ufp_critical_value (ufp/bounded_ufp.hpp) reads the exact value
+// off one replay of the run without the winner. Against it this
+// reference reads b with p <= b <= p + tolerance * max(1, b).
 #pragma once
 
 #include <vector>
@@ -50,6 +57,12 @@ UfpMechanismResult run_ufp_mechanism(const UfpInstance& instance,
 MucaMechanismResult run_muca_mechanism(const MucaInstance& instance,
                                        const MucaRule& rule,
                                        const PaymentOptions& options = {});
+
+// Whether `rule` selects request r when r declares value v, every other
+// declaration (and r's demand) as in `instance`: the probe every
+// critical-value bisection and exactness check is built on.
+bool ufp_wins_at(const UfpInstance& instance, const UfpRule& rule, int r,
+                 double v);
 
 // The critical value of request r under `rule` at its declared demand
 // (bisection; requires r to win at its declared value). Exposed for tests

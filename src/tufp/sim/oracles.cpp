@@ -583,8 +583,10 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
 
   BoundedUfpConfig cfg = world.solver;
   cfg.capacity_guard = true;
+  const UfpRule rule = make_bounded_ufp_rule(cfg);
+  const PaymentOptions reference;
   const UfpMechanismResult offline =
-      run_ufp_mechanism(world.instance, make_bounded_ufp_rule(cfg));
+      run_ufp_mechanism(world.instance, rule, reference);
 
   std::vector<double> engine_payment(static_cast<std::size_t>(R), 0.0);
   std::vector<bool> engine_won(static_cast<std::size_t>(R), false);
@@ -603,11 +605,23 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
               (engine_won[i] ? "engine only" : "offline mechanism only"));
       continue;
     }
-    if (std::fabs(engine_payment[i] - offline.payments[i]) > 1e-9) {
+    // The engine's payment is exact; the offline bisection is the upper
+    // end of a bracket around the same threshold, so it may sit above the
+    // engine by at most the bracket width and never below it.
+    const double p = engine_payment[i];
+    const double b = offline.payments[i];
+    if (!(p <= b && b <= p + reference.tolerance * std::max(1.0, b))) {
       add(&out, "engine-offline",
-          "request " + std::to_string(r) + " engine payment " +
-              fmt(engine_payment[i]) + " != offline critical payment " +
-              fmt(offline.payments[i]));
+          "request " + std::to_string(r) + " engine payment " + fmt(p) +
+              " outside the offline critical bracket " + fmt(b));
+    }
+    // Exact to the ulp: the rule admits at p and rejects one double below.
+    if (p > 0.0 && (!ufp_wins_at(world.instance, rule, r, p) ||
+                    ufp_wins_at(world.instance, rule, r,
+                                std::nextafter(p, 0.0)))) {
+      add(&out, "engine-offline",
+          "request " + std::to_string(r) + " engine payment " + fmt(p) +
+              " is not the rule's winning threshold");
     }
   }
   return out;

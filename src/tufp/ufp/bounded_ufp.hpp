@@ -170,4 +170,35 @@ BoundedUfpResult bounded_ufp(const ResidualView& view,
                              const BoundedUfpConfig& config = {},
                              UfpWorkspace* workspace = nullptr);
 
+// Exact critical value of request r (Theorem 2.3's payment): the smallest
+// positive double bid at which bounded_ufp(·, config) selects r, all
+// other declarations fixed; kInf when no bid wins. For a winner it never
+// exceeds the declared value.
+//
+// One replay of Algorithm 1 from the epoch-start state with r shadowed
+// (Lehmann–O'Callaghan–Shoham's critical value of a greedy auction, read
+// off the run without the bidder). r's path and guard fit are refreshed
+// every iteration but r is never selected: a bid moves only r's own
+// priority (d_r/v_r)·|p_r|_y, never the paths, the duals or the stop
+// threshold, so for every bid at which r keeps losing the real run IS
+// this run. At each iteration t where r's path fits, with α_t the best
+// priority among the others and b_t its id, r wins exactly at the bids
+// v with d_r/v·|p_r| < α_t, or == α_t and r < b_t — the selection scan's
+// own predicate and id tie-break, evaluated in the same floating point —
+// and the smallest such double is found by bisecting the ordered bit
+// patterns of the positive doubles. The answer is the minimum over t, or
+// exactly 0 at an iteration where r is the only request that fits.
+//
+// Cost: one solve (the run without r), serial when config.parallel is
+// off, against the ~log2(1/tol) re-solves of the rule-agnostic bisection
+// in mechanism/critical_payment.hpp, which stays the reference.
+// Preconditions as bounded_ufp's. The view overload prices r against the
+// view's epoch-start capacities, so it may run concurrently with other
+// replays over the same view but not across a commit.
+double bounded_ufp_critical_value(const UfpInstance& instance, int r,
+                                  const BoundedUfpConfig& config = {});
+double bounded_ufp_critical_value(const ResidualView& view,
+                                  std::span<const Request> requests, int r,
+                                  const BoundedUfpConfig& config = {});
+
 }  // namespace tufp

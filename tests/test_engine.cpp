@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -186,8 +187,9 @@ TEST(EpochEngine, NonePolicyChargesNothing) {
 
 TEST(EpochEngine, CriticalPaymentsMatchTheOfflineMechanism) {
   // A single epoch over a fresh network is exactly the paper's one-shot
-  // auction: the engine's critical payments must agree with
-  // run_ufp_mechanism on the same instance and solver config.
+  // auction: the engine's exact critical payments must sit inside the
+  // bracket run_ufp_mechanism's bisection reports on the same instance
+  // and solver config, and be the rule's winning threshold to the ulp.
   const StreamingScenario scenario =
       make_streaming_grid_scenario(4, 4, 3.0, ValueModel::kUniform);
 
@@ -212,15 +214,27 @@ TEST(EpochEngine, CriticalPaymentsMatchTheOfflineMechanism) {
 
   BoundedUfpConfig solver = config.solver;
   solver.num_threads = 1;
+  const UfpRule rule = make_bounded_ufp_rule(solver);
+  const PaymentOptions reference;
   const UfpMechanismResult offline =
-      run_ufp_mechanism(instance, make_bounded_ufp_rule(solver));
+      run_ufp_mechanism(instance, rule, reference);
 
   ASSERT_EQ(offline.allocation.num_selected(), report.admitted);
+  int positive = 0;
   for (const AdmissionRecord& a : report.allocations) {
     EXPECT_TRUE(offline.allocation.is_selected(a.request));
-    EXPECT_NEAR(a.payment,
-                offline.payments[static_cast<std::size_t>(a.request)], 1e-9);
+    const double p = a.payment;
+    const double b = offline.payments[static_cast<std::size_t>(a.request)];
+    EXPECT_LE(p, b);
+    EXPECT_LE(b, p + reference.tolerance * std::max(1.0, b));
+    if (p > 0.0) {
+      ++positive;
+      EXPECT_TRUE(ufp_wins_at(instance, rule, a.request, p));
+      EXPECT_FALSE(
+          ufp_wins_at(instance, rule, a.request, std::nextafter(p, 0.0)));
+    }
   }
+  EXPECT_GT(positive, 0);  // the grid binds: some winners pay
 }
 
 TEST(EpochEngine, SaturatedNetworkRejectsWithoutAnAuction) {
