@@ -16,23 +16,20 @@
 //           stays ctest-speed friendly)
 //   --scale           add the serving scale tier: 10^5-vertex worlds
 //                     (316x316 grid, 10^5-vertex telecom mesh) clearing
-//                     10^6 streamed requests, each as a persistent /
-//                     snapshot row pair — the committed acceptance
-//                     numbers for the persistent residual graph
-//                     (DESIGN.md §12)
+//                     10^6 streamed requests, one `*-persistent` row
+//                     each — the committed numbers for the persistent
+//                     residual graph (DESIGN.md §12)
 //   --scale-only      run only the scale cases (CI splits tiers)
 //   --scale-churn     add the NON-saturating churn scale tier: the same
 //                     worlds under hub-local traffic (spread source pool,
 //                     hop-ball targets) with finite lease durations
 //                     (exponential and flash-crowd), so reclaims fire
 //                     steadily and the warm tree cache survives them
-//                     (trees_kept_on_reclaim in the JSON rows). The
-//                     committed churn acceptance ratio is persistent
-//                     >= 2x snapshot on clear_requests_per_second.
+//                     (trees_kept_on_reclaim in the JSON rows).
 //   --scale-churn-only  run only the churn scale cases (CI splits tiers)
 //   --scale-requests  override the scale tiers' streamed request count
-//                     (CI runs a reduced tier on PRs, the full 10^6
-//                     nightly)
+//                     (CI runs the full 10^6 tier; the nightly soak
+//                     streams 10^7 churn requests)
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -65,15 +62,13 @@ struct BenchCase {
   // steady-state benchmark: the horizon stretches with the request count
   // while the active lease set stays bounded by capacity x duration.
   DurationConfig durations = {};
-  // Scale tier (DESIGN.md §12). `persistent` toggles the engine's
-  // residual mode so every scale world runs as a persistent/snapshot row
-  // pair; `vertices > 0` selects the random telecom topology instead of
-  // the grid. The sampler overrides exist for 10^6-request streams:
+  // Scale tier (DESIGN.md §12). `vertices > 0` selects the random
+  // telecom topology instead of the grid. The sampler overrides exist
+  // for 10^6-request streams:
   // assume_connected skips the per-sample reachability Dijkstra (legal
   // on these strongly connected worlds) and source_pool concentrates
   // sources on a hub set, the locality the cross-epoch tree cache
   // serves.
-  bool persistent = true;
   int vertices = 0;
   int edges = 0;
   bool assume_connected = false;
@@ -96,7 +91,7 @@ struct BenchRow {
   double solve_p99 = 0.0;
   double wall_seconds = 0.0;
   // Epoch-clear throughput: offered requests over wall time spent inside
-  // clear_epoch (snapshot + auction + payments), stream generation
+  // clear_epoch (epoch open + auction + payments), stream generation
   // excluded. The metric the thread-scaling cases compare.
   double solve_seconds_total = 0.0;
   double clear_requests_per_second = 0.0;
@@ -110,8 +105,8 @@ struct BenchRow {
   double occupancy_final = 0.0;
   double virtual_horizon = 0.0;
   double reclaim_flat_ratio = 0.0;
-  // Warm-tree reclaim revalidation outcome (persistent churn rows only;
-  // zero elsewhere). kept > 0 is the churn tier's whole point: reclaims
+  // Warm-tree reclaim revalidation outcome (churn rows; zero on rows
+  // without finite leases). kept > 0 is the churn tier's whole point: reclaims
   // that do NOT cost the cache its trees.
   std::int64_t trees_kept_on_reclaim = 0;
   std::int64_t trees_dropped_on_reclaim = 0;
@@ -149,7 +144,6 @@ BenchRow run_case(const BenchCase& c) {
   config.max_batch = c.max_batch;
   config.payments = c.payments;
   config.solver.num_threads = c.threads;
-  config.persistent_residual = c.persistent;
   EpochEngine engine(scenario.graph, config);
 
   PoissonStream stream(scenario.graph, scenario.request_config,
@@ -227,7 +221,6 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
        << ", \"max_batch\": " << r.config.max_batch << ", \"payments\": \""
        << payment_name(r.config.payments) << "\""
        << ", \"threads\": " << r.config.threads
-       << ", \"persistent\": " << (r.config.persistent ? "true" : "false")
        << ", \"vertices\": " << r.config.vertices
        << ", \"edges\": " << r.config.edges
        << ", \"source_pool\": " << r.config.source_pool
@@ -327,28 +320,13 @@ int main(int argc, char** argv) {
   if (scale_only || scale_churn_only) cases.clear();
   if (scale) {
     // Serving scale tier (DESIGN.md §12): 10^5-vertex worlds clearing a
-    // 10^6-request stream, each as a persistent/snapshot pair differing
-    // ONLY in EpochEngineConfig::persistent_residual (allocations are
-    // identical — the residual-differential oracle pins that — so the
-    // clear_requests_per_second ratio isolates the epoch-clear machinery).
-    // The workload is a hub overload: 8 hub sources whose adjacent edges
-    // saturate within the first epochs, after which every epoch still
-    // pays its full epoch-open cost — an O(m) in-place rescan
-    // (persistent) vs the legacy snapshot recompile (allocate + rebuild
-    // CSR + translate ids + rebuild solver caches). That steady overload
-    // is where the two modes differ and what the committed >= 5x
-    // acceptance ratio in bench/baseline_engine.json measures.
-    const auto add_pair = [&](BenchCase base) {
-      base.persistent = true;
-      base.name += "-persistent";
-      cases.push_back(base);
-      base.persistent = false;
-      base.name.replace(base.name.size() - std::string("persistent").size(),
-                        std::string::npos, "snapshot");
-      cases.push_back(base);
-    };
+    // 10^6-request stream. The workload is a hub overload: 8 hub sources
+    // whose adjacent edges saturate within the first epochs, after which
+    // every epoch still pays its full epoch-open cost, an O(m) in-place
+    // rescan of the persistent residual graph. The `-persistent` suffix
+    // names the rows the committed bench/baseline_engine.json gates.
     BenchCase grid;
-    grid.name = "scale-grid316";
+    grid.name = "scale-grid316-persistent";
     grid.rows = 316;  // 316 x 316 = 99856 vertices
     grid.cols = 316;
     grid.capacity = 8.0;
@@ -357,9 +335,9 @@ int main(int argc, char** argv) {
     grid.payments = PaymentPolicy::kNone;
     grid.assume_connected = true;  // undirected mesh: always connected
     grid.source_pool = 8;
-    add_pair(grid);
+    cases.push_back(grid);
     BenchCase telecom;
-    telecom.name = "scale-telecom100k";
+    telecom.name = "scale-telecom100k-persistent";
     telecom.rows = 0;
     telecom.cols = 0;
     telecom.vertices = 100'000;
@@ -370,7 +348,7 @@ int main(int argc, char** argv) {
     telecom.payments = PaymentPolicy::kNone;
     telecom.assume_connected = true;  // generator trees are mutual
     telecom.source_pool = 8;
-    add_pair(telecom);
+    cases.push_back(telecom);
   }
   if (scale_churn) {
     // Non-saturating churn scale tier: the same 10^5-vertex worlds under
@@ -380,21 +358,10 @@ int main(int argc, char** argv) {
     // saturates: reclaims return capacity as fast as admissions take it,
     // so every epoch both reclaims AND admits. That is the regime the
     // per-tree reclaim revalidation targets: most hubs sit far from any
-    // reclaimed edge, their warm trees survive
-    // (trees_kept_on_reclaim > 0 in the persistent rows), and the
-    // persistent engine's committed acceptance is >= 2x snapshot on
-    // clear_requests_per_second. The hub regions run at steady mid-band
-    // load (occupancy_final in the JSON tracks the global gauge, which
-    // reads low because the load is local by design).
-    const auto add_pair = [&](BenchCase base) {
-      base.persistent = true;
-      base.name += "-persistent";
-      cases.push_back(base);
-      base.persistent = false;
-      base.name.replace(base.name.size() - std::string("persistent").size(),
-                        std::string::npos, "snapshot");
-      cases.push_back(base);
-    };
+    // reclaimed edge and their warm trees survive
+    // (trees_kept_on_reclaim > 0 in the JSON rows). The hub regions run
+    // at steady mid-band load (occupancy_final in the JSON tracks the
+    // global gauge, which reads low because the load is local by design).
     DurationConfig exp_churn;
     exp_churn.profile = DurationProfile::kExponential;
     // Steady-state per-hub demand = rate x mean x admit x d_mean / pool
@@ -439,12 +406,13 @@ int main(int argc, char** argv) {
         c.capacity = 16.0;  // grid hub cut is 4 edges
         c.target_radius = 8;  // mesh: ~2 r^2 vertices per hub ball
       }
-      add_pair(c);
+      cases.push_back(c);
     };
-    churn_case("scale-churn-grid316-exp", exp_churn, false);
-    churn_case("scale-churn-grid316-flash", flash_churn, false);
-    churn_case("scale-churn-telecom100k-exp", exp_churn, true);
-    churn_case("scale-churn-telecom100k-flash", flash_churn, true);
+    churn_case("scale-churn-grid316-exp-persistent", exp_churn, false);
+    churn_case("scale-churn-grid316-flash-persistent", flash_churn, false);
+    churn_case("scale-churn-telecom100k-exp-persistent", exp_churn, true);
+    churn_case("scale-churn-telecom100k-flash-persistent", flash_churn,
+               true);
   }
 
   if (!openmp_available()) {
@@ -457,7 +425,7 @@ int main(int argc, char** argv) {
     tufp::bench::print_header(
         "E10", "streaming admission engine throughput",
         "serving-layer extension of Alg. 1 (no paper counterpart): "
-        "epoch-batched online auctions over residual snapshots");
+        "epoch-batched online auctions over the residual network");
   }
 
   Table table({"case", "requests", "batch", "payments", "threads", "admitted",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "tufp/obs/trace.hpp"
@@ -48,13 +47,10 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
   TUFP_REQUIRE(config_.solver.capacity_guard,
                "the engine requires the capacity guard: residual carry-over "
                "is unsound on infeasible epoch outputs");
-  residual_.assign(base_->capacities().begin(), base_->capacities().end());
   for (const double c : base_->capacities()) total_capacity_ += c;
-  if (config_.persistent_residual) {
-    rgraph_ =
-        std::make_unique<ResidualGraph>(base_, config_.min_usable_capacity);
-    workspace_ = std::make_unique<UfpWorkspace>();
-  }
+  rgraph_ =
+      std::make_unique<ResidualGraph>(base_, config_.min_usable_capacity);
+  workspace_ = std::make_unique<UfpWorkspace>();
   if (config_.track_leases) {
     ledger_ = std::make_unique<temporal::LeaseLedger>(
         base_->num_edges(),
@@ -63,13 +59,10 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
 }
 
 void EpochEngine::reset() {
-  residual_.assign(base_->capacities().begin(), base_->capacities().end());
-  if (rgraph_) {
-    rgraph_->reset();
-    // The stamp clock restarted: every cached tree's computed_clock is
-    // now meaningless, so the workspace must be dropped wholesale.
-    workspace_->clear();
-  }
+  rgraph_->reset();
+  // The stamp clock restarted: every cached tree's computed_clock is now
+  // meaningless, so the workspace must be dropped wholesale.
+  workspace_->clear();
   metrics_ = EngineMetrics();
   if (ledger_) ledger_->clear();
   epoch_ = 0;
@@ -143,73 +136,64 @@ int EpochEngine::reclaim_expired(double now) {
   // The ledger clock never runs backwards; a stale `now` (e.g. an
   // explicit run_epoch() with an older batch) reclaims at the frontier.
   const double effective = std::max(now, ledger_->now());
-  const std::span<double> residual =
-      rgraph_ ? rgraph_->mutable_residual() : std::span<double>(residual_);
-  int expired = 0;
-  // The persistent store needs the drained leases back: every edge a
-  // reclaim touched must be stamped (and last_decrease bumped) or the
-  // cross-epoch tree cache could serve a path priced before the capacity
-  // returned (residual_csr.hpp).
-  if (config_.inject_reclaim_leak > 0.0 || rgraph_ || trace_ != nullptr) {
-    std::vector<temporal::Lease> drained;
-    expired = ledger_->reclaim_until(effective, base_->capacities(), residual,
-                                     &drained);
-    if (config_.inject_reclaim_leak > 0.0) {
-      // Oracle-bite fault (see the config field): after the ledger returns
-      // an expired lease's capacity — snap rule included — "lose" a
-      // fraction of it again on every edge the lease crossed. Conservation
-      // (leased + residual == capacity) now fails, which is exactly what
-      // the in-service sanity checks must catch.
-      for (const temporal::Lease& lease : drained) {
-        for (const EdgeId e : lease.edges) {
-          auto& r = residual[static_cast<std::size_t>(e)];
-          r = std::max(0.0, r - config_.inject_reclaim_leak * lease.demand);
-        }
+  const std::span<double> residual = rgraph_->mutable_residual();
+  // Every edge a reclaim touched must be stamped (and last_decrease
+  // bumped) or the cross-epoch tree cache could serve a path priced before
+  // the capacity returned (residual_csr.hpp): the drained leases come back.
+  std::vector<temporal::Lease> drained;
+  const int expired = ledger_->reclaim_until(effective, base_->capacities(),
+                                             residual, &drained);
+  if (config_.inject_reclaim_leak > 0.0) {
+    // Oracle-bite fault (see the config field): after the ledger returns
+    // an expired lease's capacity — snap rule included — "lose" a fraction
+    // of it again on every edge the lease crossed. Conservation (leased +
+    // residual == capacity) now fails, which is exactly what the
+    // in-service sanity checks must catch.
+    for (const temporal::Lease& lease : drained) {
+      for (const EdgeId e : lease.edges) {
+        auto& r = residual[static_cast<std::size_t>(e)];
+        r = std::max(0.0, r - config_.inject_reclaim_leak * lease.demand);
       }
     }
-    if (rgraph_) {
-      reclaimed_scratch_.clear();
-      for (const temporal::Lease& lease : drained) {
-        rgraph_->note_reclaimed(lease.edges);
-        reclaimed_scratch_.insert(reclaimed_scratch_.end(),
-                                  lease.edges.begin(), lease.edges.end());
-      }
-      if (drained.empty()) {
-        // Nothing drained, but mutable_residual() was handed out above:
-        // close the dirty window explicitly (the contract's empty-span
-        // idiom; open_epoch() aborts the next solve otherwise).
-        rgraph_->note_reclaimed({});
-      } else if (workspace_) {
-        // Cache-cooperative reclaim: keep every cross-epoch tree the
-        // drained edges provably cannot touch (residual_csr.hpp survival
-        // criterion), validated through the post-reclaim clock.
-        const UfpWorkspace::ReclaimRevalidation r =
-            workspace_->revalidate_warm_trees(*base_, reclaimed_scratch_,
-                                              rgraph_->clock());
-        metrics_.counters().trees_kept_on_reclaim += r.kept;
-        metrics_.counters().trees_dropped_on_reclaim += r.dropped;
-      }
-    }
-    if (trace_ != nullptr && !drained.empty()) {
-      // One lease_expired record per drained lease, in drain order,
-      // attributed to the epoch whose boundary (or horizon drain)
-      // triggered the reclaim.
-      const std::int64_t epoch = trace_epoch_ >= 0 ? trace_epoch_ : epoch_;
-      for (const temporal::Lease& lease : drained) {
-        obs::DecisionRecord rec;
-        rec.sequence = lease.sequence;
-        rec.epoch = epoch;
-        rec.outcome = obs::DecisionOutcome::kLeaseExpired;
-        rec.close_time = effective;
-        rec.demand = lease.demand;
-        rec.path.assign(lease.edges.begin(), lease.edges.end());
-        rec.admitted_at = lease.admitted_at;
-        rec.expires_at = lease.expires_at;
-        trace_->record(rec);
-      }
-    }
+  }
+  if (drained.empty()) {
+    // Nothing drained, but mutable_residual() was handed out above: close
+    // the dirty window explicitly (the contract's empty-span idiom;
+    // open_epoch() aborts the next solve otherwise).
+    rgraph_->note_reclaimed({});
   } else {
-    expired = ledger_->reclaim_until(effective, base_->capacities(), residual);
+    reclaimed_scratch_.clear();
+    for (const temporal::Lease& lease : drained) {
+      rgraph_->note_reclaimed(lease.edges);
+      reclaimed_scratch_.insert(reclaimed_scratch_.end(), lease.edges.begin(),
+                                lease.edges.end());
+    }
+    // Cache-cooperative reclaim: keep every cross-epoch tree the drained
+    // edges provably cannot touch (residual_csr.hpp survival criterion),
+    // validated through the post-reclaim clock.
+    const UfpWorkspace::ReclaimRevalidation r =
+        workspace_->revalidate_warm_trees(*base_, reclaimed_scratch_,
+                                          rgraph_->clock());
+    metrics_.counters().trees_kept_on_reclaim += r.kept;
+    metrics_.counters().trees_dropped_on_reclaim += r.dropped;
+  }
+  if (trace_ != nullptr) {
+    // One lease_expired record per drained lease, in drain order,
+    // attributed to the epoch whose boundary (or horizon drain) triggered
+    // the reclaim.
+    const std::int64_t epoch = trace_epoch_ >= 0 ? trace_epoch_ : epoch_;
+    for (const temporal::Lease& lease : drained) {
+      obs::DecisionRecord rec;
+      rec.sequence = lease.sequence;
+      rec.epoch = epoch;
+      rec.outcome = obs::DecisionOutcome::kLeaseExpired;
+      rec.close_time = effective;
+      rec.demand = lease.demand;
+      rec.path.assign(lease.edges.begin(), lease.edges.end());
+      rec.admitted_at = lease.admitted_at;
+      rec.expires_at = lease.expires_at;
+      trace_->record(rec);
+    }
   }
   if (expired > 0) {
     metrics_.counters().leases_expired += expired;
@@ -330,12 +314,12 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   ++metrics_.counters().epochs;
   metrics_.batch_sizes().add(static_cast<double>(batch.size()));
 
-  // Epoch boundary: return expired leases' capacity *before* compiling
-  // the residual snapshot, so this auction runs over the residual left by
+  // Epoch boundary: return expired leases' capacity *before* opening the
+  // epoch's residual view, so this auction runs over the residual left by
   // expired and active leases. The reclaim may only *increase* residuals;
-  // the snapshot (and with it every per-epoch sp_cache) is compiled
-  // fresh below, which is what keeps cached negative fit verdicts from
-  // outliving a capacity increase (DESIGN.md §10, sp_cache.hpp).
+  // it stamps every edge it touched and revalidates the cross-epoch trees
+  // against them, which is what keeps cached negative fit verdicts from
+  // outliving a capacity increase (DESIGN.md §10, §12, sp_cache.hpp).
   {
     WallTimer reclaim_timer;
     report.expired_leases = reclaim_expired(close_time);
@@ -391,29 +375,16 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   }
   metrics_.counters().offered_value += report.offered_value;
 
-  // Epoch residual view. Persistent mode rescans the activity mask in
-  // place (O(m), no allocation); snapshot mode compiles the legacy
-  // value-copy subgraph. Both report identical active/saturated/min
-  // fields: the active sets coincide (residual >= floor) and min over
-  // the same set of doubles is exact.
-  const bool persistent = rgraph_ != nullptr;
-  std::optional<GraphSnapshot> snapshot;
+  // Epoch residual view: open_epoch() rescans the activity mask in place
+  // (no allocation). The per-layer benchmark reads the `snapshot` span as
+  // the epoch-open phase.
   {
     TUFP_SPAN("snapshot");
-    if (persistent) {
-      rgraph_->open_epoch();
-      report.active_edges = rgraph_->num_active();
-      report.saturated_edges = rgraph_->num_saturated();
-      report.min_residual =
-          rgraph_->num_active() > 0 ? rgraph_->min_residual() : 0.0;
-    } else {
-      snapshot.emplace(GraphSnapshot::compile(base_, residual_,
-                                              config_.min_usable_capacity));
-      report.active_edges = snapshot->num_active_edges();
-      report.saturated_edges = snapshot->num_saturated_edges();
-      report.min_residual =
-          snapshot->num_active_edges() > 0 ? snapshot->min_residual() : 0.0;
-    }
+    rgraph_->open_epoch();
+    report.active_edges = rgraph_->num_active();
+    report.saturated_edges = rgraph_->num_saturated();
+    report.min_residual =
+        rgraph_->num_active() > 0 ? rgraph_->min_residual() : 0.0;
   }
 
   if (requests.empty() || report.active_edges == 0) {
@@ -422,11 +393,11 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
     // churning workload a saturated epoch is exactly when occupancy is
     // the number worth watching.
     metrics_.counters().rejected += static_cast<std::int64_t>(requests.size());
-    // No snapshot, no SP run: the whole network is below the usable
-    // floor. A bid whose terminals the base topology never connected is
-    // still a true no_path; every other one is capacity-blocked, with
-    // the first below-floor edge on its canonical base-BFS route as the
-    // bottleneck (here that is the route's first edge).
+    // No SP run: the whole network is below the usable floor. A bid whose
+    // terminals the base topology never connected is still a true no_path;
+    // every other one is capacity-blocked, with the first below-floor edge
+    // on its canonical base-BFS route as the bottleneck (here that is the
+    // route's first edge).
     for (std::size_t r = 0; r < requests.size(); ++r) {
       const Request& req = requests[r];
       const BaseRouteProbe probe = probe_base_route(req.source, req.target);
@@ -465,11 +436,10 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // Keep the weight exponent in double range whatever the epoch bound B
   // is; epsilon only trades approximation quality, not feasibility.
   BoundedUfpConfig solver_cfg = config_.solver;
-  const double B =
-      persistent ? rgraph_->min_residual() : snapshot->min_residual();
-  solver_cfg.epsilon = std::min(solver_cfg.epsilon, kMaxSafeExponent / B);
+  solver_cfg.epsilon =
+      std::min(solver_cfg.epsilon, kMaxSafeExponent / rgraph_->min_residual());
   // The engine never reads the final duals; skipping the export keeps a
-  // clean epoch (nothing admitted) free of O(m) work in both modes.
+  // clean epoch (nothing admitted) free of O(m) work.
   solver_cfg.export_duals = false;
   if (config_.payments == PaymentPolicy::kDualPrice) {
     solver_cfg.record_trace = true;  // admission-time alpha per winner
@@ -479,19 +449,13 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // a DecisionTrace is attached.
   solver_cfg.classify_rejections = true;
 
-  // Persistent mode solves over the residual view (base edge ids, warm
-  // workspace); snapshot mode over the compiled epoch instance. Same
-  // algorithm, byte-identical output — the residual-differential oracle
-  // pins this.
-  std::optional<UfpInstance> instance;
-  const BoundedUfpResult run = [&]() -> BoundedUfpResult {
+  // The solver speaks base edge ids over the residual view and keeps its
+  // warm state in the cross-epoch workspace. The residual-differential
+  // oracle pins the output byte-identical to a cold per-epoch replay.
+  const BoundedUfpResult run = [&] {
     TUFP_SPAN("solve");
-    if (persistent) {
-      return bounded_ufp(rgraph_->view(), requests, solver_cfg,
-                         workspace_.get());
-    }
-    instance.emplace(snapshot->graph(), requests);
-    return bounded_ufp(*instance, solver_cfg);
+    return bounded_ufp(rgraph_->view(), requests, solver_cfg,
+                       workspace_.get());
   }();
   report.solver_iterations = run.iterations;
   report.sp_computations = run.sp_computations;
@@ -504,8 +468,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   std::vector<double> payments(requests.size(), 0.0);
   {
     TUFP_SPAN("payments");
-    apply_payments(requests, instance ? &*instance : nullptr, run, solver_cfg,
-                   &payments);
+    apply_payments(requests, run, solver_cfg, &payments);
   }
 
   TUFP_SPAN("commit");
@@ -521,14 +484,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
       if (rej < run.rejections.size() && run.rejections[rej].request == r) {
         const RejectionRecord& rr = run.rejections[rej];
         obs::DecisionOutcome outcome = outcome_of(rr.reason);
-        // Bottlenecks are snapshot ids in legacy mode: translate to base
-        // ids so records are mode-invariant.
-        std::int64_t bottleneck =
-            rr.bottleneck >= 0
-                ? static_cast<std::int64_t>(
-                      persistent ? rr.bottleneck
-                                 : snapshot->base_edge(rr.bottleneck))
-                : -1;
+        std::int64_t bottleneck = rr.bottleneck;
         if (outcome == obs::DecisionOutcome::kNoPath) {
           // The solver's "no path" only means no route over edges above
           // the residual floor. When the base topology still connects
@@ -574,10 +530,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
           rec.density = rr.density;
           rec.warm_tree = static_cast<std::size_t>(r) < run.warm.size() &&
                           run.warm[static_cast<std::size_t>(r)] != 0;
-          rec.path.reserve(rr.path.size());
-          for (const EdgeId e : rr.path) {
-            rec.path.push_back(persistent ? e : snapshot->base_edge(e));
-          }
+          rec.path.assign(rr.path.begin(), rr.path.end());
           rec.bottleneck_edge = bottleneck;
           trace_->record(rec);
         }
@@ -595,17 +548,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
     // never scheduled.
     const double expires =
         timed.duration < kInf ? close_time + timed.duration : kInf;
-    // Both the ledger and the trace speak base edge ids; in snapshot
-    // mode the path's snapshot ids are translated first.
-    std::vector<EdgeId> base_edges;
-    if (ledger_ != nullptr || trace_ != nullptr) {
-      base_edges.reserve(path.size());
-      if (persistent) {
-        base_edges.assign(path.begin(), path.end());
-      } else {
-        for (EdgeId e : path) base_edges.push_back(snapshot->base_edge(e));
-      }
-    }
     if (trace_ != nullptr) {
       obs::DecisionRecord rec;
       rec.sequence = timed.sequence;
@@ -614,7 +556,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
       rec.close_time = close_time;
       rec.value = bid;
       rec.demand = demand;
-      rec.path.assign(base_edges.begin(), base_edges.end());
+      rec.path.assign(path.begin(), path.end());
       rec.payment = payments[static_cast<std::size_t>(r)];
       rec.warm_tree = static_cast<std::size_t>(r) < run.warm.size() &&
                       run.warm[static_cast<std::size_t>(r)] != 0;
@@ -622,19 +564,11 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
       rec.expires_at = expires;
       trace_->record(rec);
     }
-    if (persistent) {
-      // The solver already speaks base edge ids: commit the decrement +
-      // stamp in place, no translation.
-      rgraph_->commit_admission(path, demand);
-    } else {
-      for (EdgeId e : path) {
-        const auto base_e = static_cast<std::size_t>(snapshot->base_edge(e));
-        residual_[base_e] = std::max(0.0, residual_[base_e] - demand);
-      }
-    }
+    // The solver already speaks base edge ids: commit the decrement +
+    // stamp in place.
+    rgraph_->commit_admission(path, demand);
     if (ledger_) {
-      ledger_->admit(timed.sequence, demand, std::move(base_edges),
-                     close_time, expires);
+      ledger_->admit(timed.sequence, demand, path, close_time, expires);
       if (timed.duration < kInf) ++metrics_.counters().finite_leases;
     }
     ++metrics_.counters().admitted;
@@ -662,7 +596,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
 }
 
 void EpochEngine::apply_payments(std::span<const Request> requests,
-                                 const UfpInstance* instance,
                                  const BoundedUfpResult& run,
                                  const BoundedUfpConfig& solver_cfg,
                                  std::vector<double>* payments) {
@@ -685,8 +618,8 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // the exact critical value, read off the epoch re-run without the
       // winner. Replays start from the epoch-start state the solve saw:
       // the view's frozen epoch capacities (commits only land in the
-      // loop after this one) or, in snapshot mode, the epoch instance.
-      // Winners are independent and read only that immutable state, so
+      // loop after this one). Winners are independent and read only that
+      // immutable state, so
       // they fan out across OpenMP threads into per-winner slots —
       // byte-identical for any thread count, read back in arrival order
       // by the allocation loop. Each replay solves serially (identical
@@ -701,11 +634,8 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
         if (run.solution.is_selected(r)) winners.push_back(r);
       }
       const auto price_winner = [&](int r) {
-        (*payments)[static_cast<std::size_t>(r)] =
-            instance != nullptr
-                ? bounded_ufp_critical_value(*instance, r, replay_cfg)
-                : bounded_ufp_critical_value(rgraph_->view(), requests, r,
-                                             replay_cfg);
+        (*payments)[static_cast<std::size_t>(r)] = bounded_ufp_critical_value(
+            rgraph_->view(), requests, r, replay_cfg);
       };
 #if defined(TUFP_HAVE_OPENMP)
       if (config_.solver.parallel && winners.size() > 1) {

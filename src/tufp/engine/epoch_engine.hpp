@@ -1,15 +1,17 @@
-// EpochEngine — epoch-batched online UFP auctions over graph snapshots.
+// EpochEngine — epoch-batched online UFP auctions over a persistent
+// residual network.
 //
 // The serving layer on top of the paper's one-shot mechanism. Bids arrive
 // continuously (engine/request_stream.hpp); the engine batches them into
 // epochs and clears each epoch as a Bounded-UFP auction on the *residual*
-// network: a GraphSnapshot compiled from the base topology minus the
-// capacity held by every currently *leased* request. An admission is a
-// lease (temporal/lease_ledger.hpp): requests carry a duration, infinite
-// by default — which reproduces the historical hold-forever semantics
+// network: the base topology minus the capacity held by every currently
+// *leased* request, kept in one in-place ResidualGraph for the life of the
+// world (graph/residual_csr.hpp, DESIGN.md §12). An admission is a lease
+// (temporal/lease_ledger.hpp): requests carry a duration, infinite by
+// default — which reproduces the historical hold-forever semantics
 // byte-for-byte — and finite otherwise, in which case the lease's
 // capacity returns to the residual when it expires. Expiries are drained
-// at every epoch boundary, before the epoch's snapshot is compiled, in
+// at every epoch boundary, before the epoch's residual view is opened, in
 // deterministic (expiry time, lease id) order off a hierarchical timer
 // wheel, so the per-epoch reclaim cost is amortized O(1) per expiry and
 // the admission history stays byte-identical across thread counts. Each
@@ -49,7 +51,6 @@
 
 #include "tufp/engine/metrics.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/snapshot.hpp"
 #include "tufp/graph/residual_csr.hpp"
 #include "tufp/temporal/lease_ledger.hpp"
 #include "tufp/ufp/bounded_ufp.hpp"
@@ -74,7 +75,8 @@ struct EpochEngineConfig {
   // (nothing is shed when there is no time pressure).
   std::size_t queue_capacity = 1 << 16;
 
-  // Residual floor below which an edge leaves the snapshot. Must be >= 1
+  // Residual floor below which an edge leaves the epoch's active
+  // subgraph. Must be >= 1
   // (the maximum normalized demand) so every epoch keeps B >= 1; the
   // constructor rejects smaller values.
   double min_usable_capacity = 1.0;
@@ -105,18 +107,6 @@ struct EpochEngineConfig {
   // Timer-wheel tick (virtual seconds). Performance knob only; expiry
   // comparisons stay exact at any tick.
   double lease_tick_seconds = 0.05;
-
-  // Persistent residual graph (DESIGN.md §12). On (the default) the
-  // engine keeps ONE struct-of-arrays residual store for the life of the
-  // world and clears each epoch against it through the ResidualView hot
-  // path: open_epoch() rescans the activity mask in place, the solver
-  // reads base edge ids directly (no snapshot compile, no edge-id
-  // translation), and a cross-epoch UfpWorkspace carries the sp_cache's
-  // engine pool, shard plan and stamp-validated shortest-path trees
-  // between epochs. Off: the legacy GraphSnapshot-per-epoch path, kept
-  // as the differential baseline — the residual-differential sim oracle
-  // proves both modes byte-identical.
-  bool persistent_residual = true;
 
   // Keep per-request AdmissionRecords in each report (tests, small runs).
   bool record_allocations = false;
@@ -165,14 +155,14 @@ struct AdmissionReport {
   double admitted_value = 0.0;
   double revenue = 0.0;
   double dual_upper_bound = 0.0;  // Claim 3.6 bound for the epoch instance
-  int active_edges = 0;           // snapshot size
+  int active_edges = 0;           // edges at or above the floor
   int saturated_edges = 0;
   double min_residual = 0.0;      // epoch bound B (over active edges)
   int solver_iterations = 0;
   std::int64_t sp_computations = 0;
   std::int64_t sp_tree_runs = 0;  // Dijkstra tree searches (source shards)
   // Lease churn at this epoch boundary (deterministic): expiries drained
-  // before the snapshot was compiled, the active lease count and the
+  // before the epoch's residual view opened, the active lease count and the
   // occupancy (leased capacity / total base capacity) after the clear.
   int expired_leases = 0;
   std::int64_t active_leases = 0;
@@ -219,12 +209,8 @@ class EpochEngine {
   AdmissionReport run_epoch(const std::vector<TimedRequest>& batch,
                             double close_time);
 
-  // Current residual capacity per base EdgeId (whichever store is live:
-  // the persistent graph or the legacy vector).
-  std::span<const double> residual() const {
-    return rgraph_ ? rgraph_->residual()
-                   : std::span<const double>(residual_);
-  }
+  // Current residual capacity per base EdgeId.
+  std::span<const double> residual() const { return rgraph_->residual(); }
   const Graph& base_graph() const { return *base_; }
   const EngineMetrics& metrics() const { return metrics_; }
   const EpochEngineConfig& config() const { return config_; }
@@ -241,8 +227,8 @@ class EpochEngine {
   // The lease ledger, or nullptr without track_leases.
   const temporal::LeaseLedger* lease_ledger() const { return ledger_.get(); }
 
-  // The persistent residual store / cross-epoch solver workspace, or
-  // nullptr when persistent_residual is off (tests, telemetry).
+  // The persistent residual store and the cross-epoch solver workspace
+  // (tests, telemetry). Never null.
   const ResidualGraph* residual_graph() const { return rgraph_.get(); }
   const UfpWorkspace* workspace() const { return workspace_.get(); }
 
@@ -279,10 +265,9 @@ class EpochEngine {
  private:
   AdmissionReport clear_epoch(const std::vector<TimedRequest>& batch,
                               double close_time);
-  // `instance` is the epoch instance in snapshot mode, nullptr in
-  // persistent mode (kCritical then replays over the residual view).
+  // kCritical replays over the epoch's residual view.
   void apply_payments(std::span<const Request> requests,
-                      const UfpInstance* instance, const BoundedUfpResult& run,
+                      const BoundedUfpResult& run,
                       const BoundedUfpConfig& solver_cfg,
                       std::vector<double>* payments);
   void refresh_lease_gauges();
@@ -308,7 +293,6 @@ class EpochEngine {
 
   std::shared_ptr<const Graph> base_;
   EpochEngineConfig config_;
-  std::vector<double> residual_;  // legacy-mode store; unused when rgraph_
   // Reclaim batch scratch: the epoch's drained lease edges, concatenated
   // for the warm-tree revalidation pass (allocation-free steady state).
   std::vector<EdgeId> reclaimed_scratch_;

@@ -94,8 +94,8 @@ struct EngineCounters {
   // batch, cross-epoch trees proven untouched by the reclaimed edges are
   // kept warm, the rest dropped. Deterministic for any thread count (the
   // tree set is; the residual-differential oracle pins it across legs).
-  // Both stay zero without churn or without the persistent store, which
-  // keeps pre-churn summaries byte-identical.
+  // Both stay zero without churn, which keeps pre-churn summaries
+  // byte-identical.
   std::int64_t trees_kept_on_reclaim = 0;
   std::int64_t trees_dropped_on_reclaim = 0;
 };

@@ -1,12 +1,10 @@
-// Persistent residual graph: the serving hot path without per-epoch
-// snapshot recompiles.
+// Persistent residual graph: the engine's one residual store.
 //
-// The legacy epoch cycle (engine/snapshot.hpp) compiles a fresh value-copy
-// subgraph — new CSR, new edge ids, new solver caches — every epoch, an
-// O(n + m) rebuild that dominates steady-state serving and caps the engine
-// at toy scale (ROADMAP's top open item). This subsystem keeps ONE
-// struct-of-arrays edge store per world, built once over the base graph's
-// CSR, and updates it in place:
+// Compiling a fresh value-copy subgraph per epoch — new CSR, new edge
+// ids, new solver caches — is an O(n + m) rebuild that would dominate
+// steady-state serving. This subsystem instead keeps ONE struct-of-arrays
+// edge store per world, built once over the base graph's CSR, and
+// updates it in place:
 //
 //   residual_[e]  live residual capacity, decremented by admissions
 //                 (clamped at 0, the engine's commit rule) and restored by
@@ -16,16 +14,18 @@
 //                 invariant of DESIGN.md §10/§12), so "stamp unchanged"
 //                 certifies "weight and blocked status unchanged";
 //   blocked_[e]   per-epoch activity mask (residual < min_usable floor),
-//                 recomputed by open_epoch() — the moral equivalent of the
-//                 snapshot's edge filter, as a mask instead of a rebuild.
+//                 recomputed by open_epoch() — a compiled snapshot's edge
+//                 filter (sim/snapshot.hpp), as a mask instead of a
+//                 rebuild.
 //
 // Solvers access the store through the narrow ResidualView interface:
 // read residuals/stamps/blocked, commit admissions atomically; no copies,
-// no edge-id translation (base ids are solver ids). Byte-identity with
-// the legacy snapshot path holds because the compiled snapshot's arc
-// lists are subsequences of the base arc lists in the same order, so the
-// canonical lexicographic tie-breaks (graph/dijkstra.hpp) coincide — the
-// `residual-differential` sim oracle enforces this byte-for-byte.
+// no edge-id translation (base ids are solver ids). Byte-identity with a
+// cold per-epoch solve over a compiled snapshot holds because the
+// snapshot's arc lists are subsequences of the base arc lists in the same
+// order, so the canonical lexicographic tie-breaks (graph/dijkstra.hpp)
+// coincide — the `residual-differential` sim oracle replays every world
+// that way and enforces this byte-for-byte.
 //
 // On top sits SourceTreeCache, the cross-epoch half of sp_cache: settled
 // shortest-path trees keyed by source vertex survive epoch boundaries and
@@ -114,8 +114,8 @@ class ResidualGraph {
   const std::shared_ptr<const Graph>& base_shared() const { return base_; }
 
   // Rescans the activity mask against the floor and freezes epoch-start
-  // capacities. O(m) with no allocation — the whole per-epoch cost that
-  // replaces the snapshot recompile. Clean-epoch fast path: when the
+  // capacities. O(m) with no allocation — the whole per-epoch cost of
+  // opening an epoch. Clean-epoch fast path: when the
   // stamp clock has not moved since the previous open (no admission, no
   // reclaim), every derived field is provably unchanged and the call is
   // O(1). Sound because both mutation paths (commit_admission,

@@ -11,6 +11,8 @@
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
+#include "tufp/sim/snapshot.hpp"
+#include "tufp/temporal/lease_ledger.hpp"
 #include "tufp/ufp/dual_certificate.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
@@ -69,9 +71,9 @@ struct EpochDigest {
   int admitted = 0;
   double revenue = 0.0;
   double admitted_value = 0.0;
-  // Solver effort counters: the persistent-vs-snapshot differential pins
-  // these too (the cross-epoch warm path must not change what the
-  // reports print — golden counter parity, sp_cache.hpp).
+  // Solver effort counters: the residual differential pins these too
+  // (the cross-epoch warm path must not change what the reports print —
+  // golden counter parity, sp_cache.hpp).
   int solver_iterations = 0;
   std::int64_t sp_computations = 0;
   std::int64_t sp_tree_runs = 0;
@@ -91,17 +93,13 @@ struct EngineRun {
 // `temporal_path` selects the lease-ledger code path with every duration
 // left infinite — the same workload through the temporal machinery, which
 // the temporal-infinite oracle diffs byte-for-byte against the default
-// lease-free path. `persistent` selects the ResidualGraph hot path
-// (the engine default); the residual-differential oracle runs both and
-// diffs them, every other oracle exercises the default.
+// lease-free path.
 EngineRun run_world_engine(const SimWorld& world, PaymentPolicy payments,
-                           int num_threads, bool temporal_path = false,
-                           bool persistent = true) {
+                           int num_threads, bool temporal_path = false) {
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
   config.payments = payments;
   config.record_allocations = true;
-  config.persistent_residual = persistent;
   // The pre-temporal oracle suite replays every world under hold-forever
   // semantics: leases off keeps this the frozen legacy baseline.
   config.track_leases = temporal_path;
@@ -165,10 +163,10 @@ struct TemporalRun {
   std::vector<double> final_leased;
   std::vector<int> final_active_on_edge;
   std::int64_t final_active = 0;
-  // Warm-tree reclaim revalidation counters (persistent path only; the
-  // snapshot engine has no tree cache and reports zeros). Deterministic
-  // per world: the residual-differential oracle pins them equal across
-  // kernels and thread counts.
+  // Warm-tree reclaim revalidation counters (the engine's; the reference
+  // replay has no tree cache and reports zeros). Deterministic per world:
+  // the residual-differential oracle pins them equal across kernels and
+  // thread counts.
   std::int64_t trees_kept_on_reclaim = 0;
   std::int64_t trees_dropped_on_reclaim = 0;
 };
@@ -178,14 +176,13 @@ struct TemporalRun {
 // horizon beyond the last possible expiry (admissions happen at epoch
 // close <= last_close, so last_close + max finite duration bounds every
 // expiry).
-TemporalRun run_world_engine_temporal(const SimWorld& world, int num_threads,
-                                      bool persistent = true) {
+TemporalRun run_world_engine_temporal(const SimWorld& world,
+                                      int num_threads) {
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
   config.payments = PaymentPolicy::kNone;
   config.record_allocations = true;
   config.track_leases = true;
-  config.persistent_residual = persistent;
   config.solver = world.solver;
   config.solver.capacity_guard = true;
   config.solver.num_threads = num_threads;
@@ -244,6 +241,153 @@ TemporalRun run_world_engine_temporal(const SimWorld& world, int num_threads,
   return run;
 }
 
+// ------------------------------------------------------ reference replay
+
+// The residual-differential oracle's reference: the engine's epoch
+// semantics replayed cold. Nothing crosses an epoch but a plain residual
+// vector and a plain lease ledger — no EpochEngine, ResidualGraph,
+// UfpWorkspace or warm tree — so a stale stamp, a wrong reclaim or a
+// cached tree the engine should have dropped shows up as a byte
+// difference against it. Per batch: reclaim expired leases, compile a
+// fresh GraphSnapshot of the residual, solve it as a UfpInstance under
+// the engine's epoch config (serially: outputs are thread-invariant),
+// price, and commit winners in request order. `durations` replays the
+// world's sampled lease durations (the churn leg); without it every lease
+// is permanent, the plain leg's hold-forever semantics.
+TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
+                                bool durations) {
+  TUFP_REQUIRE(payments != PaymentPolicy::kCritical,
+               "the reference replay prices kNone and kDualPrice only");
+  const std::shared_ptr<const Graph>& base = world.instance.shared_graph();
+  const Graph& g = *base;
+  const double floor = EpochEngineConfig{}.min_usable_capacity;
+  std::vector<double> residual(g.capacities().begin(), g.capacities().end());
+  temporal::LeaseLedger ledger(g.num_edges());
+  double total_capacity = 0.0;
+  for (const double c : g.capacities()) total_capacity += c;
+  const auto& requests = world.instance.requests();
+  const auto duration_of = [&](std::size_t i) {
+    return durations && i < world.durations.size() ? world.durations[i]
+                                                   : kInf;
+  };
+  const auto ledger_view = [&](std::vector<double>* leased) {
+    leased->resize(residual.size());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      (*leased)[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
+    }
+  };
+
+  TemporalRun run;
+  double max_finite_duration = 0.0;
+  const auto batch = static_cast<std::size_t>(world.max_batch);
+  for (std::size_t begin = 0; begin < requests.size(); begin += batch) {
+    const std::size_t end = std::min(requests.size(), begin + batch);
+    TemporalEpoch epoch;
+    AdmissionReport& report = epoch.report;
+    report.epoch = static_cast<int>(run.epochs.size());
+    report.batch_size = static_cast<int>(end - begin);
+    report.close_time = end - 1 < world.arrivals.size()
+                            ? world.arrivals[end - 1]
+                            : 0.0;
+    report.expired_leases = ledger.reclaim_until(
+        std::max(report.close_time, ledger.now()), g.capacities(), residual);
+
+    // The engine's shed rule, on what UfpInstance does not already
+    // guarantee: a normalized finite demand, a finite value and a
+    // positive duration.
+    std::vector<Request> offered;
+    std::vector<std::size_t> sequence;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Request& req = requests[i];
+      const double duration = duration_of(i);
+      if (duration < kInf) {
+        max_finite_duration = std::max(max_finite_duration, duration);
+      }
+      if (std::isfinite(req.demand) && std::isfinite(req.value) &&
+          req.demand <= 1.0 && duration > 0.0) {
+        offered.push_back(req);
+        sequence.push_back(i);
+      }
+    }
+    const GraphSnapshot snap = GraphSnapshot::compile(base, residual, floor);
+    if (!offered.empty() && snap.num_active_edges() > 0) {
+      const UfpInstance instance(snap.graph(), std::move(offered));
+      BoundedUfpConfig cfg = world.solver;
+      cfg.capacity_guard = true;
+      cfg.parallel = false;
+      cfg.epsilon =
+          std::min(cfg.epsilon, kMaxSafeExponent / snap.min_residual());
+      cfg.export_duals = false;
+      cfg.record_trace = payments == PaymentPolicy::kDualPrice;
+      const BoundedUfpResult solved = bounded_ufp(instance, cfg);
+      report.solver_iterations = solved.iterations;
+      report.sp_computations = solved.sp_computations;
+      report.sp_tree_runs = solved.sp_tree_runs;
+      std::vector<double> pay(sequence.size(), 0.0);
+      for (const IterationRecord& it : solved.trace) {
+        pay[static_cast<std::size_t>(it.request)] =
+            instance.request(it.request).value * std::min(1.0, it.alpha);
+      }
+      for (int r = 0; r < instance.num_requests(); ++r) {
+        if (!solved.solution.is_selected(r)) continue;
+        const Request& req = instance.request(r);
+        const std::size_t i = sequence[static_cast<std::size_t>(r)];
+        std::vector<EdgeId> path;
+        for (const EdgeId e : *solved.solution.path_of(r)) {
+          const EdgeId b = snap.base_edge(e);
+          double& res = residual[static_cast<std::size_t>(b)];
+          res = std::max(0.0, res - req.demand);
+          path.push_back(b);
+        }
+        const double duration = duration_of(i);
+        const int path_edges = static_cast<int>(path.size());
+        ledger.admit(static_cast<std::int64_t>(i), req.demand, std::move(path),
+                     report.close_time,
+                     duration < kInf ? report.close_time + duration : kInf);
+        ++report.admitted;
+        report.admitted_value += req.value;
+        report.revenue += pay[static_cast<std::size_t>(r)];
+        report.allocations.push_back({static_cast<std::int64_t>(i),
+                                      static_cast<int>(i - begin), req.value,
+                                      pay[static_cast<std::size_t>(r)],
+                                      path_edges});
+      }
+    }
+    report.active_leases = ledger.active_count();
+    report.occupancy = ledger.leased_capacity() / total_capacity;
+    epoch.residual = residual;
+    ledger_view(&epoch.leased);
+    run.last_close = std::max(run.last_close, report.close_time);
+    run.epochs.push_back(std::move(epoch));
+  }
+
+  const double horizon = run.last_close + max_finite_duration + 1.0;
+  run.reclaimed_at_horizon = ledger.reclaim_until(
+      std::max(horizon, ledger.now()), g.capacities(), residual);
+  run.final_residual = residual;
+  ledger_view(&run.final_leased);
+  run.final_active_on_edge.resize(residual.size());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    run.final_active_on_edge[static_cast<std::size_t>(e)] =
+        ledger.active_on_edge(e);
+  }
+  run.final_active = ledger.active_count();
+  return run;
+}
+
+// The plain-leg digest of a replay: what run_world_engine reports.
+EngineRun engine_digest(const TemporalRun& replay) {
+  EngineRun run;
+  for (const TemporalEpoch& epoch : replay.epochs) {
+    const AdmissionReport& r = epoch.report;
+    run.epochs.push_back({r.epoch, r.batch_size, r.admitted, r.revenue,
+                          r.admitted_value, r.solver_iterations,
+                          r.sp_computations, r.sp_tree_runs, r.allocations});
+  }
+  run.residual = replay.final_residual;
+  return run;
+}
+
 std::string engine_run_diff(const EngineRun& a, const EngineRun& b) {
   if (a.epochs.size() != b.epochs.size()) {
     return "epoch-count mismatch " + std::to_string(a.epochs.size()) + " vs " +
@@ -276,7 +420,7 @@ std::string engine_run_diff(const EngineRun& a, const EngineRun& b) {
 
 // Byte-exact diff of two temporal replays: per-epoch reports, residual
 // and ledger views, and the drained-horizon final state. The operator==
-// here are deliberate — the persistent and snapshot paths promise
+// here are deliberate — the engine and the reference replay promise
 // bitwise-identical histories, not merely close ones.
 std::string temporal_run_diff(const TemporalRun& a, const TemporalRun& b) {
   if (a.epochs.size() != b.epochs.size()) {
@@ -895,18 +1039,22 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   return out;
 }
 
-// The tentpole differential of the persistent-residual PR: the engine
-// with the in-place ResidualGraph + cross-epoch workspace against the
-// legacy snapshot-per-epoch engine, byte-for-byte — admissions,
-// payments, residuals, ledger views, solver counters — across both
-// shortest-path kernels and OpenMP thread counts, on the plain replay
-// AND the full admit->expire->re-admit churn replay. This is the oracle
-// that licenses shipping the persistent path as the default.
+// Every engine leg — heap and bucket kernels at 1 and 4 threads, on the
+// plain replay AND the full admit->expire->re-admit churn replay —
+// against the cold per-epoch reference replay, byte-for-byte: admissions,
+// payments, residuals, ledger views, solver counters. The reference
+// shares no cross-epoch state with the engine, so this is the oracle that
+// licenses the persistent residual store and its warm-tree cache
+// (DESIGN.md §12). It is computed once per world and replay.
 std::vector<Violation> oracle_residual_differential(OracleContext& ctx) {
   std::vector<Violation> out;
-  // Warm-tree reclaim revalidation verdicts of each persistent temporal
-  // leg: the surviving tree set is a pure function of the epoch history,
-  // so (kept, dropped) must agree across kernels and thread counts.
+  const EngineRun plain = engine_digest(
+      run_world_reference(ctx.world, PaymentPolicy::kDualPrice, false));
+  const TemporalRun churn =
+      run_world_reference(ctx.world, PaymentPolicy::kNone, true);
+  // Warm-tree reclaim revalidation verdicts of each churn leg: the
+  // surviving tree set is a pure function of the epoch history, so
+  // (kept, dropped) must agree across kernels and thread counts.
   std::vector<std::pair<std::int64_t, std::int64_t>> reclaim_legs;
   std::vector<std::string> leg_names;
   for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
@@ -916,27 +1064,19 @@ std::vector<Violation> oracle_residual_differential(OracleContext& ctx) {
     for (const int threads : {1, 4}) {
       const std::string leg =
           std::string(kname) + " t" + std::to_string(threads) + ": ";
-      const EngineRun persistent = run_world_engine(
-          world, PaymentPolicy::kDualPrice, threads,
-          /*temporal_path=*/false, /*persistent=*/true);
-      const EngineRun snapshot = run_world_engine(
-          world, PaymentPolicy::kDualPrice, threads,
-          /*temporal_path=*/false, /*persistent=*/false);
-      const std::string diff = engine_run_diff(persistent, snapshot);
+      const std::string diff = engine_run_diff(
+          run_world_engine(world, PaymentPolicy::kDualPrice, threads), plain);
       if (!diff.empty()) {
         add(&out, "residual-differential",
-            leg + "persistent vs snapshot engine: " + diff);
+            leg + "engine vs reference replay: " + diff);
       }
       // Churn leg: finite durations live, expiries reclaim mid-run —
       // the regime where the stamp/warm-tree machinery actually bites.
-      const TemporalRun tp =
-          run_world_engine_temporal(world, threads, /*persistent=*/true);
-      const TemporalRun ts =
-          run_world_engine_temporal(world, threads, /*persistent=*/false);
-      const std::string tdiff = temporal_run_diff(tp, ts);
+      const TemporalRun tp = run_world_engine_temporal(world, threads);
+      const std::string tdiff = temporal_run_diff(tp, churn);
       if (!tdiff.empty()) {
         add(&out, "residual-differential",
-            leg + "persistent vs snapshot temporal replay: " + tdiff);
+            leg + "engine vs reference churn replay: " + tdiff);
       }
       reclaim_legs.emplace_back(tp.trees_kept_on_reclaim,
                                 tp.trees_dropped_on_reclaim);
@@ -980,7 +1120,6 @@ std::vector<std::string> run_world_trace(const SimWorld& world,
   config.max_batch = world.max_batch;
   config.payments = PaymentPolicy::kDualPrice;
   config.record_allocations = true;
-  config.persistent_residual = true;
   config.track_leases = temporal_path;
   config.solver = world.solver;
   config.solver.capacity_guard = true;
@@ -1116,7 +1255,7 @@ constexpr OracleEntry kCatalogue[] = {
      "residual returns to the empty-network baseline after expiry",
      oracle_temporal_no_leak},
     {"residual-differential",
-     "persistent residual engine byte-identical to the snapshot engine",
+     "engine byte-identical to a cold per-epoch reference replay",
      oracle_residual_differential},
     {"trace-differential",
      "decision provenance stream byte-identical across kernels and threads",

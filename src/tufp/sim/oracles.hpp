@@ -14,10 +14,12 @@
 //   * temporal-infinite — the temporal engine path (lease ledger on,
 //                      every duration infinite) vs the lease-free legacy
 //                      path, byte-for-byte
-//   * residual-differential — the persistent ResidualGraph engine vs the
-//                      legacy snapshot-per-epoch engine, byte-for-byte,
-//                      plain and churn replays, across both shortest-path
-//                      kernels and 1 vs 4 threads (DESIGN.md §12)
+//   * residual-differential — the engine (persistent ResidualGraph, warm
+//                      workspace) vs a cold per-epoch reference replay
+//                      that compiles a GraphSnapshot and solves a fresh
+//                      UfpInstance each epoch, byte-for-byte, plain and
+//                      churn replays, across both shortest-path kernels
+//                      and 1 vs 4 threads (DESIGN.md §12)
 //
 // Metamorphic oracles perturb the world in a direction with a provable
 // consequence and check the consequence:

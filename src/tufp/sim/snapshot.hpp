@@ -1,14 +1,17 @@
-// GraphSnapshot — the immutable per-epoch view of the network.
+// GraphSnapshot — an immutable per-epoch compile of the residual network.
 //
-// The streaming engine never mutates the base topology. Each epoch it
-// compiles the base graph plus the residual capacities carried over from
-// all previous epochs into a fresh snapshot: a finalized CSR `tufp::Graph`
-// holding only the edges that can still carry a full-size request, with
-// capacity equal to the remaining headroom. Solving Bounded-UFP on the
-// snapshot is therefore solving the residual instance, and the paper's
-// preconditions hold by construction: demands are normalized to (0,1] and
-// every snapshot edge has capacity >= min_usable_capacity (default 1.0,
-// the normalized maximum demand), so B >= 1 (DESIGN.md §7).
+// The reference side of the residual-differential oracle (sim/oracles.cpp)
+// replays each epoch cold: it compiles the base graph plus the residual
+// capacities carried over from all previous epochs into a fresh snapshot —
+// a finalized CSR `tufp::Graph` holding only the edges that can still
+// carry a full-size request, with capacity equal to the remaining
+// headroom — and solves Bounded-UFP on it as a plain UfpInstance. Solving
+// on the snapshot is therefore solving the residual instance, and the
+// paper's preconditions hold by construction: demands are normalized to
+// (0,1] and every snapshot edge has capacity >= min_usable_capacity
+// (default 1.0, the normalized maximum demand), so B >= 1 (DESIGN.md §7).
+// The engine itself never compiles snapshots; it keeps one in-place
+// ResidualGraph (graph/residual_csr.hpp) with the same active-edge rule.
 //
 // Edges whose residual drops below the floor are *saturated*: they leave
 // the snapshot entirely rather than shipping a tiny capacity that would
@@ -40,7 +43,7 @@ class GraphSnapshot {
 
   // The compiled residual graph. Finalized; may have zero edges when the
   // network is fully saturated (then it cannot back a UfpInstance and the
-  // epoch must be skipped — see EpochEngine).
+  // epoch must be skipped).
   const std::shared_ptr<const Graph>& graph() const { return graph_; }
   const std::shared_ptr<const Graph>& base() const { return base_; }
 

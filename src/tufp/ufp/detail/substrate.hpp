@@ -1,16 +1,17 @@
 // Solver substrate (internal header): the one description of an epoch's
 // problem that Bounded-UFP, Bounded-UFP-Repeat and BKV all run against.
 //
-// The solvers used to consume a UfpInstance — a value-copied compiled
-// subgraph per epoch. Under the persistent residual graph they instead
-// see the base graph plus a blocked mask (graph/residual_csr.hpp), with
-// base edge ids as solver edge ids. This struct is the common
-// denominator: both entry points (UfpInstance and ResidualView) lower to
-// it, and each solver's core loop is written once against it. The two
-// lowerings are byte-equivalent on the active edge set — the compiled
-// snapshot's arc lists are order-preserving subsequences of the base arc
-// lists, so the canonical searches, tie-breaks and dual arithmetic agree
-// bitwise (enforced end-to-end by the residual-differential sim oracle).
+// A solver sees either a UfpInstance (the offline mechanism, the lab, and
+// the sim oracles' cold reference replay, which solves a value-copied
+// snapshot per epoch) or the engine's persistent residual graph: the base
+// graph plus a blocked mask (graph/residual_csr.hpp), with base edge ids
+// as solver edge ids. This struct is the common denominator: both entry
+// points (UfpInstance and ResidualView) lower to it, and each solver's
+// core loop is written once against it. The two lowerings are
+// byte-equivalent on the active edge set — a compiled snapshot's arc
+// lists are order-preserving subsequences of the base arc lists, so the
+// canonical searches, tie-breaks and dual arithmetic agree bitwise
+// (enforced end-to-end by the residual-differential sim oracle).
 #pragma once
 
 #include <cstdint>

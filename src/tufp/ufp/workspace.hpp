@@ -10,8 +10,9 @@
 //
 // Passing a workspace to the ResidualView solver overloads is purely an
 // optimization: results are bitwise identical with or without one (the
-// residual-differential sim oracle enforces this). The engine keeps one
-// workspace per world; standalone callers may simply pass nullptr.
+// residual-differential sim oracle enforces this against a cold replay
+// that never builds one). The engine keeps one workspace per world;
+// standalone callers may simply pass nullptr.
 #pragma once
 
 #include <cstdint>

@@ -16,11 +16,11 @@
 
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/snapshot.hpp"
 #include "tufp/graph/generators.hpp"
 #include "tufp/graph/residual_csr.hpp"
 #include "tufp/mechanism/allocation_rule.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
+#include "tufp/sim/snapshot.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/request_gen.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -81,8 +81,7 @@ struct Tally {
 
 // One world: a grid with a few edges pushed below the residual floor, so
 // the view carries a blocked mask and the instance is the compiled epoch
-// snapshot — the two lowerings the engine's persistent and legacy modes
-// price through.
+// snapshot — the engine's lowering and the cold reference's.
 void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
                  Tally* tally) {
   const int m = shape.rows * (shape.cols - 1) + shape.cols * (shape.rows - 1);
@@ -227,16 +226,19 @@ TEST(CriticalReplay, UncontestedWinnerPaysExactlyZero) {
 }
 
 // Engine kCritical payments on a binding multi-epoch grid, per sequence.
-std::vector<std::uint64_t> engine_payment_bits(SpKernel kernel,
-                                               int num_threads,
-                                               bool persistent) {
-  const StreamingScenario scenario =
-      make_streaming_grid_scenario(5, 5, 4.0, ValueModel::kUniform);
+EpochEngineConfig critical_engine_config() {
   EpochEngineConfig config;
   config.max_batch = 40;
   config.payments = PaymentPolicy::kCritical;
   config.record_allocations = true;
-  config.persistent_residual = persistent;
+  return config;
+}
+
+std::vector<std::uint64_t> engine_payment_bits(SpKernel kernel,
+                                               int num_threads) {
+  const StreamingScenario scenario =
+      make_streaming_grid_scenario(5, 5, 4.0, ValueModel::kUniform);
+  EpochEngineConfig config = critical_engine_config();
   config.solver.sp_kernel = kernel;
   config.solver.num_threads = num_threads;
   EpochEngine engine(scenario.graph, config);
@@ -254,7 +256,7 @@ std::vector<std::uint64_t> engine_payment_bits(SpKernel kernel,
 
 TEST(CriticalReplay, EnginePaymentsAreBitwiseStableAcrossKernelsAndThreads) {
   const std::vector<std::uint64_t> reference =
-      engine_payment_bits(SpKernel::kHeap, 1, /*persistent=*/true);
+      engine_payment_bits(SpKernel::kHeap, 1);
   ASSERT_FALSE(reference.empty());
   int paying = 0;
   for (std::size_t i = 1; i < reference.size(); i += 2) {
@@ -263,13 +265,64 @@ TEST(CriticalReplay, EnginePaymentsAreBitwiseStableAcrossKernelsAndThreads) {
   EXPECT_GT(paying, 0);
   for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
     for (const int threads : {1, 4}) {
-      EXPECT_EQ(engine_payment_bits(kernel, threads, true), reference)
+      EXPECT_EQ(engine_payment_bits(kernel, threads), reference)
           << "kernel " << static_cast<int>(kernel) << " threads " << threads;
     }
   }
-  // The legacy snapshot mode prices through the instance overload.
-  EXPECT_EQ(engine_payment_bits(SpKernel::kHeap, 1, /*persistent=*/false),
-            reference);
+}
+
+TEST(CriticalReplay, EnginePaymentsEqualAColdPerEpochReplay) {
+  // Same stream as above, cleared epoch by epoch. Before each epoch the
+  // engine's residual is compiled into a fresh GraphSnapshot and every
+  // winner is re-priced through the instance overload under the engine's
+  // epoch config: the persistent store, its blocked mask and the warm
+  // workspace must not move a payment by one bit.
+  const StreamingScenario scenario =
+      make_streaming_grid_scenario(5, 5, 4.0, ValueModel::kUniform);
+  const EpochEngineConfig config = critical_engine_config();
+  EpochEngine engine(scenario.graph, config);
+  PoissonStream stream(scenario.graph, scenario.request_config, 200.0, 160,
+                       3);
+  int epochs = 0;
+  int winners = 0;
+  int paying = 0;
+  std::vector<TimedRequest> batch;
+  TimedRequest t;
+  bool more = true;
+  while (more) {
+    batch.clear();
+    while (static_cast<int>(batch.size()) < config.max_batch &&
+           (more = stream.next(&t))) {
+      batch.push_back(t);
+    }
+    if (batch.empty()) break;
+    const GraphSnapshot snapshot = GraphSnapshot::compile(
+        scenario.graph, engine.residual(), config.min_usable_capacity);
+    const AdmissionReport report = engine.run_epoch(batch);
+    ++epochs;
+    if (snapshot.num_active_edges() == 0) {
+      EXPECT_EQ(report.admitted, 0);
+      continue;
+    }
+    std::vector<Request> requests;
+    for (const TimedRequest& timed : batch) requests.push_back(timed.request);
+    const UfpInstance instance(snapshot.graph(), std::move(requests));
+    BoundedUfpConfig cfg = config.solver;
+    cfg.epsilon =
+        std::min(cfg.epsilon, kMaxSafeExponent / snapshot.min_residual());
+    cfg.export_duals = false;
+    cfg.parallel = false;
+    for (const AdmissionRecord& a : report.allocations) {
+      EXPECT_EQ(bits(a.payment),
+                bits(bounded_ufp_critical_value(instance, a.request, cfg)))
+          << "epoch " << report.epoch << " sequence " << a.sequence;
+      ++winners;
+      if (a.payment > 0.0) ++paying;
+    }
+  }
+  EXPECT_EQ(epochs, 4);
+  EXPECT_GT(winners, 0);
+  EXPECT_GT(paying, 0);
 }
 
 }  // namespace

@@ -245,7 +245,7 @@ TEST(EpochEngine, SaturatedNetworkRejectsWithoutAnAuction) {
   EpochEngine engine(scenario.graph, config);
 
   // First epoch eats the capacity-1 network down; once every edge drops
-  // below the floor the snapshot is edgeless and later epochs reject
+  // below the floor no edge is active and later epochs reject
   // everything outright.
   PoissonStream stream(scenario.graph, scenario.request_config, 100.0, 120, 2);
   std::vector<AdmissionReport> reports;

@@ -35,9 +35,9 @@ TEST(EngineLeases, AdmitExpireReadmitIdenticalRequest) {
   // The sp_cache satellite pinned end-to-end: a request that failed
   // because an earlier admission held the capacity must succeed again
   // once that lease expires — reclamation increases residuals, and
-  // nothing (snapshot, cache, guard verdict) may keep serving the stale
-  // "does not fit". The engine guarantees this by draining expiries
-  // before compiling each epoch's fresh snapshot.
+  // nothing (residual view, cache, guard verdict) may keep serving the
+  // stale "does not fit". The engine guarantees this by draining expiries
+  // (and stamping the edges they free) before opening each epoch.
   Graph g = Graph::directed(2);
   g.add_edge(0, 1, 1.0);
   g.finalize();
@@ -59,10 +59,10 @@ TEST(EngineLeases, AdmitExpireReadmitIdenticalRequest) {
       engine.run_epoch({make_timed(0.1, 1, 1.0, 1.0, 0.3, 0, 1)});
   EXPECT_EQ(second.admitted, 0);
   EXPECT_EQ(second.expired_leases, 0);
-  EXPECT_EQ(second.active_edges, 0);  // saturated out of the snapshot
+  EXPECT_EQ(second.active_edges, 0);  // saturated below the floor
 
-  // Epoch 2 (t = 0.5, lease expired): reclaimed before the snapshot
-  // compiles, the identical request is admitted again.
+  // Epoch 2 (t = 0.5, lease expired): reclaimed before the epoch opens,
+  // the identical request is admitted again.
   AdmissionReport third =
       engine.run_epoch({make_timed(0.5, 2, 1.0, 1.0, 0.3, 0, 1)});
   EXPECT_EQ(third.expired_leases, 1);
@@ -167,12 +167,12 @@ TEST(EngineLeases, TemporalOraclesPassOnChurningWorlds) {
 
 TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
   // Acceptance (DESIGN.md §12): the persistent ResidualGraph engine must
-  // replay admit → expire → re-admit churn byte-for-byte against the
-  // legacy snapshot-per-epoch engine. The residual-differential oracle
-  // runs both the plain and the temporal engine through persistent and
-  // snapshot modes under heap and bucket kernels at 1 and 4 threads and
-  // diffs every per-epoch field exactly (==, no tolerance), including
-  // the solver iteration / shortest-path counters.
+  // replay admit → expire → re-admit churn byte-for-byte against the cold
+  // per-epoch reference replay (sim/oracles.cpp). The residual-differential
+  // oracle runs both the plain and the temporal engine under heap and
+  // bucket kernels at 1 and 4 threads and diffs every per-epoch field
+  // against the reference exactly (==, no tolerance), including the
+  // solver iteration / shortest-path counters.
   for (const sim::WorldFamily family : sim::kAllFamilies) {
     for (const DurationProfile profile :
          {DurationProfile::kExponential, DurationProfile::kHeavyTailed}) {
@@ -197,8 +197,8 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   // The non-saturating churn tier at test scale (the bench runs the same
   // shape at 10^6 requests): a 60x60 grid under hub-local traffic with
   // exponential lease churn. The residual-differential oracle diffs the
-  // persistent engine against the snapshot engine on every report field
-  // at heap/bucket x 1/4 threads — including the cross-leg equality of
+  // engine against the cold reference replay on every report field at
+  // heap/bucket x 1/4 threads — including the cross-leg equality of
   // the warm-tree reclaim counters — and a direct persistent run must
   // show trees actually SURVIVING reclaims (kept > 0), the property the
   // whole per-tree revalidation exists for.
@@ -245,7 +245,7 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   EXPECT_GT(c.trees_dropped_on_reclaim, 0);
 }
 
-TEST(EngineLeases, ScaleChurnFlashCrowdMatchesSnapshotEngine) {
+TEST(EngineLeases, ScaleChurnFlashCrowdMatchesReferenceReplay) {
   // Flash-crowd durations release whole cohorts at once — the stress
   // case for batched reclaim revalidation (many reclaimed edges in one
   // epoch boundary). Smaller grid keeps the four-leg differential cheap.

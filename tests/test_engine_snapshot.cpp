@@ -1,4 +1,4 @@
-#include "tufp/engine/snapshot.hpp"
+#include "tufp/sim/snapshot.hpp"
 
 #include <gtest/gtest.h>
 

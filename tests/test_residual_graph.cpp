@@ -312,8 +312,8 @@ TEST(ResidualGraph, OpenEpochEnforcesTheReclaimWriteBackContract) {
 TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {
   const std::shared_ptr<const Graph> base = make_diamond();
 
-  // Persistent mode (the default): the engine owns a ResidualGraph and a
-  // cross-epoch workspace, and residual() reads through the store.
+  // The engine owns a ResidualGraph and a cross-epoch workspace, and
+  // residual() reads through the store.
   EpochEngine engine(base, EpochEngineConfig{});
   ASSERT_NE(engine.residual_graph(), nullptr);
   ASSERT_NE(engine.workspace(), nullptr);
@@ -332,14 +332,6 @@ TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {
   EXPECT_EQ(report.admitted, 1);
   // The admission went through the persistent store in place.
   EXPECT_GT(engine.residual_graph()->clock(), 0);
-
-  // Legacy snapshot mode keeps the accessors null — the differential
-  // baseline has no persistent state to expose.
-  EpochEngineConfig legacy;
-  legacy.persistent_residual = false;
-  EpochEngine snapshot_engine(base, legacy);
-  EXPECT_EQ(snapshot_engine.residual_graph(), nullptr);
-  EXPECT_EQ(snapshot_engine.workspace(), nullptr);
 }
 
 }  // namespace

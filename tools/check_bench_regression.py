@@ -20,23 +20,23 @@ Usage:
   check_bench_regression.py BASELINE CURRENT [--threshold 0.20]
   check_bench_regression.py --update BASELINE CURRENT   # refresh baseline
   check_bench_regression.py BASELINE CURRENT \
-      --min-ratio scale-grid316-persistent/scale-grid316-snapshot=5
+      --min-ratio grid12-dual-t4/grid12-dual-t1=1
 
 --min-ratio asserts a throughput ratio between two cases of the CURRENT
-run (repeatable). It gates *relative* claims — e.g. the serving-core
-acceptance "persistent clears >= 5x the snapshot baseline" — which stay
-meaningful across machine classes where absolute numbers do not.
+run (repeatable). It gates *relative* claims — e.g. "the t4 row clears
+at least as fast as its t1 row" — which stay meaningful across machine
+classes where absolute numbers do not.
 
 NUM_CASE may contain a single ``*`` glob; it is matched against the
 current run's case names and whatever the ``*`` captured is substituted
 into DEN_CASE's ``*``, so one spec gates a whole family::
 
-    --min-ratio 'scale-churn-*-persistent/scale-churn-*-snapshot=2'
+    --min-ratio 'grid*-dual-t4/grid*-dual-t1=1'
 
 A glob that matches nothing is a broken gate and fails hard (exit 2),
 like a missing named case — and so is a gate case absent from the
-BASELINE (e.g. a glob that matched the persistent leg of a new pair
-whose rows were never baselined): the gate's absolute-regression leg
+BASELINE (e.g. a glob that matched a new case whose rows were never
+baselined): the gate's absolute-regression leg
 would otherwise silently skip. An exact (glob-free) spec naming the same
 NUM/DEN pair overrides the glob-derived bound, so a family default can
 carry per-case exceptions.

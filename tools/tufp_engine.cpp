@@ -36,7 +36,7 @@
 //   --duration-mean X        mean lease duration, virtual s (default 1)
 //   --duration-period X      diurnal cycle / flash-crowd window (default 1)
 //   --horizon X              after the stream ends, advance the virtual
-//                            clock to X and reclaim what expired
+//                            clock to X (finite) and reclaim what expired
 //                            (default 0 = no post-run drain)
 // Output:
 //   --csv                    per-epoch CSV instead of aligned table
@@ -185,7 +185,11 @@ Options parse(int argc, char** argv) {
     else if (a == "--flame") opt.flame = value(i);
     else usage();
   }
-  if (opt.epochs < 1 || opt.requests < 0) usage();
+  // The lease clock only runs on finite times: an infinite or NaN
+  // horizon is a usage error, not a failure after the whole run.
+  if (opt.epochs < 1 || opt.requests < 0 || !std::isfinite(opt.horizon)) {
+    usage();
+  }
   return opt;
 }
 

@@ -34,8 +34,8 @@
 //   --queue N                bounded queue capacity (default 65536)
 //   --payments none|dual|critical                     (default dual)
 //   --threads N / --eps X / --sp-kernel auto|heap|bucket
-//   --horizon X              advance the clock to X at shutdown and
-//                            reclaim what expired (default 0)
+//   --horizon X              advance the clock to X (finite) at shutdown
+//                            and reclaim what expired (default 0)
 // Framing:
 //   --max-line BYTES         longest accepted request line (default
 //                            65536). An oversized line, or a partial line
@@ -78,6 +78,8 @@
 //   drain <T>     advance the clock to T and reclaim expired leases
 //   quit          flush, drain --horizon, emit final summary, exit
 //   shutdown      like quit; in socket mode also stops accepting
+// Clock values (a req arrival, a tick or drain T) must be finite: an inf
+// or NaN time is shed as a malformed line before the clock moves.
 //
 // Output discipline: the deterministic telemetry channel is byte-
 // identical across --threads and --sp-kernel for the same session (the
@@ -208,7 +210,10 @@ Options parse(int argc, char** argv) {
     else if (a == "--inject") opt.inject = value(i);
     else usage();
   }
-  if (opt.max_batch < 1 || opt.epoch_duration < 0.0 || opt.max_line < 1) {
+  // The lease clock only runs on finite times: an infinite or NaN
+  // horizon is a usage error, not a failure at the final drain.
+  if (opt.max_batch < 1 || opt.epoch_duration < 0.0 || opt.max_line < 1 ||
+      !std::isfinite(opt.horizon)) {
     usage();
   }
   if (!opt.inject.empty() && opt.inject != "leak-expired-capacity") usage();
@@ -421,6 +426,16 @@ class ServeSession {
     return tokens;
   }
 
+  // A clock value off the wire. The virtual clock, and the lease wheel
+  // behind it, only run on finite times: a non-finite value throws like
+  // any other malformed number, so handle() sheds the line before the
+  // clock moves.
+  static double parse_time(const std::string& token) {
+    const double t = std::stod(token);
+    if (!std::isfinite(t)) throw std::invalid_argument("non-finite time");
+    return t;
+  }
+
   // False ends the session (quit/shutdown).
   bool handle(const std::string& line) {
     const std::vector<std::string> tokens = tokenize(line);
@@ -429,7 +444,7 @@ class ServeSession {
     try {
       if (cmd == "req") return handle_req(line, tokens);
       if (cmd == "tick" && tokens.size() == 2) {
-        advance_clock(std::stod(tokens[1]));
+        advance_clock(parse_time(tokens[1]));
         return true;
       }
       if (cmd == "flush" && tokens.size() == 1) {
@@ -441,7 +456,7 @@ class ServeSession {
         return !violated_;
       }
       if (cmd == "drain" && tokens.size() == 2) {
-        drain(std::stod(tokens[1]));
+        drain(parse_time(tokens[1]));
         return true;
       }
       if ((cmd == "quit" || cmd == "shutdown") && tokens.size() == 1) {
@@ -468,7 +483,7 @@ class ServeSession {
     timed.request.demand = std::stod(tokens[3]);
     timed.request.value = std::stod(tokens[4]);
     const double arrival =
-        tokens.size() >= 6 ? std::stod(tokens[5]) : clock_;
+        tokens.size() >= 6 ? parse_time(tokens[5]) : clock_;
     timed.duration = tokens.size() >= 7 ? std::stod(tokens[6]) : kInf;
     timed.sequence = next_sequence_++;
     // Arrivals are nondecreasing on an open-loop wire: a stale timestamp
