@@ -51,11 +51,7 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
   rgraph_ =
       std::make_unique<ResidualGraph>(base_, config_.min_usable_capacity);
   workspace_ = std::make_unique<UfpWorkspace>();
-  if (config_.track_leases) {
-    ledger_ = std::make_unique<temporal::LeaseLedger>(
-        base_->num_edges(),
-        temporal::LeaseLedgerConfig{config_.lease_tick_seconds});
-  }
+  ledger_ = std::make_unique<temporal::LeaseLedger>(base_->num_edges());
 }
 
 void EpochEngine::reset() {
@@ -64,7 +60,7 @@ void EpochEngine::reset() {
   // meaningless, so the workspace must be dropped wholesale.
   workspace_->clear();
   metrics_ = EngineMetrics();
-  if (ledger_) ledger_->clear();
+  ledger_->clear();
   epoch_ = 0;
 }
 
@@ -123,7 +119,6 @@ EpochEngine::BaseRouteProbe EpochEngine::probe_base_route(VertexId source,
 }
 
 void EpochEngine::refresh_lease_gauges() {
-  if (!ledger_) return;
   metrics_.set_lease_gauges(
       ledger_->active_count(),
       total_capacity_ > 0.0 ? ledger_->leased_capacity() / total_capacity_
@@ -131,7 +126,6 @@ void EpochEngine::refresh_lease_gauges() {
 }
 
 int EpochEngine::reclaim_expired(double now) {
-  if (!ledger_) return 0;
   TUFP_SPAN("reclaim");
   // The ledger clock never runs backwards; a stale `now` (e.g. an
   // explicit run_epoch() with an older batch) reclaims at the frontier.
@@ -275,10 +269,8 @@ EngineSummary EpochEngine::run(
   EngineSummary summary;
   summary.counters = metrics_.counters();
   summary.admitted_fraction = metrics_.admitted_fraction();
-  if (ledger_) {
-    summary.active_leases = ledger_->active_count();
-    summary.occupancy = metrics_.occupancy();
-  }
+  summary.active_leases = ledger_->active_count();
+  summary.occupancy = metrics_.occupancy();
   summary.wall_seconds = timer.elapsed_seconds();
   summary.requests_per_second =
       summary.wall_seconds > 0.0
@@ -324,7 +316,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
     WallTimer reclaim_timer;
     report.expired_leases = reclaim_expired(close_time);
     report.reclaim_seconds = reclaim_timer.elapsed_seconds();
-    if (ledger_) metrics_.reclaim_seconds().record(report.reclaim_seconds);
+    metrics_.reclaim_seconds().record(report.reclaim_seconds);
   }
 
   // Malformed bids (a zero-value bid, an out-of-range endpoint, an
@@ -423,10 +415,8 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
         trace_->record(rec);
       }
     }
-    if (ledger_) {
-      report.active_leases = ledger_->active_count();
-      report.occupancy = metrics_.occupancy();
-    }
+    report.active_leases = ledger_->active_count();
+    report.occupancy = metrics_.occupancy();
     report.solve_seconds = timer.elapsed_seconds();
     metrics_.solve_seconds().record(report.solve_seconds);
     trace_epoch_ = -1;
@@ -450,7 +440,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   solver_cfg.classify_rejections = true;
 
   // The solver speaks base edge ids over the residual view and keeps its
-  // warm state in the cross-epoch workspace. The residual-differential
+  // warm state in the cross-epoch workspace. The engine-differential
   // oracle pins the output byte-identical to a cold per-epoch replay.
   const BoundedUfpResult run = [&] {
     TUFP_SPAN("solve");
@@ -567,10 +557,8 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
     // The solver already speaks base edge ids: commit the decrement +
     // stamp in place.
     rgraph_->commit_admission(path, demand);
-    if (ledger_) {
-      ledger_->admit(timed.sequence, demand, path, close_time, expires);
-      if (timed.duration < kInf) ++metrics_.counters().finite_leases;
-    }
+    ledger_->admit(timed.sequence, demand, path, close_time, expires);
+    if (timed.duration < kInf) ++metrics_.counters().finite_leases;
     ++metrics_.counters().admitted;
     ++report.admitted;
     report.admitted_value += bid;
@@ -583,11 +571,9 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   }
   metrics_.counters().admitted_value += report.admitted_value;
   metrics_.counters().revenue += report.revenue;
-  if (ledger_) {
-    refresh_lease_gauges();
-    report.active_leases = metrics_.active_leases();
-    report.occupancy = metrics_.occupancy();
-  }
+  refresh_lease_gauges();
+  report.active_leases = metrics_.active_leases();
+  report.occupancy = metrics_.occupancy();
 
   report.solve_seconds = timer.elapsed_seconds();
   metrics_.solve_seconds().record(report.solve_seconds);

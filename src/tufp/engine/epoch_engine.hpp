@@ -6,19 +6,19 @@
 // epochs and clears each epoch as a Bounded-UFP auction on the *residual*
 // network: the base topology minus the capacity held by every currently
 // *leased* request, kept in one in-place ResidualGraph for the life of the
-// world (graph/residual_csr.hpp, DESIGN.md §12). An admission is a lease
-// (temporal/lease_ledger.hpp): requests carry a duration, infinite by
-// default — which reproduces the historical hold-forever semantics
-// byte-for-byte — and finite otherwise, in which case the lease's
-// capacity returns to the residual when it expires. Expiries are drained
-// at every epoch boundary, before the epoch's residual view is opened, in
-// deterministic (expiry time, lease id) order off a hierarchical timer
-// wheel, so the per-epoch reclaim cost is amortized O(1) per expiry and
-// the admission history stays byte-identical across thread counts. Each
-// epoch remains a per-auction application of the paper's mechanism over
-// the residual left by expired *and* active leases, so the monotonicity/
-// exactness guarantees are untouched (§5's repeated-auction view, now
-// with the good genuinely recurring).
+// world (graph/residual_csr.hpp, DESIGN.md §12). Every admission is a
+// lease in the engine's ledger (temporal/lease_ledger.hpp): requests carry
+// a duration, infinite by default — hold-forever semantics — and finite
+// otherwise, in which case the lease's capacity returns to the residual
+// when it expires. Expiries are drained at every epoch boundary, before
+// the epoch's residual view is opened, in deterministic (expiry time,
+// lease id) order off a hierarchical timer wheel, so the per-epoch
+// reclaim cost is amortized O(1) per expiry and the admission history
+// stays byte-identical across thread counts. Each epoch remains a
+// per-auction application of the paper's mechanism over the residual
+// left by expired *and* active leases, so the monotonicity/exactness
+// guarantees are untouched (§5's repeated-auction view, now with the
+// good genuinely recurring).
 //
 // Each epoch is deterministic: Bounded-UFP with the capacity guard is
 // deterministic for any OpenMP thread count (detail/sp_cache.hpp), the
@@ -97,17 +97,6 @@ struct EpochEngineConfig {
     return cfg;
   }();
 
-  // Temporal leases (DESIGN.md §10). On: every admission is recorded in
-  // the lease ledger, finite-duration admissions return their capacity at
-  // expiry, and expiries drain at each epoch boundary. Off: the ledger is
-  // never built and requests' durations are ignored — the pre-temporal
-  // code path, kept as the baseline the temporal-infinite differential
-  // oracle diffs against.
-  bool track_leases = true;
-  // Timer-wheel tick (virtual seconds). Performance knob only; expiry
-  // comparisons stay exact at any tick.
-  double lease_tick_seconds = 0.05;
-
   // Keep per-request AdmissionRecords in each report (tests, small runs).
   bool record_allocations = false;
 
@@ -181,7 +170,7 @@ struct AdmissionReport {
 struct EngineSummary {
   EngineCounters counters;
   double admitted_fraction = 0.0;
-  // Final lease gauges (deterministic; zero without track_leases).
+  // Final lease gauges (deterministic).
   std::int64_t active_leases = 0;
   double occupancy = 0.0;
   double wall_seconds = 0.0;          // NOT deterministic
@@ -221,11 +210,11 @@ class EpochEngine {
   // to the residual. Epoch boundaries call this automatically; exposed
   // for drivers that advance the clock past the last arrival (the
   // `--horizon` flag, the temporal-no-leak oracle). Returns the number of
-  // leases reclaimed; always 0 without track_leases.
+  // leases reclaimed.
   int reclaim_expired(double now);
 
-  // The lease ledger, or nullptr without track_leases.
-  const temporal::LeaseLedger* lease_ledger() const { return ledger_.get(); }
+  // The lease ledger: every admission, permanent or finite, is a lease.
+  const temporal::LeaseLedger& lease_ledger() const { return *ledger_; }
 
   // The persistent residual store and the cross-epoch solver workspace
   // (tests, telemetry). Never null.

@@ -93,7 +93,7 @@ struct EngineCounters {
   // Warm-tree reclaim cooperation (DESIGN.md §12): at every reclaim
   // batch, cross-epoch trees proven untouched by the reclaimed edges are
   // kept warm, the rest dropped. Deterministic for any thread count (the
-  // tree set is; the residual-differential oracle pins it across legs).
+  // tree set is; the engine-differential oracle pins it across legs).
   // Both stay zero without churn, which keeps pre-churn summaries
   // byte-identical.
   std::int64_t trees_kept_on_reclaim = 0;

@@ -24,7 +24,7 @@
 // cold per-epoch solve over a compiled snapshot holds because the
 // snapshot's arc lists are subsequences of the base arc lists in the same
 // order, so the canonical lexicographic tie-breaks (graph/dijkstra.hpp)
-// coincide — the `residual-differential` sim oracle replays every world
+// coincide — the `engine-differential` sim oracle replays every world
 // that way and enforces this byte-for-byte.
 //
 // On top sits SourceTreeCache, the cross-epoch half of sp_cache: settled

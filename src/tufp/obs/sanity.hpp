@@ -20,7 +20,6 @@
 //   * temporal-no-leak   — an edge with NO active lease holds its base
 //                          capacity EXACTLY (==, not a tolerance: the
 //                          ledger snaps on last expiry, DESIGN.md §10).
-// Without a lease ledger only `feasible` applies.
 //
 // These catch exactly the class of bug the reclaim path can have: capacity
 // leaked on expiry (injectable via EpochEngineConfig::inject_reclaim_leak
@@ -40,8 +39,8 @@ struct SanityViolation {
   std::string detail;  // deterministic human-readable witness
 };
 
-// Number of checks a sweep runs against this engine (3 with a lease
-// ledger, 1 without) — reported in telemetry `sanity` events.
+// Number of checks a sweep runs against this engine (always the three
+// above) — reported in telemetry `sanity` events.
 int sanity_check_count(const EpochEngine& engine);
 
 // Runs every applicable check against the engine's current state.

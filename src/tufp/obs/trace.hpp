@@ -12,7 +12,7 @@
 //     util/json.hpp and are byte-identical across SP kernels and thread
 //     counts: the classification runs in the engine's serial exit path
 //     over deterministic solver state, never inside the parallel region
-//     (the trace-differential sim oracle enforces this).
+//     (the engine-differential sim oracle enforces this).
 //
 //   * Spans (wall) — nested `TUFP_SPAN("phase")` scopes over the epoch
 //     phases (reclaim/validate/snapshot/solve/payments/commit),

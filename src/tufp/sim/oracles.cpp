@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
+#include <cstdlib>
+#include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "tufp/engine/epoch_engine.hpp"
@@ -14,7 +18,6 @@
 #include "tufp/sim/snapshot.hpp"
 #include "tufp/temporal/lease_ledger.hpp"
 #include "tufp/ufp/dual_certificate.hpp"
-#include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
 namespace tufp::sim {
@@ -65,97 +68,37 @@ std::string selection_diff(const UfpSolution& a, const UfpSolution& b) {
 
 // ----------------------------------------------------------- engine runs
 
-struct EpochDigest {
-  int epoch = 0;
-  int batch_size = 0;
-  int admitted = 0;
-  double revenue = 0.0;
-  double admitted_value = 0.0;
-  // Solver effort counters: the residual differential pins these too
-  // (the cross-epoch warm path must not change what the reports print —
-  // golden counter parity, sp_cache.hpp).
-  int solver_iterations = 0;
-  std::int64_t sp_computations = 0;
-  std::int64_t sp_tree_runs = 0;
-  // (global request id, bid, payment, path_edges) per winner, epoch order.
-  std::vector<AdmissionRecord> allocations;
-};
+// How run_engine replays a world: the pricing rule, the shortest-path
+// kernel, the OpenMP thread count, and whether the world's sampled lease
+// durations are replayed (churn) or every lease is permanent (plain).
+struct Leg {
+  PaymentPolicy payments = PaymentPolicy::kDualPrice;
+  SpKernel kernel = SpKernel::kAuto;
+  int threads = 1;
+  bool churn = false;
 
-struct EngineRun {
-  std::vector<EpochDigest> epochs;
-  std::vector<double> residual;          // final
-  std::vector<Violation> residual_violations;  // bounds breached mid-run
-};
+  friend auto operator<=>(const Leg&, const Leg&) = default;
 
-// Replays the world's request list through the epoch engine in max_batch
-// chunks. AdmissionRecord::sequence carries the global request index so
-// digests are comparable across runs and against offline solves.
-// `temporal_path` selects the lease-ledger code path with every duration
-// left infinite — the same workload through the temporal machinery, which
-// the temporal-infinite oracle diffs byte-for-byte against the default
-// lease-free path.
-EngineRun run_world_engine(const SimWorld& world, PaymentPolicy payments,
-                           int num_threads, bool temporal_path = false) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = payments;
-  config.record_allocations = true;
-  // The pre-temporal oracle suite replays every world under hold-forever
-  // semantics: leases off keeps this the frozen legacy baseline.
-  config.track_leases = temporal_path;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;  // engine precondition
-  config.solver.num_threads = num_threads;
-  EpochEngine engine(world.instance.shared_graph(), config);
-
-  EngineRun run;
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  const Graph& base = *world.instance.shared_graph();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
-    t.sequence = static_cast<std::int64_t>(i);
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    const AdmissionReport report = engine.run_epoch(batch);
-    run.epochs.push_back({report.epoch, report.batch_size, report.admitted,
-                          report.revenue, report.admitted_value,
-                          report.solver_iterations, report.sp_computations,
-                          report.sp_tree_runs, report.allocations});
-    const auto residual = engine.residual();
-    for (EdgeId e = 0; e < base.num_edges(); ++e) {
-      const double res = residual[static_cast<std::size_t>(e)];
-      if (res < -1e-9 || res > base.capacity(e) + 1e-9) {
-        add(&run.residual_violations, "residual-feasible",
-            "epoch " + std::to_string(report.epoch) + " edge " +
-                std::to_string(e) + " residual " + fmt(res) +
-                " outside [0, " + fmt(base.capacity(e)) + "]");
-      }
-    }
-    batch.clear();
+  std::string name() const {
+    const char* k = kernel == SpKernel::kHeap     ? "heap"
+                    : kernel == SpKernel::kBucket ? "bucket"
+                                                  : "auto";
+    return std::string(churn ? "churn " : "plain ") + k + " t" +
+           std::to_string(threads);
   }
-  run.residual.assign(engine.residual().begin(), engine.residual().end());
-  return run;
-}
+};
 
-// ------------------------------------------------------- temporal replay
-
-// One epoch of the temporal replay: the engine's report plus the per-edge
-// ledger view right after the boundary cleared.
+// One epoch of a run: the report plus the per-edge residual and ledger
+// views right after the epoch cleared.
 struct TemporalEpoch {
   AdmissionReport report;
   std::vector<double> residual;
   std::vector<double> leased;  // ledger's active leased demand per edge
 };
 
+// One replay of a world, by the engine or by the reference.
 struct TemporalRun {
   std::vector<TemporalEpoch> epochs;
-  double last_close = 0.0;
   // State after the post-run horizon drain: the clock advanced past every
   // finite expiry and everything reclaimable reclaimed.
   int reclaimed_at_horizon = 0;
@@ -163,46 +106,93 @@ struct TemporalRun {
   std::vector<double> final_leased;
   std::vector<int> final_active_on_edge;
   std::int64_t final_active = 0;
-  // Warm-tree reclaim revalidation counters (the engine's; the reference
-  // replay has no tree cache and reports zeros). Deterministic per world:
-  // the residual-differential oracle pins them equal across kernels and
-  // thread counts.
-  std::int64_t trees_kept_on_reclaim = 0;
-  std::int64_t trees_dropped_on_reclaim = 0;
+  // The engine's det stream: every DecisionRecord, one `epoch` telemetry
+  // event per epoch, then the closing `hist` and `summary` events (the
+  // summary carries the warm-tree reclaim counters). The reference
+  // replay renders none and leaves it empty; an engine run always ends
+  // with the summary, so its stream never is.
+  std::vector<std::string> stream;
 };
 
-// Replays the world through the lease-tracking engine with its sampled
-// durations, recording the ledger view each epoch, then drains to a
-// horizon beyond the last possible expiry (admissions happen at epoch
-// close <= last_close, so last_close + max finite duration bounds every
-// expiry).
-TemporalRun run_world_engine_temporal(const SimWorld& world,
-                                      int num_threads) {
+double duration_of(const SimWorld& world, bool churn, std::size_t i) {
+  return churn && i < world.durations.size() ? world.durations[i] : kInf;
+}
+
+// Admissions happen at epoch close <= last_close, so last_close plus the
+// longest finite duration bounds every expiry.
+double drain_horizon(const SimWorld& world, bool churn, double last_close) {
+  double longest = 0.0;
+  for (std::size_t i = 0; i < world.instance.requests().size(); ++i) {
+    const double duration = duration_of(world, churn, i);
+    if (duration < kInf) longest = std::max(longest, duration);
+  }
+  return last_close + longest + 1.0;
+}
+
+std::vector<double> leased_view(const temporal::LeaseLedger& ledger,
+                                int num_edges) {
+  std::vector<double> leased(static_cast<std::size_t>(num_edges));
+  for (EdgeId e = 0; e < num_edges; ++e) {
+    leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
+  }
+  return leased;
+}
+
+void record_final_state(const temporal::LeaseLedger& ledger,
+                        std::span<const double> residual, TemporalRun* run) {
+  const auto edges = static_cast<int>(residual.size());
+  run->final_residual.assign(residual.begin(), residual.end());
+  run->final_leased = leased_view(ledger, edges);
+  run->final_active_on_edge.resize(residual.size());
+  for (EdgeId e = 0; e < edges; ++e) {
+    run->final_active_on_edge[static_cast<std::size_t>(e)] =
+        ledger.active_on_edge(e);
+  }
+  run->final_active = ledger.active_count();
+}
+
+// Captures the det channel into memory: the differential diffs raw
+// rendered lines, so it must see exactly the bytes a file sink would.
+class CapturingSink final : public obs::TelemetrySink {
+ public:
+  void emit(obs::Channel channel, std::string_view line) override {
+    if (channel == obs::Channel::kDeterministic) lines.emplace_back(line);
+  }
+  std::vector<std::string> lines;
+};
+
+// Replays the world's request list through the epoch engine in max_batch
+// chunks with a DecisionTrace and det-only epoch telemetry rendering into
+// one captured stream, then drains to a horizon past every finite expiry
+// (a plain leg's drain reclaims nothing). AdmissionRecord::sequence
+// carries the global request index, so runs compare across legs and
+// against offline solves.
+TemporalRun run_engine(const SimWorld& world, const Leg& leg) {
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
-  config.payments = PaymentPolicy::kNone;
+  config.payments = leg.payments;
   config.record_allocations = true;
-  config.track_leases = true;
   config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  config.solver.num_threads = num_threads;
+  config.solver.capacity_guard = true;  // engine precondition
+  config.solver.sp_kernel = leg.kernel;
+  config.solver.num_threads = leg.threads;
+  CapturingSink sink;
+  obs::DecisionTrace trace(&sink);
+  obs::EpochTelemetry telemetry(&sink, {/*histogram_every=*/0,
+                                        /*wall_events=*/false});
   EpochEngine engine(world.instance.shared_graph(), config);
-  const temporal::LeaseLedger& ledger = *engine.lease_ledger();
-  const Graph& base = world.instance.graph();
-  const auto edges = static_cast<std::size_t>(base.num_edges());
+  engine.set_decision_trace(&trace);
+  const int edges = world.instance.graph().num_edges();
 
   TemporalRun run;
-  double max_finite_duration = 0.0;
+  double last_close = 0.0;
   const auto& requests = world.instance.requests();
   std::vector<TimedRequest> batch;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     TimedRequest t;
     t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
     t.sequence = static_cast<std::int64_t>(i);
-    t.duration = i < world.durations.size() ? world.durations[i] : kInf;
-    if (t.duration < kInf) {
-      max_finite_duration = std::max(max_finite_duration, t.duration);
-    }
+    t.duration = duration_of(world, leg.churn, i);
     t.request = requests[i];
     batch.push_back(t);
     if (static_cast<int>(batch.size()) < world.max_batch &&
@@ -211,39 +201,27 @@ TemporalRun run_world_engine_temporal(const SimWorld& world,
     }
     TemporalEpoch epoch;
     epoch.report = engine.run_epoch(batch);
-    run.last_close = std::max(run.last_close, epoch.report.close_time);
-    epoch.residual.assign(engine.residual().begin(),
-                          engine.residual().end());
-    epoch.leased.resize(edges);
-    for (EdgeId e = 0; e < base.num_edges(); ++e) {
-      epoch.leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    }
+    telemetry.on_epoch(epoch.report, engine.metrics());
+    last_close = std::max(last_close, epoch.report.close_time);
+    epoch.residual.assign(engine.residual().begin(), engine.residual().end());
+    epoch.leased = leased_view(engine.lease_ledger(), edges);
     run.epochs.push_back(std::move(epoch));
     batch.clear();
   }
 
-  const double horizon = run.last_close + max_finite_duration + 1.0;
-  run.reclaimed_at_horizon = engine.reclaim_expired(horizon);
-  run.final_residual.assign(engine.residual().begin(),
-                            engine.residual().end());
-  run.final_leased.resize(edges);
-  run.final_active_on_edge.resize(edges);
-  for (EdgeId e = 0; e < base.num_edges(); ++e) {
-    run.final_leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    run.final_active_on_edge[static_cast<std::size_t>(e)] =
-        ledger.active_on_edge(e);
-  }
-  run.final_active = ledger.active_count();
-  run.trees_kept_on_reclaim =
-      engine.metrics().counters().trees_kept_on_reclaim;
-  run.trees_dropped_on_reclaim =
-      engine.metrics().counters().trees_dropped_on_reclaim;
+  run.reclaimed_at_horizon =
+      engine.reclaim_expired(drain_horizon(world, leg.churn, last_close));
+  record_final_state(engine.lease_ledger(), engine.residual(), &run);
+  telemetry.finish(engine.metrics(), engine.lease_ledger().active_count(),
+                   engine.metrics().occupancy(), /*wall_seconds=*/0.0,
+                   /*requests_per_second=*/0.0);
+  run.stream = std::move(sink.lines);
   return run;
 }
 
 // ------------------------------------------------------ reference replay
 
-// The residual-differential oracle's reference: the engine's epoch
+// The engine-differential oracle's reference: the engine's epoch
 // semantics replayed cold. Nothing crosses an epoch but a plain residual
 // vector and a plain lease ledger — no EpochEngine, ResidualGraph,
 // UfpWorkspace or warm tree — so a stale stamp, a wrong reclaim or a
@@ -251,13 +229,10 @@ TemporalRun run_world_engine_temporal(const SimWorld& world,
 // difference against it. Per batch: reclaim expired leases, compile a
 // fresh GraphSnapshot of the residual, solve it as a UfpInstance under
 // the engine's epoch config (serially: outputs are thread-invariant),
-// price, and commit winners in request order. `durations` replays the
-// world's sampled lease durations (the churn leg); without it every lease
-// is permanent, the plain leg's hold-forever semantics.
-TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
-                                bool durations) {
-  TUFP_REQUIRE(payments != PaymentPolicy::kCritical,
-               "the reference replay prices kNone and kDualPrice only");
+// price at the dual price, and commit winners in request order. `churn`
+// replays the world's sampled lease durations; without it every lease is
+// permanent, the plain legs' hold-forever semantics.
+TemporalRun run_world_reference(const SimWorld& world, bool churn) {
   const std::shared_ptr<const Graph>& base = world.instance.shared_graph();
   const Graph& g = *base;
   const double floor = EpochEngineConfig{}.min_usable_capacity;
@@ -266,19 +241,9 @@ TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
   double total_capacity = 0.0;
   for (const double c : g.capacities()) total_capacity += c;
   const auto& requests = world.instance.requests();
-  const auto duration_of = [&](std::size_t i) {
-    return durations && i < world.durations.size() ? world.durations[i]
-                                                   : kInf;
-  };
-  const auto ledger_view = [&](std::vector<double>* leased) {
-    leased->resize(residual.size());
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      (*leased)[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    }
-  };
 
   TemporalRun run;
-  double max_finite_duration = 0.0;
+  double last_close = 0.0;
   const auto batch = static_cast<std::size_t>(world.max_batch);
   for (std::size_t begin = 0; begin < requests.size(); begin += batch) {
     const std::size_t end = std::min(requests.size(), begin + batch);
@@ -299,12 +264,8 @@ TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
     std::vector<std::size_t> sequence;
     for (std::size_t i = begin; i < end; ++i) {
       const Request& req = requests[i];
-      const double duration = duration_of(i);
-      if (duration < kInf) {
-        max_finite_duration = std::max(max_finite_duration, duration);
-      }
       if (std::isfinite(req.demand) && std::isfinite(req.value) &&
-          req.demand <= 1.0 && duration > 0.0) {
+          req.demand <= 1.0 && duration_of(world, churn, i) > 0.0) {
         offered.push_back(req);
         sequence.push_back(i);
       }
@@ -318,7 +279,7 @@ TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
       cfg.epsilon =
           std::min(cfg.epsilon, kMaxSafeExponent / snap.min_residual());
       cfg.export_duals = false;
-      cfg.record_trace = payments == PaymentPolicy::kDualPrice;
+      cfg.record_trace = true;  // admission-time alpha per winner
       const BoundedUfpResult solved = bounded_ufp(instance, cfg);
       report.solver_iterations = solved.iterations;
       report.sp_computations = solved.sp_computations;
@@ -339,7 +300,7 @@ TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
           res = std::max(0.0, res - req.demand);
           path.push_back(b);
         }
-        const double duration = duration_of(i);
+        const double duration = duration_of(world, churn, i);
         const int path_edges = static_cast<int>(path.size());
         ledger.admit(static_cast<std::int64_t>(i), req.demand, std::move(path),
                      report.close_time,
@@ -356,72 +317,23 @@ TemporalRun run_world_reference(const SimWorld& world, PaymentPolicy payments,
     report.active_leases = ledger.active_count();
     report.occupancy = ledger.leased_capacity() / total_capacity;
     epoch.residual = residual;
-    ledger_view(&epoch.leased);
-    run.last_close = std::max(run.last_close, report.close_time);
+    epoch.leased = leased_view(ledger, g.num_edges());
+    last_close = std::max(last_close, report.close_time);
     run.epochs.push_back(std::move(epoch));
   }
 
-  const double horizon = run.last_close + max_finite_duration + 1.0;
   run.reclaimed_at_horizon = ledger.reclaim_until(
-      std::max(horizon, ledger.now()), g.capacities(), residual);
-  run.final_residual = residual;
-  ledger_view(&run.final_leased);
-  run.final_active_on_edge.resize(residual.size());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    run.final_active_on_edge[static_cast<std::size_t>(e)] =
-        ledger.active_on_edge(e);
-  }
-  run.final_active = ledger.active_count();
+      std::max(drain_horizon(world, churn, last_close), ledger.now()),
+      g.capacities(), residual);
+  record_final_state(ledger, residual, &run);
   return run;
 }
 
-// The plain-leg digest of a replay: what run_world_engine reports.
-EngineRun engine_digest(const TemporalRun& replay) {
-  EngineRun run;
-  for (const TemporalEpoch& epoch : replay.epochs) {
-    const AdmissionReport& r = epoch.report;
-    run.epochs.push_back({r.epoch, r.batch_size, r.admitted, r.revenue,
-                          r.admitted_value, r.solver_iterations,
-                          r.sp_computations, r.sp_tree_runs, r.allocations});
-  }
-  run.residual = replay.final_residual;
-  return run;
-}
-
-std::string engine_run_diff(const EngineRun& a, const EngineRun& b) {
-  if (a.epochs.size() != b.epochs.size()) {
-    return "epoch-count mismatch " + std::to_string(a.epochs.size()) + " vs " +
-           std::to_string(b.epochs.size());
-  }
-  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    const EpochDigest& x = a.epochs[i];
-    const EpochDigest& y = b.epochs[i];
-    if (x.batch_size != y.batch_size || x.admitted != y.admitted ||
-        x.revenue != y.revenue || x.admitted_value != y.admitted_value ||
-        x.allocations.size() != y.allocations.size()) {
-      return "epoch " + std::to_string(x.epoch) + " digest mismatch";
-    }
-    if (x.solver_iterations != y.solver_iterations ||
-        x.sp_computations != y.sp_computations ||
-        x.sp_tree_runs != y.sp_tree_runs) {
-      return "epoch " + std::to_string(x.epoch) + " solver counter mismatch";
-    }
-    for (std::size_t j = 0; j < x.allocations.size(); ++j) {
-      if (x.allocations[j].sequence != y.allocations[j].sequence ||
-          x.allocations[j].payment != y.allocations[j].payment) {
-        return "epoch " + std::to_string(x.epoch) + " winner " +
-               std::to_string(j) + " mismatch";
-      }
-    }
-  }
-  if (a.residual != b.residual) return "final residual mismatch";
-  return {};
-}
-
-// Byte-exact diff of two temporal replays: per-epoch reports, residual
-// and ledger views, and the drained-horizon final state. The operator==
-// here are deliberate — the engine and the reference replay promise
-// bitwise-identical histories, not merely close ones.
+// Byte-exact diff of two runs: per-epoch reports, residual and ledger
+// views, the drained-horizon final state, and the det streams when both
+// sides rendered one. The operator== here are deliberate — every leg and
+// the reference promise bitwise-identical histories, not merely close
+// ones.
 std::string temporal_run_diff(const TemporalRun& a, const TemporalRun& b) {
   if (a.epochs.size() != b.epochs.size()) {
     return "epoch-count mismatch " + std::to_string(a.epochs.size()) +
@@ -471,16 +383,56 @@ std::string temporal_run_diff(const TemporalRun& a, const TemporalRun& b) {
     return "final per-edge lease-count mismatch";
   }
   if (a.final_active != b.final_active) return "final active-count mismatch";
+  if (!a.stream.empty() && !b.stream.empty() && a.stream != b.stream) {
+    const std::size_t n = std::min(a.stream.size(), b.stream.size());
+    std::size_t k = 0;
+    while (k < n && a.stream[k] == b.stream[k]) ++k;
+    return "det stream diverges at record " + std::to_string(k) + ": " +
+           (k < a.stream.size() ? a.stream[k] : "<end>") + " vs " +
+           (k < b.stream.size() ? b.stream[k] : "<end>");
+  }
+  return {};
+}
+
+// The terminal-decision contract (DESIGN.md §14): each offered request
+// ends in exactly one non-expiry `decision` record. Returns a witness for
+// the first request that breaks it, empty when the stream keeps it.
+std::string terminal_decision_audit(const std::vector<std::string>& stream,
+                                    std::size_t offered) {
+  constexpr std::string_view kDecision = "{\"event\":\"decision\"";
+  constexpr std::string_view kSeq = "\"seq\":";
+  std::vector<int> decisions(offered, 0);
+  for (const std::string& line : stream) {
+    if (!line.starts_with(kDecision) ||
+        line.find("\"outcome\":\"lease_expired\"") != std::string::npos) {
+      continue;
+    }
+    const std::size_t at = line.find(kSeq);
+    const long long seq =
+        at == std::string::npos
+            ? -1
+            : std::strtoll(line.c_str() + at + kSeq.size(), nullptr, 10);
+    if (seq < 0 || static_cast<std::size_t>(seq) >= offered) {
+      return "decision record for no offered request: " + line;
+    }
+    ++decisions[static_cast<std::size_t>(seq)];
+  }
+  for (std::size_t i = 0; i < offered; ++i) {
+    if (decisions[i] != 1) {
+      return "request " + std::to_string(i) + " has " +
+             std::to_string(decisions[i]) + " terminal decisions";
+    }
+  }
   return {};
 }
 
 }  // namespace
 
 // Lazy shared computations. Several oracles diff against the unperturbed
-// base solve or the same engine replay; memoizing them here means a full
-// sweep pays for each at most once, and a restricted suite (the shrinker
-// probes a single oracle hundreds of times) pays only for what that
-// oracle reads.
+// base solve or read the same engine leg; memoizing them here means a
+// full sweep pays for each at most once, and a restricted suite (the
+// shrinker probes a single oracle hundreds of times) pays only for what
+// that oracle reads.
 struct OracleContext {
   const SimWorld& world;
   const OracleOptions& options;
@@ -492,26 +444,17 @@ struct OracleContext {
     if (!base_) base_.emplace(bounded_ufp(world.instance, world.solver));
     return *base_;
   }
-  const EngineRun& engine_none() {
-    if (!none_) none_.emplace(run_world_engine(world, PaymentPolicy::kNone, 1));
-    return *none_;
-  }
-  const EngineRun& engine_dual() {
-    if (!dual_) {
-      dual_.emplace(run_world_engine(world, PaymentPolicy::kDualPrice, 1));
+  const TemporalRun& run(const Leg& leg) {
+    auto it = runs_.find(leg);
+    if (it == runs_.end()) {
+      it = runs_.emplace(leg, run_engine(world, leg)).first;
     }
-    return *dual_;
-  }
-  const TemporalRun& temporal() {
-    if (!temporal_) temporal_.emplace(run_world_engine_temporal(world, 1));
-    return *temporal_;
+    return it->second;
   }
 
  private:
   std::optional<BoundedUfpResult> base_;
-  std::optional<EngineRun> none_;
-  std::optional<EngineRun> dual_;
-  std::optional<TemporalRun> temporal_;
+  std::map<Leg, TemporalRun> runs_;
 };
 
 namespace {
@@ -722,8 +665,8 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
   // One epoch over the fresh network == the paper's one-shot auction.
   SimWorld single = world;
   single.max_batch = std::max(1, R);
-  const EngineRun engine =
-      run_world_engine(single, PaymentPolicy::kCritical, /*num_threads=*/1);
+  const TemporalRun engine =
+      run_engine(single, {.payments = PaymentPolicy::kCritical});
 
   BoundedUfpConfig cfg = world.solver;
   cfg.capacity_guard = true;
@@ -734,8 +677,8 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
 
   std::vector<double> engine_payment(static_cast<std::size_t>(R), 0.0);
   std::vector<bool> engine_won(static_cast<std::size_t>(R), false);
-  for (const EpochDigest& epoch : engine.epochs) {
-    for (const AdmissionRecord& a : epoch.allocations) {
+  for (const TemporalEpoch& epoch : engine.epochs) {
+    for (const AdmissionRecord& a : epoch.report.allocations) {
       const auto i = static_cast<std::size_t>(a.sequence);
       engine_won[i] = true;
       engine_payment[i] = a.payment;
@@ -775,21 +718,25 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   const OracleOptions& options = ctx.options;
   std::vector<Violation> out;
-  const EngineRun& none = ctx.engine_none();
-  const EngineRun& dual = ctx.engine_dual();
+  const TemporalRun& none = ctx.run({.payments = PaymentPolicy::kNone});
+  const TemporalRun& dual = ctx.run({.payments = PaymentPolicy::kDualPrice});
 
-  const auto admitted_sequences = [](const EngineRun& run) {
+  const auto admitted_sequences = [](const TemporalRun& run) {
     std::vector<std::int64_t> seq;
-    for (const EpochDigest& e : run.epochs) {
-      for (const AdmissionRecord& a : e.allocations) seq.push_back(a.sequence);
+    for (const TemporalEpoch& e : run.epochs) {
+      for (const AdmissionRecord& a : e.report.allocations) {
+        seq.push_back(a.sequence);
+      }
     }
     return seq;
   };
   // IR + no-positive-transfer on the engine's *actual* charged payments
   // (the payments-ir oracle prices through the sim rule; this leg keeps
   // EpochEngine::apply_payments itself under the same invariant).
-  const auto check_engine_ir = [&](const EngineRun& run, const char* policy) {
-    for (const EpochDigest& e : run.epochs) {
+  const auto check_engine_ir = [&](const TemporalRun& run,
+                                   const char* policy) {
+    for (const TemporalEpoch& epoch : run.epochs) {
+      const AdmissionReport& e = epoch.report;
       double revenue = 0.0;
       for (const AdmissionRecord& a : e.allocations) {
         revenue += a.payment;
@@ -815,16 +762,16 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
         "dual-price pricing changed the admitted set vs kNone");
   }
   check_engine_ir(dual, "dual-price");
-  for (const EpochDigest& e : none.epochs) {
-    if (e.revenue != 0.0) {
+  for (const TemporalEpoch& epoch : none.epochs) {
+    if (epoch.report.revenue != 0.0) {
       add(&out, "payment-policy",
-          "kNone epoch " + std::to_string(e.epoch) + " charged revenue " +
-              fmt(e.revenue));
+          "kNone epoch " + std::to_string(epoch.report.epoch) +
+              " charged revenue " + fmt(epoch.report.revenue));
     }
   }
   if (world.instance.num_requests() <= options.critical_cap) {
-    const EngineRun critical =
-        run_world_engine(world, PaymentPolicy::kCritical, 1);
+    const TemporalRun& critical =
+        ctx.run({.payments = PaymentPolicy::kCritical});
     if (admitted_sequences(critical) != base_seq) {
       add(&out, "payment-policy",
           "critical pricing changed the admitted set vs kNone");
@@ -834,31 +781,36 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
   return out;
 }
 
-std::vector<Violation> oracle_engine_thread(OracleContext& ctx) {
-  const SimWorld& world = ctx.world;
-  std::vector<Violation> out;
-  const EngineRun& one = ctx.engine_dual();
-  const EngineRun four = run_world_engine(world, PaymentPolicy::kDualPrice, 4);
-  const std::string diff = engine_run_diff(one, four);
-  if (!diff.empty()) add(&out, "engine-thread", "threads 1 vs 4: " + diff);
-  return out;
-}
-
 std::vector<Violation> oracle_residual_feasible(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
-  const EngineRun& run = ctx.engine_none();
-  std::vector<Violation> out = run.residual_violations;
+  const Graph& g = world.instance.graph();
+  const TemporalRun& run = ctx.run({});
+  std::vector<Violation> out;
+
+  // Every epoch leaves every residual in [0, base capacity]; the negated
+  // comparisons fail a NaN too.
+  for (const TemporalEpoch& epoch : run.epochs) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const double res = epoch.residual[static_cast<std::size_t>(e)];
+      if (!(res >= -1e-9) || !(res <= g.capacity(e) + 1e-9)) {
+        add(&out, "residual-feasible",
+            "epoch " + std::to_string(epoch.report.epoch) + " edge " +
+                std::to_string(e) + " residual " + fmt(res) +
+                " outside [0, " + fmt(g.capacity(e)) + "]");
+      }
+    }
+  }
 
   // Global conservation: total capacity consumed across the base network
-  // equals the sum over winners of demand x path length.
-  const Graph& g = world.instance.graph();
+  // equals the sum over winners of demand x path length (a plain leg's
+  // leases are permanent, so the horizon drain returned nothing).
   double consumed = 0.0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    consumed += g.capacity(e) - run.residual[static_cast<std::size_t>(e)];
+    consumed += g.capacity(e) - run.final_residual[static_cast<std::size_t>(e)];
   }
   double expected = 0.0;
-  for (const EpochDigest& epoch : run.epochs) {
-    for (const AdmissionRecord& a : epoch.allocations) {
+  for (const TemporalEpoch& epoch : run.epochs) {
+    for (const AdmissionRecord& a : epoch.report.allocations) {
       const Request& req =
           world.instance.request(static_cast<int>(a.sequence));
       expected += req.demand * a.path_edges;
@@ -903,30 +855,13 @@ std::vector<Violation> oracle_payments_ir(OracleContext& ctx) {
 
 // ------------------------------------------------------ temporal oracles
 
-std::vector<Violation> oracle_temporal_infinite(OracleContext& ctx) {
-  // The temporal code path with every duration infinite must be
-  // indistinguishable — byte-for-byte, residuals included — from the
-  // lease-free legacy path: the ledger is pure bookkeeping until
-  // something actually expires.
-  std::vector<Violation> out;
-  const EngineRun& legacy = ctx.engine_dual();
-  const EngineRun temporal = run_world_engine(
-      ctx.world, PaymentPolicy::kDualPrice, 1, /*temporal_path=*/true);
-  const std::string diff = engine_run_diff(legacy, temporal);
-  if (!diff.empty()) {
-    add(&out, "temporal-infinite",
-        "lease-free vs infinite-lease engine: " + diff);
-  }
-  return out;
-}
-
 std::vector<Violation> oracle_temporal_conserve(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   const Graph& g = world.instance.graph();
   std::vector<Violation> out;
-  const TemporalRun& run = ctx.temporal();
+  const TemporalRun& run = ctx.run({.churn = true});
 
-  // Leg 1 — ledger vs residual, per epoch, per edge: what the ledger says
+  // Check 1 — ledger vs residual, per epoch, per edge: what the ledger says
   // is promised out plus what the engine says is free must reconstruct
   // the base capacity. (Tolerance, not ==: admission clamps at zero may
   // discard up to the guard slack per admission.)
@@ -946,10 +881,10 @@ std::vector<Violation> oracle_temporal_conserve(OracleContext& ctx) {
     }
   }
 
-  // Leg 2 — sim-side lease replay: rebuild the lease book from nothing
+  // Check 2 — sim-side lease replay: rebuild the lease book from nothing
   // but the admission records (demand, path length, duration) and demand
   // the engine's total consumed capacity match it every epoch. This is
-  // the leg kLeakExpiredCapacity corrupts (the replay "loses" 5% of each
+  // the check kLeakExpiredCapacity corrupts (the replay "loses" 5% of each
   // expired lease), proving the conservation check bites.
   const double reclaim_factor =
       ctx.options.fault == FaultInjection::kLeakExpiredCapacity ? 0.95 : 1.0;
@@ -971,8 +906,7 @@ std::vector<Violation> oracle_temporal_conserve(OracleContext& ctx) {
     for (const AdmissionRecord& a : epoch.report.allocations) {
       const auto seq = static_cast<std::size_t>(a.sequence);
       const Request& req = world.instance.request(static_cast<int>(seq));
-      const double duration =
-          seq < world.durations.size() ? world.durations[seq] : kInf;
+      const double duration = duration_of(world, /*churn=*/true, seq);
       const double units = req.demand * a.path_edges;
       booked += units;
       if (duration < kInf) book.push_back({close + duration, units});
@@ -996,7 +930,7 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   const Graph& g = world.instance.graph();
   std::vector<Violation> out;
-  const TemporalRun& run = ctx.temporal();
+  const TemporalRun& run = ctx.run({.churn = true});
 
   // Every finite lease has expired by the drained horizon: an edge with
   // no remaining (permanent) lease must hold its base capacity EXACTLY —
@@ -1025,9 +959,7 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   for (const TemporalEpoch& epoch : run.epochs) {
     for (const AdmissionRecord& a : epoch.report.allocations) {
       const auto seq = static_cast<std::size_t>(a.sequence);
-      const double duration =
-          seq < world.durations.size() ? world.durations[seq] : kInf;
-      if (duration >= kInf) ++permanent;
+      if (duration_of(world, /*churn=*/true, seq) >= kInf) ++permanent;
     }
   }
   if (run.final_active != permanent) {
@@ -1039,180 +971,52 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   return out;
 }
 
-// Every engine leg — heap and bucket kernels at 1 and 4 threads, on the
-// plain replay AND the full admit->expire->re-admit churn replay —
-// against the cold per-epoch reference replay, byte-for-byte: admissions,
-// payments, residuals, ledger views, solver counters. The reference
-// shares no cross-epoch state with the engine, so this is the oracle that
-// licenses the persistent residual store and its warm-tree cache
-// (DESIGN.md §12). It is computed once per world and replay.
-std::vector<Violation> oracle_residual_differential(OracleContext& ctx) {
+// Every engine leg — auto, heap and bucket kernels at 1 and 4 threads,
+// on the plain replay and on the full admit->expire->re-admit churn
+// replay — against the cold per-epoch reference replay and against the
+// first leg of its replay, byte for byte: reports, payments, solver
+// counters, residual and ledger views, the drained-horizon state and,
+// leg against leg, the det stream of decision records and telemetry. The
+// reference shares no cross-epoch state with the engine, so this is the
+// oracle that licenses the persistent residual store and its warm-tree
+// cache (DESIGN.md §12); the stream diff carries the decision provenance
+// (§14) and the summary's warm-tree reclaim counters, which are a pure
+// function of the epoch history, across kernels and thread counts. On
+// top, the first leg's stream must keep the terminal-decision contract
+// (equality carries it to every other leg).
+std::vector<Violation> oracle_engine_differential(OracleContext& ctx) {
   std::vector<Violation> out;
-  const EngineRun plain = engine_digest(
-      run_world_reference(ctx.world, PaymentPolicy::kDualPrice, false));
-  const TemporalRun churn =
-      run_world_reference(ctx.world, PaymentPolicy::kNone, true);
-  // Warm-tree reclaim revalidation verdicts of each churn leg: the
-  // surviving tree set is a pure function of the epoch history, so
-  // (kept, dropped) must agree across kernels and thread counts.
-  std::vector<std::pair<std::int64_t, std::int64_t>> reclaim_legs;
-  std::vector<std::string> leg_names;
-  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-    SimWorld world = ctx.world;
-    world.solver.sp_kernel = kernel;
-    const char* kname = kernel == SpKernel::kHeap ? "heap" : "bucket";
-    for (const int threads : {1, 4}) {
-      const std::string leg =
-          std::string(kname) + " t" + std::to_string(threads) + ": ";
-      const std::string diff = engine_run_diff(
-          run_world_engine(world, PaymentPolicy::kDualPrice, threads), plain);
-      if (!diff.empty()) {
-        add(&out, "residual-differential",
-            leg + "engine vs reference replay: " + diff);
-      }
-      // Churn leg: finite durations live, expiries reclaim mid-run —
-      // the regime where the stamp/warm-tree machinery actually bites.
-      const TemporalRun tp = run_world_engine_temporal(world, threads);
-      const std::string tdiff = temporal_run_diff(tp, churn);
-      if (!tdiff.empty()) {
-        add(&out, "residual-differential",
-            leg + "engine vs reference churn replay: " + tdiff);
-      }
-      reclaim_legs.emplace_back(tp.trees_kept_on_reclaim,
-                                tp.trees_dropped_on_reclaim);
-      leg_names.push_back(std::string(kname) + " t" +
-                          std::to_string(threads));
-    }
-  }
-  for (std::size_t i = 1; i < reclaim_legs.size(); ++i) {
-    if (reclaim_legs[i] != reclaim_legs[0]) {
-      add(&out, "residual-differential",
-          "warm-tree reclaim counters diverge across legs: " + leg_names[0] +
-              " kept/dropped " + std::to_string(reclaim_legs[0].first) + "/" +
-              std::to_string(reclaim_legs[0].second) + " vs " + leg_names[i] +
-              " " + std::to_string(reclaim_legs[i].first) + "/" +
-              std::to_string(reclaim_legs[i].second));
-    }
-  }
-  return out;
-}
-
-// --------------------------------------------------- decision trace legs
-
-// Captures the decision channel into memory: the trace-differential
-// oracle diffs raw rendered lines, so it must see exactly the bytes a
-// file sink would.
-class CapturingSink final : public obs::TelemetrySink {
- public:
-  void emit(obs::Channel channel, std::string_view line) override {
-    if (channel == obs::Channel::kDeterministic) lines.emplace_back(line);
-  }
-  std::vector<std::string> lines;
-};
-
-// Replays the world with a DecisionTrace attached and returns the
-// rendered decision lines. `temporal_path` replays with the sampled
-// durations and drains to the post-run horizon, so lease_expired records
-// are part of the diffed history too.
-std::vector<std::string> run_world_trace(const SimWorld& world,
-                                         int num_threads, bool temporal_path) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = PaymentPolicy::kDualPrice;
-  config.record_allocations = true;
-  config.track_leases = temporal_path;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  config.solver.num_threads = num_threads;
-
-  CapturingSink sink;
-  obs::DecisionTrace trace(&sink);
-  EpochEngine engine(world.instance.shared_graph(), config);
-  engine.set_decision_trace(&trace);
-
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  double last_close = 0.0;
-  double max_finite_duration = 0.0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
-    t.sequence = static_cast<std::int64_t>(i);
-    if (temporal_path) {
-      t.duration = i < world.durations.size() ? world.durations[i] : kInf;
-      if (t.duration < kInf) {
-        max_finite_duration = std::max(max_finite_duration, t.duration);
-      }
-    }
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    const AdmissionReport report = engine.run_epoch(batch);
-    last_close = std::max(last_close, report.close_time);
-    batch.clear();
-  }
-  if (temporal_path) {
-    (void)engine.reclaim_expired(last_close + max_finite_duration + 1.0);
-  }
-  engine.set_decision_trace(nullptr);
-  return std::move(sink.lines);
-}
-
-// The tentpole differential of the provenance PR: the rendered decision
-// stream — every outcome, density, bottleneck edge, payment and
-// warm/fresh provenance bit, as bytes — must be identical across SP
-// kernels and thread counts, on both the plain and the churn replay. On top, the stream must satisfy the terminal-
-// decision contract: exactly one non-expiry record per offered request,
-// in ascending sequence order within each epoch.
-std::vector<Violation> oracle_trace_differential(OracleContext& ctx) {
-  std::vector<Violation> out;
-  for (const bool temporal_path : {false, true}) {
-    const char* mode = temporal_path ? "churn" : "plain";
-    std::vector<std::string> reference;
-    std::string reference_leg;
-    for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-      SimWorld world = ctx.world;
-      world.solver.sp_kernel = kernel;
-      const char* kname = kernel == SpKernel::kHeap ? "heap" : "bucket";
+  const std::size_t offered = ctx.world.instance.requests().size();
+  for (const bool churn : {false, true}) {
+    const TemporalRun reference = run_world_reference(ctx.world, churn);
+    const TemporalRun* first = nullptr;
+    std::string first_name;
+    for (const SpKernel kernel :
+         {SpKernel::kAuto, SpKernel::kHeap, SpKernel::kBucket}) {
       for (const int threads : {1, 4}) {
-        const std::string leg = std::string(mode) + " " + kname + " t" +
-                                std::to_string(threads);
-        std::vector<std::string> lines =
-            run_world_trace(world, threads, temporal_path);
-        if (reference_leg.empty()) {
-          // One-decision-per-request audit on the reference leg only
-          // (equality transports it to every other leg).
-          std::int64_t decisions = 0;
-          for (const std::string& line : lines) {
-            if (line.find("\"outcome\":\"lease_expired\"") ==
-                std::string::npos) {
-              ++decisions;
-            }
+        const Leg leg{PaymentPolicy::kDualPrice, kernel, threads, churn};
+        const TemporalRun& run = ctx.run(leg);
+        const std::string name = leg.name();
+        const std::string diff = temporal_run_diff(run, reference);
+        if (!diff.empty()) {
+          add(&out, "engine-differential",
+              name + " vs cold reference replay: " + diff);
+        }
+        if (first == nullptr) {
+          first = &run;
+          first_name = name;
+          const std::string audit =
+              terminal_decision_audit(run.stream, offered);
+          if (!audit.empty()) {
+            add(&out, "engine-differential", name + ": " + audit);
           }
-          const auto offered =
-              static_cast<std::int64_t>(world.instance.requests().size());
-          if (decisions != offered) {
-            add(&out, "trace-differential",
-                leg + ": " + std::to_string(decisions) +
-                    " terminal decisions for " + std::to_string(offered) +
-                    " offered requests");
-          }
-          reference = std::move(lines);
-          reference_leg = leg;
           continue;
         }
-        if (lines == reference) continue;
-        const std::size_t n = std::min(lines.size(), reference.size());
-        std::size_t k = 0;
-        while (k < n && lines[k] == reference[k]) ++k;
-        add(&out, "trace-differential",
-            leg + " diverges from " + reference_leg + " at record " +
-                std::to_string(k) + ": " +
-                (k < reference.size() ? reference[k] : "<end>") + " vs " +
-                (k < lines.size() ? lines[k] : "<end>"));
+        const std::string legs = temporal_run_diff(run, *first);
+        if (!legs.empty()) {
+          add(&out, "engine-differential",
+              name + " vs " + first_name + ": " + legs);
+        }
       }
     }
   }
@@ -1239,28 +1043,27 @@ constexpr OracleEntry kCatalogue[] = {
      oracle_payments_ir},
     {"residual-feasible", "engine residual bounded, load conserved",
      oracle_residual_feasible},
-    {"engine-thread", "engine history identical across thread counts",
-     oracle_engine_thread},
     {"payment-policy", "pricing policy never steers allocation",
      oracle_payment_policy},
     {"engine-offline", "single engine epoch equals the one-shot mechanism",
      oracle_engine_offline},
-    {"temporal-infinite",
-     "infinite-duration lease runs match the lease-free engine exactly",
-     oracle_temporal_infinite},
     {"temporal-conserve",
      "active lease demand + residual reconstructs capacity every epoch",
      oracle_temporal_conserve},
     {"temporal-no-leak",
      "residual returns to the empty-network baseline after expiry",
      oracle_temporal_no_leak},
-    {"residual-differential",
-     "engine byte-identical to a cold per-epoch reference replay",
-     oracle_residual_differential},
-    {"trace-differential",
-     "decision provenance stream byte-identical across kernels and threads",
-     oracle_trace_differential},
+    {"engine-differential",
+     "every engine leg byte-identical to a cold reference replay and to "
+     "each other",
+     oracle_engine_differential},
 };
+
+// The oracles engine-differential replaced. Their names still select it,
+// so old repro headers and scripts keep working.
+constexpr const char* kRetiredNames[] = {
+    "engine-thread", "temporal-infinite", "residual-differential",
+    "trace-differential"};
 
 }  // namespace
 
@@ -1287,20 +1090,32 @@ FaultInjection fault_from_name(const std::string& name) {
 
 std::span<const OracleEntry> oracle_catalogue() { return kCatalogue; }
 
+const OracleEntry* find_oracle(std::string_view name) {
+  for (const char* retired : kRetiredNames) {
+    if (name == retired) name = "engine-differential";
+  }
+  for (const OracleEntry& entry : kCatalogue) {
+    if (name == entry.name) return &entry;
+  }
+  return nullptr;
+}
+
 std::vector<Violation> run_oracle_suite(const SimWorld& world,
                                         const OracleOptions& options,
                                         std::span<const std::string> only) {
+  std::vector<const OracleEntry*> selected;
   for (const std::string& name : only) {
-    const auto known = std::any_of(
-        std::begin(kCatalogue), std::end(kCatalogue),
-        [&](const OracleEntry& e) { return name == e.name; });
-    if (!known) throw std::invalid_argument("unknown oracle: " + name);
+    const OracleEntry* entry = find_oracle(name);
+    if (entry == nullptr) {
+      throw std::invalid_argument("unknown oracle: " + name);
+    }
+    selected.push_back(entry);
   }
   OracleContext ctx(world, options);
   std::vector<Violation> out;
   for (const OracleEntry& entry : kCatalogue) {
     if (!only.empty() &&
-        std::find(only.begin(), only.end(), entry.name) == only.end()) {
+        std::find(selected.begin(), selected.end(), &entry) == selected.end()) {
       continue;
     }
     std::vector<Violation> found = entry.fn(ctx);

@@ -10,16 +10,20 @@
 //                      payments)
 //   * payment-policy — allocation identical under kNone/kDualPrice/
 //                      kCritical (payments must not steer allocation)
-//   * engine-thread  — full multi-epoch engine run, 1 vs 4 threads
-//   * temporal-infinite — the temporal engine path (lease ledger on,
-//                      every duration infinite) vs the lease-free legacy
-//                      path, byte-for-byte
-//   * residual-differential — the engine (persistent ResidualGraph, warm
-//                      workspace) vs a cold per-epoch reference replay
-//                      that compiles a GraphSnapshot and solves a fresh
-//                      UfpInstance each epoch, byte-for-byte, plain and
-//                      churn replays, across both shortest-path kernels
-//                      and 1 vs 4 threads (DESIGN.md §12)
+//   * engine-differential — one table of engine legs, {auto, heap,
+//                      bucket} kernels x {1, 4} threads x {plain, churn}
+//                      replays, each diffed byte-for-byte against a cold
+//                      per-epoch reference replay (a fresh GraphSnapshot
+//                      solved as a UfpInstance each epoch, no state
+//                      carried but a residual vector and a lease ledger;
+//                      DESIGN.md §12) and against the first leg of its
+//                      replay, the det stream of DecisionRecords and
+//                      det telemetry included; the first leg's stream
+//                      must hold exactly one terminal decision per
+//                      offered request (DESIGN.md §14). The retired names
+//                      engine-thread, temporal-infinite,
+//                      residual-differential and trace-differential
+//                      select it.
 //
 // Metamorphic oracles perturb the world in a direction with a provable
 // consequence and check the consequence:
@@ -65,6 +69,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tufp/sim/world.hpp"
@@ -99,10 +104,11 @@ struct Violation {
 };
 
 // Handed to every oracle: the world, the options, and lazily-memoized
-// shared computations — the base solver run and the engine replays that
-// several oracles diff against. Lazy so a restricted suite (e.g. the
-// shrinker probing one oracle up to 600 times) only pays for what the
-// selected oracles actually read. Definition is internal to oracles.cpp.
+// shared computations — the base solver run and the engine replays,
+// keyed by leg, that several oracles read. Lazy so a restricted suite
+// (e.g. the shrinker probing one oracle up to 600 times) only pays for
+// what the selected oracles actually read. Definition is internal to
+// oracles.cpp.
 struct OracleContext;
 
 using OracleFn = std::vector<Violation> (*)(OracleContext&);
@@ -116,9 +122,13 @@ struct OracleEntry {
 // The full catalogue, in a fixed canonical order.
 std::span<const OracleEntry> oracle_catalogue();
 
+// The catalogue entry a name selects, retired names included; nullptr
+// when no entry answers to it.
+const OracleEntry* find_oracle(std::string_view name);
+
 // Runs `only` (all when empty) against the world, concatenating violations
-// in catalogue order. Throws std::invalid_argument on an unknown oracle
-// name.
+// in catalogue order; names resolve through find_oracle and each selected
+// entry runs once. Throws std::invalid_argument on an unknown oracle name.
 std::vector<Violation> run_oracle_suite(
     const SimWorld& world, const OracleOptions& options,
     std::span<const std::string> only = {});

@@ -1,6 +1,6 @@
 // GraphSnapshot — an immutable per-epoch compile of the residual network.
 //
-// The reference side of the residual-differential oracle (sim/oracles.cpp)
+// The reference side of the engine-differential oracle (sim/oracles.cpp)
 // replays each epoch cold: it compiles the base graph plus the residual
 // capacities carried over from all previous epochs into a fresh snapshot —
 // a finalized CSR `tufp::Graph` holding only the edges that can still

@@ -66,8 +66,9 @@ struct SimWorld {
 
   // Lease duration per request (virtual seconds; kInf = permanent), same
   // length as the request list — or empty, meaning all-permanent. Only
-  // the temporal oracles read them; the pre-temporal oracle suite replays
-  // every world under hold-forever semantics regardless.
+  // the churn replays read them (the temporal oracles and the engine
+  // differential's churn legs); every other replay of the world holds
+  // each admission forever.
   std::vector<double> durations;
   // The concrete profile `durations` was drawn from (spec.durations, or
   // the seed-sampled profile when the spec says kAuto). Log/repro label.

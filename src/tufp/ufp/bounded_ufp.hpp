@@ -71,7 +71,7 @@ struct BoundedUfpConfig {
   // classification reads only the solver's own deterministic exit state —
   // cached entries, the live residual, the epoch-start capacities — so
   // records are identical across kernels and thread counts (the
-  // trace-differential oracle's contract, DESIGN.md §14).
+  // engine-differential oracle's contract, DESIGN.md §14).
   // Cost: O(rejected × path length) once per solve.
   bool classify_rejections = false;
 

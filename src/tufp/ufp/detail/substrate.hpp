@@ -11,7 +11,7 @@
 // byte-equivalent on the active edge set — a compiled snapshot's arc
 // lists are order-preserving subsequences of the base arc lists, so the
 // canonical searches, tie-breaks and dual arithmetic agree bitwise
-// (enforced end-to-end by the residual-differential sim oracle).
+// (enforced end-to-end by the engine-differential sim oracle).
 #pragma once
 
 #include <cstdint>

@@ -110,34 +110,13 @@ TEST(EngineLeases, NoCapacityLeakAfterHeavyTailedChurn10k) {
   ASSERT_GT(c.leases_expired, 500);     // expiries actually flowed mid-run
 
   engine.reclaim_expired(max_expiry + 1.0);
-  ASSERT_NE(engine.lease_ledger(), nullptr);
-  EXPECT_EQ(engine.lease_ledger()->active_count(), 0);
+  EXPECT_EQ(engine.lease_ledger().active_count(), 0);
   const Graph& base = *scenario.graph;
   for (EdgeId e = 0; e < base.num_edges(); ++e) {
     // Bitwise equality — the ledger's snap rule, not floating-point luck.
     EXPECT_EQ(engine.residual()[static_cast<std::size_t>(e)],
               base.capacity(e))
         << "edge " << e << " leaked capacity";
-  }
-}
-
-TEST(EngineLeases, InfiniteDurationsMatchLeaseFreeEngineOnAllFamilies) {
-  // Acceptance: the temporal-infinite differential oracle (lease ledger
-  // on + every duration infinite vs the legacy lease-free path,
-  // byte-for-byte) holds on every world family.
-  for (const sim::WorldFamily family : sim::kAllFamilies) {
-    for (std::uint64_t seed : {7ULL, 1234ULL}) {
-      sim::WorldSpec spec;
-      spec.family = family;
-      spec.seed = seed;
-      const sim::SimWorld world = sim::generate_world(spec);
-      const std::vector<std::string> only{"temporal-infinite"};
-      const auto violations =
-          sim::run_oracle_suite(world, sim::OracleOptions{}, only);
-      EXPECT_TRUE(violations.empty())
-          << sim::family_name(family) << "/" << seed << ": "
-          << (violations.empty() ? "" : violations.front().detail);
-    }
   }
 }
 
@@ -168,8 +147,8 @@ TEST(EngineLeases, TemporalOraclesPassOnChurningWorlds) {
 TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
   // Acceptance (DESIGN.md §12): the persistent ResidualGraph engine must
   // replay admit → expire → re-admit churn byte-for-byte against the cold
-  // per-epoch reference replay (sim/oracles.cpp). The residual-differential
-  // oracle runs both the plain and the temporal engine under heap and
+  // per-epoch reference replay (sim/oracles.cpp). The engine-differential
+  // oracle runs the plain and the churn replay under the auto, heap and
   // bucket kernels at 1 and 4 threads and diffs every per-epoch field
   // against the reference exactly (==, no tolerance), including the
   // solver iteration / shortest-path counters.
@@ -182,7 +161,7 @@ TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
       spec.durations = profile;
       const sim::SimWorld world = sim::generate_world(spec);
       ASSERT_FALSE(world.durations.empty());
-      const std::vector<std::string> only{"residual-differential"};
+      const std::vector<std::string> only{"engine-differential"};
       const auto violations =
           sim::run_oracle_suite(world, sim::OracleOptions{}, only);
       EXPECT_TRUE(violations.empty())
@@ -196,19 +175,19 @@ TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
 TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   // The non-saturating churn tier at test scale (the bench runs the same
   // shape at 10^6 requests): a 60x60 grid under hub-local traffic with
-  // exponential lease churn. The residual-differential oracle diffs the
+  // exponential lease churn. The engine-differential oracle diffs the
   // engine against the cold reference replay on every report field at
-  // heap/bucket x 1/4 threads — including the cross-leg equality of
-  // the warm-tree reclaim counters — and a direct persistent run must
-  // show trees actually SURVIVING reclaims (kept > 0), the property the
-  // whole per-tree revalidation exists for.
+  // auto/heap/bucket x 1/4 threads — and the legs' det streams, with
+  // the warm-tree reclaim counters, against each other — and a direct
+  // persistent run must show trees actually SURVIVING reclaims (kept >
+  // 0), the property the whole per-tree revalidation exists for.
   sim::ScaleChurnSpec spec;
   spec.num_requests = 1200;
   spec.seed = 3;
   const sim::SimWorld world = sim::make_scale_churn_world(spec);
   ASSERT_FALSE(world.durations.empty());
 
-  const std::vector<std::string> only{"residual-differential"};
+  const std::vector<std::string> only{"engine-differential"};
   const auto violations =
       sim::run_oracle_suite(world, sim::OracleOptions{}, only);
   EXPECT_TRUE(violations.empty())
@@ -219,7 +198,6 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   // edge).
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
-  config.track_leases = true;
   config.solver = world.solver;
   config.solver.capacity_guard = true;
   EpochEngine engine(world.instance.shared_graph(), config);
@@ -248,7 +226,7 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
 TEST(EngineLeases, ScaleChurnFlashCrowdMatchesReferenceReplay) {
   // Flash-crowd durations release whole cohorts at once — the stress
   // case for batched reclaim revalidation (many reclaimed edges in one
-  // epoch boundary). Smaller grid keeps the four-leg differential cheap.
+  // epoch boundary). Smaller grid keeps the six-leg differential cheap.
   sim::ScaleChurnSpec spec;
   spec.rows = 30;
   spec.cols = 30;
@@ -261,7 +239,7 @@ TEST(EngineLeases, ScaleChurnFlashCrowdMatchesReferenceReplay) {
   spec.seed = 11;
   const sim::SimWorld world = sim::make_scale_churn_world(spec);
   ASSERT_FALSE(world.durations.empty());
-  const std::vector<std::string> only{"residual-differential"};
+  const std::vector<std::string> only{"engine-differential"};
   const auto violations =
       sim::run_oracle_suite(world, sim::OracleOptions{}, only);
   EXPECT_TRUE(violations.empty())
@@ -338,7 +316,7 @@ TEST(EngineLeases, OccupancyAndChurnMetricsReported) {
   EXPECT_GT(summary.counters.leases_expired, 0);
   EXPECT_GE(summary.occupancy, 0.0);
   EXPECT_LE(summary.occupancy, 1.0 + 1e-12);
-  EXPECT_EQ(summary.active_leases, engine.lease_ledger()->active_count());
+  EXPECT_EQ(summary.active_leases, engine.lease_ledger().active_count());
   // The deterministic summary block carries the lease line on churning
   // runs (and only on churning runs — golden traces pin the absence).
   const std::string text = engine.metrics().summary(false);
@@ -363,7 +341,7 @@ TEST(EngineLeases, ResetClearsTheLedgerAndReplaysIdentically) {
   };
   const EngineSummary a = drive();
   engine.reset();
-  EXPECT_EQ(engine.lease_ledger()->active_count(), 0);
+  EXPECT_EQ(engine.lease_ledger().active_count(), 0);
   for (EdgeId e = 0; e < scenario.graph->num_edges(); ++e) {
     EXPECT_EQ(engine.residual()[static_cast<std::size_t>(e)],
               scenario.graph->capacity(e));

@@ -105,7 +105,6 @@ TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
 
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
-  config.track_leases = true;
   config.solver = world.solver;
   config.solver.capacity_guard = true;
 

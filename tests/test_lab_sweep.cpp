@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "tufp/lab/solvers.hpp"
-#include "tufp/lab/solvers_compat.hpp"
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/util/math.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -52,23 +51,6 @@ TEST(LabSolvers, ExactGatesItselfOnLargeInstances) {
       *lab::find_solver("exact"), world.instance.normalized(), config);
   EXPECT_FALSE(solve.ran);
   EXPECT_FALSE(solve.note.empty());
-}
-
-TEST(LabSolvers, DeprecatedInstanceShimStillCompilesAndForwards) {
-  const sim::SimWorld world =
-      sim::generate_world({sim::WorldFamily::kStaircase, 3});
-  const UfpInstance instance = world.instance.normalized();
-  LabSolveConfig config;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const lab::LabSolve via_shim =
-      lab::run_solver(*lab::find_solver("greedy-value"), instance, config);
-#pragma GCC diagnostic pop
-  const lab::LabSolve direct = lab::run_solver_on_instance(
-      *lab::find_solver("greedy-value"), instance, config);
-  EXPECT_TRUE(via_shim.ran);
-  EXPECT_EQ(via_shim.value, direct.value);
-  EXPECT_EQ(via_shim.selected, direct.selected);
 }
 
 TEST(LabSweep, RejectsUnknownSolverAndOutOfDomainBeta) {

@@ -243,18 +243,6 @@ TEST(SanityOracles, InjectedReclaimLeakIsCaught) {
   EXPECT_NE(violations[0].detail.find("edge 0"), std::string::npos);
 }
 
-TEST(SanityOracles, LeaselessEngineRunsFeasibleOnly) {
-  Graph g = Graph::directed(2);
-  g.add_edge(0, 1, 1.0);
-  g.finalize();
-  auto base = std::make_shared<const Graph>(std::move(g));
-  EpochEngineConfig config;
-  config.track_leases = false;
-  EpochEngine engine(base, config);
-  EXPECT_EQ(obs::sanity_check_count(engine), 1);
-  EXPECT_TRUE(obs::run_sanity_checks(engine).empty());
-}
-
 // ---------------------------------------------- det-event thread-identity
 
 std::string run_world_telemetry(int num_threads) {
@@ -289,9 +277,7 @@ std::string run_world_telemetry(int num_threads) {
   if (!batch.empty()) {
     telemetry.on_epoch(engine.run_epoch(batch), engine.metrics());
   }
-  const auto* ledger = engine.lease_ledger();
-  telemetry.finish(engine.metrics(),
-                   ledger != nullptr ? ledger->active_count() : 0,
+  telemetry.finish(engine.metrics(), engine.lease_ledger().active_count(),
                    engine.metrics().occupancy(), /*wall_seconds=*/0.0,
                    /*requests_per_second=*/0.0);
   return det.str();

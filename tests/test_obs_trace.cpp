@@ -2,7 +2,7 @@
 // byte-exact DecisionRecord wire format, the bounded trace ring, the
 // nested span profiler, and — on a live engine — one pinned record per
 // outcome class plus byte-identity of the full decision stream across SP
-// kernels and thread counts (the trace-differential sim oracle, here run
+// kernels and thread counts (the engine-differential sim oracle, here run
 // on one world of every family).
 #include <gtest/gtest.h>
 
@@ -70,7 +70,7 @@ TEST(DecisionRecord, JsonIsByteExact) {
   rec.admitted_at = 1.5;
   rec.expires_at = kInf;
   // Field order and rendering are part of the byte-exact contract: every
-  // determinism gate (trace-differential, tufp_trace diff) diffs these
+  // determinism gate (engine-differential, tufp_trace diff) diffs these
   // strings verbatim.
   EXPECT_EQ(rec.to_json(),
             "{\"event\":\"decision\",\"chan\":\"det\",\"seq\":7,\"epoch\":2,"
@@ -274,11 +274,11 @@ TEST(DecisionTraceEngine, StreamIsByteIdenticalAcrossKernelsAndThreads) {
   }
 }
 
-// The trace-differential oracle on one world of every family: the full
+// The engine-differential oracle on one world of every family: the full
 // kernel x thread x {plain, churn} matrix, plus the exactly-one-
 // decision-per-request audit, on generated worlds.
 TEST(DecisionTraceEngine, TraceDifferentialHoldsOnEveryWorldFamily) {
-  const std::vector<std::string> only{"trace-differential"};
+  const std::vector<std::string> only{"engine-differential"};
   for (const sim::WorldFamily family : sim::kAllFamilies) {
     const sim::SimWorld world = sim::generate_world({family, 17});
     const std::vector<sim::Violation> violations =

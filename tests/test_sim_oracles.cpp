@@ -41,6 +41,33 @@ TEST(SimOracles, CatalogueNamesAreUniqueAndSelectable) {
   }
 }
 
+TEST(SimOracles, RetiredNamesSelectTheEngineDifferential) {
+  // The four engine differentials merged into engine-differential keep
+  // their names as selectors, so old repro headers and scripts replay.
+  for (const char* retired : {"engine-thread", "temporal-infinite",
+                              "residual-differential", "trace-differential"}) {
+    const OracleEntry* entry = find_oracle(retired);
+    ASSERT_NE(entry, nullptr) << retired;
+    EXPECT_STREQ(entry->name, "engine-differential") << retired;
+    for (const OracleEntry& listed : oracle_catalogue()) {
+      EXPECT_STRNE(listed.name, retired);
+    }
+  }
+  EXPECT_EQ(find_oracle("not-an-oracle"), nullptr);
+  // The suite resolves them the same way and runs the merged oracle once
+  // (on a one-edge world: the catalogue test above already runs it on a
+  // generated one).
+  Graph g = Graph::directed(2);
+  g.add_edge(0, 1, 4.0);
+  g.finalize();
+  const SimWorld world =
+      wrap_instance(UfpInstance(std::move(g), {Request{0, 1, 1.0, 1.0}}));
+  const std::vector<std::string> only{
+      "engine-thread", "temporal-infinite", "residual-differential",
+      "trace-differential", "engine-differential"};
+  EXPECT_TRUE(run_oracle_suite(world, OracleOptions{}, only).empty());
+}
+
 TEST(SimOracles, UnknownOracleNameThrows) {
   const SimWorld world = generate_world({WorldFamily::kGrid, 5});
   const std::vector<std::string> only{"not-an-oracle"};
@@ -123,7 +150,7 @@ TEST(SimOracles, WrappedInstanceReplaysThroughTheSuite) {
 TEST(SimOracles, FaultNamesRoundTrip) {
   for (FaultInjection f :
        {FaultInjection::kNone, FaultInjection::kOverchargeWinners,
-        FaultInjection::kChargeLosers}) {
+        FaultInjection::kChargeLosers, FaultInjection::kLeakExpiredCapacity}) {
     EXPECT_EQ(fault_from_name(fault_name(f)), f);
   }
   EXPECT_THROW(fault_from_name("bogus"), std::invalid_argument);

@@ -408,10 +408,7 @@ int main(int argc, char** argv) {
     // state). Makes the steady state inspectable after a finite stream.
     if (opt.horizon > 0.0) {
       const int reclaimed = engine.reclaim_expired(opt.horizon);
-      const std::int64_t active =
-          engine.lease_ledger() != nullptr
-              ? engine.lease_ledger()->active_count()
-              : 0;
+      const std::int64_t active = engine.lease_ledger().active_count();
       if (telemetry) {
         JsonObject obj;
         obj.field("event", "drain")
@@ -430,9 +427,7 @@ int main(int argc, char** argv) {
     }
 
     if (telemetry) {
-      const auto* ledger = engine.lease_ledger();
-      telemetry->finish(engine.metrics(),
-                        ledger != nullptr ? ledger->active_count() : 0,
+      telemetry->finish(engine.metrics(), engine.lease_ledger().active_count(),
                         engine.metrics().occupancy(), summary.wall_seconds,
                         summary.requests_per_second);
     }
@@ -442,9 +437,8 @@ int main(int argc, char** argv) {
     }
 
     if (!opt.json_path.empty()) {
-      const auto* ledger = engine.lease_ledger();
       write_json(opt.json_path, opt, *scenario.graph, engine.metrics(),
-                 ledger != nullptr ? ledger->active_count() : 0,
+                 engine.lease_ledger().active_count(),
                  engine.metrics().occupancy());
       std::cerr << "wrote " << opt.json_path << "\n";
     }

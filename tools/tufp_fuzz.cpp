@@ -59,7 +59,8 @@ using namespace tufp::sim;
   std::cerr
       << "usage: tufp_fuzz [--seed S] [--budget N|Ns] [--max-worlds N]\n"
          "  [--families a,b,c] [--oracles x,y]\n"
-         "  [--inject none|overcharge-winners|charge-losers]\n"
+         "  [--inject none|overcharge-winners|charge-losers|"
+         "leak-expired-capacity]\n"
          "  [--repro-dir DIR] [--no-shrink] [--stop-on-first]\n"
          "  [--replay FILE] [--list]\n";
   std::exit(2);

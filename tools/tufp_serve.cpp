@@ -564,14 +564,12 @@ class ServeSession {
     advance_clock(t);
     if (violated_) return;
     const int reclaimed = engine_.reclaim_expired(clock_);
-    const auto* ledger = engine_.lease_ledger();
     JsonObject obj;
     obj.field("event", "drain")
         .field("chan", "det")
         .field("t", clock_)
         .field("reclaimed", reclaimed)
-        .field("active_leases",
-               ledger != nullptr ? ledger->active_count() : 0)
+        .field("active_leases", engine_.lease_ledger().active_count())
         .field("occupancy", engine_.metrics().occupancy());
     sink_->emit(obs::Channel::kDeterministic, obj.str());
     // The reclaim path just ran: exactly when the oracles are worth
@@ -651,11 +649,9 @@ class ServeSession {
       run_sanity();
       if (violated_) return;
     }
-    const auto* ledger = engine_.lease_ledger();
     const double wall = timer_.elapsed_seconds();
     const auto seen = engine_.metrics().counters().requests_seen;
-    telemetry_.finish(engine_.metrics(),
-                      ledger != nullptr ? ledger->active_count() : 0,
+    telemetry_.finish(engine_.metrics(), engine_.lease_ledger().active_count(),
                       engine_.metrics().occupancy(), wall,
                       wall > 0.0 ? static_cast<double>(seen) / wall : 0.0);
   }
