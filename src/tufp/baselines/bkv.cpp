@@ -6,7 +6,6 @@
 
 #include "tufp/ufp/detail/sp_cache.hpp"
 #include "tufp/ufp/detail/substrate.hpp"
-#include "tufp/ufp/detail/workspace_access.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
@@ -15,7 +14,7 @@ namespace tufp {
 namespace {
 
 BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
-                  detail::SpCache& cache, bool warm_start) {
+                  detail::SpCache& cache) {
   TUFP_REQUIRE(config.epsilon > 0.0 && config.epsilon <= 1.0,
                "epsilon outside (0,1]");
   TUFP_REQUIRE(sub.num_active > 0, "BKV needs at least one active edge");
@@ -62,8 +61,7 @@ BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
     }
     ++now;
     cache.refresh(y, edge_stamp, now, all, config.lazy_shortest_paths,
-                  guard_residual, &profile, sub.blocked,
-                  /*epoch_start=*/warm_start && now == 1);
+                  guard_residual, &profile);
 
     int best = -1;
     double best_priority = kInf;
@@ -130,22 +128,7 @@ BkvResult bkv_ufp(const UfpInstance& instance, const BoundedUfpConfig& config) {
   const detail::Substrate sub = detail::substrate_of(instance);
   detail::SpCache cache(instance, config.parallel, config.num_threads,
                         config.sp_kernel);
-  return run_bkv(sub, config, cache, /*warm_start=*/false);
-}
-
-BkvResult bkv_ufp(const ResidualView& view, std::span<const Request> requests,
-                  const BoundedUfpConfig& config, UfpWorkspace* workspace) {
-  const detail::Substrate sub = detail::substrate_of(view, requests);
-  detail::validate_requests(sub);
-  if (workspace != nullptr) {
-    detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.parallel,
-        config.num_threads, config.sp_kernel);
-    return run_bkv(sub, config, cache, /*warm_start=*/true);
-  }
-  detail::SpCache cache(view.base(), requests, config.parallel,
-                        config.num_threads, config.sp_kernel);
-  return run_bkv(sub, config, cache, /*warm_start=*/false);
+  return run_bkv(sub, config, cache);
 }
 
 }  // namespace tufp

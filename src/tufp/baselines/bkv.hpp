@@ -36,11 +36,4 @@ struct BkvResult {
 
 BkvResult bkv_ufp(const UfpInstance& instance, const BoundedUfpConfig& config = {});
 
-// Hot-path entry point over a persistent residual view (base-graph edge
-// ids, blocked edges excluded); see bounded_ufp's view overload for the
-// contract. Bitwise identical with or without a workspace.
-BkvResult bkv_ufp(const ResidualView& view, std::span<const Request> requests,
-                  const BoundedUfpConfig& config = {},
-                  UfpWorkspace* workspace = nullptr);
-
 }  // namespace tufp

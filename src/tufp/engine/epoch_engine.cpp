@@ -379,50 +379,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
         rgraph_->num_active() > 0 ? rgraph_->min_residual() : 0.0;
   }
 
-  if (requests.empty() || report.active_edges == 0) {
-    // Fully saturated network (or nothing valid to clear): every valid bid
-    // is rejected without an auction. Lease gauges still report — on a
-    // churning workload a saturated epoch is exactly when occupancy is
-    // the number worth watching.
-    metrics_.counters().rejected += static_cast<std::int64_t>(requests.size());
-    // No SP run: the whole network is below the usable floor. A bid whose
-    // terminals the base topology never connected is still a true no_path;
-    // every other one is capacity-blocked, with the first below-floor edge
-    // on its canonical base-BFS route as the bottleneck (here that is the
-    // route's first edge).
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      const Request& req = requests[r];
-      const BaseRouteProbe probe = probe_base_route(req.source, req.target);
-      if (probe.reachable) {
-        ++report.capacity_blocked;
-        ++metrics_.counters().capacity_blocked;
-      } else {
-        ++report.no_path;
-        ++metrics_.counters().no_path;
-      }
-      if (trace_ != nullptr) {
-        const TimedRequest& timed =
-            batch[static_cast<std::size_t>(batch_index[r])];
-        obs::DecisionRecord rec;
-        rec.sequence = timed.sequence;
-        rec.epoch = report.epoch;
-        rec.outcome = probe.reachable ? obs::DecisionOutcome::kCapacityBlocked
-                                      : obs::DecisionOutcome::kNoPath;
-        rec.close_time = close_time;
-        rec.value = requests[r].value;
-        rec.demand = requests[r].demand;
-        rec.bottleneck_edge = probe.bottleneck;
-        trace_->record(rec);
-      }
-    }
-    report.active_leases = ledger_->active_count();
-    report.occupancy = metrics_.occupancy();
-    report.solve_seconds = timer.elapsed_seconds();
-    metrics_.solve_seconds().record(report.solve_seconds);
-    trace_epoch_ = -1;
-    return report;
-  }
-
   // Keep the weight exponent in double range whatever the epoch bound B
   // is; epsilon only trades approximation quality, not feasibility.
   BoundedUfpConfig solver_cfg = config_.solver;
@@ -439,13 +395,30 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // a DecisionTrace is attached.
   solver_cfg.classify_rejections = true;
 
-  // The solver speaks base edge ids over the residual view and keeps its
+  // The solver speaks base edge ids over the residual graph and keeps its
   // warm state in the cross-epoch workspace. The engine-differential
   // oracle pins the output byte-identical to a cold per-epoch replay.
+  // A fully saturated network (or nothing valid to clear) runs no
+  // auction: every valid bid is a solver no_path, which the commit loop
+  // refines against the base topology like any other.
   const BoundedUfpResult run = [&] {
+    const int num_requests = static_cast<int>(requests.size());
+    if (num_requests == 0 || report.active_edges == 0) {
+      BoundedUfpResult none{
+          .solution = UfpSolution(num_requests),
+          .y = {},
+          .trace = {},
+          .rejections = std::vector<RejectionRecord>(requests.size()),
+          .warm = {}};
+      for (int r = 0; r < num_requests; ++r) {
+        RejectionRecord& rec = none.rejections[static_cast<std::size_t>(r)];
+        rec.request = r;
+        rec.reason = RejectReason::kNoPath;
+      }
+      return none;
+    }
     TUFP_SPAN("solve");
-    return bounded_ufp(rgraph_->view(), requests, solver_cfg,
-                       workspace_.get());
+    return bounded_ufp(*rgraph_, requests, solver_cfg, *workspace_);
   }();
   report.solver_iterations = run.iterations;
   report.sp_computations = run.sp_computations;
@@ -603,7 +576,7 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // One shadowed replay per winner (bounded_ufp_critical_value):
       // the exact critical value, read off the epoch re-run without the
       // winner. Replays start from the epoch-start state the solve saw:
-      // the view's frozen epoch capacities (commits only land in the
+      // the graph's frozen epoch capacities (commits only land in the
       // loop after this one). Winners are independent and read only that
       // immutable state, so
       // they fan out across OpenMP threads into per-winner slots —
@@ -621,7 +594,7 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       }
       const auto price_winner = [&](int r) {
         (*payments)[static_cast<std::size_t>(r)] = bounded_ufp_critical_value(
-            rgraph_->view(), requests, r, replay_cfg);
+            *rgraph_, requests, r, replay_cfg);
       };
 #if defined(TUFP_HAVE_OPENMP)
       if (config_.solver.parallel && winners.size() > 1) {

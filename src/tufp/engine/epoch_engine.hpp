@@ -216,10 +216,8 @@ class EpochEngine {
   // The lease ledger: every admission, permanent or finite, is a lease.
   const temporal::LeaseLedger& lease_ledger() const { return *ledger_; }
 
-  // The persistent residual store and the cross-epoch solver workspace
-  // (tests, telemetry). Never null.
+  // The persistent residual store (tests, telemetry). Never null.
   const ResidualGraph* residual_graph() const { return rgraph_.get(); }
-  const UfpWorkspace* workspace() const { return workspace_.get(); }
 
   // Stream-level ingestion counters for external drivers (tufp_serve)
   // that batch their own queue instead of going through run(): requests

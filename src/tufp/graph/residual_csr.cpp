@@ -6,52 +6,6 @@
 
 namespace tufp {
 
-const Graph& ResidualView::base() const { return rg_->base(); }
-
-const std::shared_ptr<const Graph>& ResidualView::base_shared() const {
-  return rg_->base_shared();
-}
-
-std::span<const double> ResidualView::capacities() const {
-  return rg_->epoch_capacities();
-}
-
-std::span<const double> ResidualView::residual() const {
-  return rg_->residual();
-}
-
-std::span<const std::uint8_t> ResidualView::blocked() const {
-  return rg_->blocked();
-}
-
-std::span<const std::int64_t> ResidualView::stamps() const {
-  return rg_->stamps();
-}
-
-int ResidualView::num_active() const { return rg_->num_active(); }
-
-double ResidualView::bound_B() const { return rg_->min_residual(); }
-
-std::int64_t ResidualView::clock() const { return rg_->clock(); }
-
-std::int64_t ResidualView::last_decrease() const {
-  return rg_->last_decrease();
-}
-
-void ResidualView::commit_admission(std::span<const EdgeId> path,
-                                    double demand) const {
-  rg_->commit_admission(path, demand);
-}
-
-UfpInstance ResidualView::make_instance(
-    std::span<const Request> requests) const {
-  TUFP_REQUIRE(rg_->num_active() == rg_->base().num_edges(),
-               "make_instance requires every edge active: a UfpInstance "
-               "cannot express the blocked mask");
-  return UfpInstance(rg_->base_shared(),
-                     std::vector<Request>(requests.begin(), requests.end()));
-}
-
 ResidualGraph::ResidualGraph(std::shared_ptr<const Graph> base,
                              double min_usable_capacity)
     : base_(std::move(base)), floor_(min_usable_capacity) {

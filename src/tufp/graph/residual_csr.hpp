@@ -18,14 +18,16 @@
 //                 filter (sim/snapshot.hpp), as a mask instead of a
 //                 rebuild.
 //
-// Solvers access the store through the narrow ResidualView interface:
-// read residuals/stamps/blocked, commit admissions atomically; no copies,
-// no edge-id translation (base ids are solver ids). Byte-identity with a
-// cold per-epoch solve over a compiled snapshot holds because the
-// snapshot's arc lists are subsequences of the base arc lists in the same
-// order, so the canonical lexicographic tie-breaks (graph/dijkstra.hpp)
-// coincide — the `engine-differential` sim oracle replays every world
-// that way and enforces this byte-for-byte.
+// The engine is the only writer. Its Algorithm 1 — bounded_ufp and
+// bounded_ufp_critical_value over a ResidualGraph (ufp/bounded_ufp.hpp) —
+// is the only solver that reads the store: no copies, no edge-id
+// translation (base ids are solver ids). Every other solver takes a
+// UfpInstance. Byte-identity with a cold per-epoch solve over a compiled
+// snapshot holds because the snapshot's arc lists are subsequences of the
+// base arc lists in the same order, so the canonical lexicographic
+// tie-breaks (graph/dijkstra.hpp) coincide — the `engine-differential`
+// sim oracle replays every world that way and enforces this
+// byte-for-byte.
 //
 // On top sits SourceTreeCache, the cross-epoch half of sp_cache: settled
 // shortest-path trees keyed by source vertex survive epoch boundaries and
@@ -49,59 +51,16 @@
 
 #include "tufp/graph/dijkstra.hpp"
 #include "tufp/graph/graph.hpp"
-#include "tufp/ufp/instance.hpp"
 #include "tufp/util/arena.hpp"
 #include "tufp/util/math.hpp"
 
 namespace tufp {
 
-class ResidualGraph;
-
-// Narrow hot-path interface the solvers and the engine program against.
-// A view is a non-owning handle onto one ResidualGraph; copying it is
-// free and does not copy state. Reads are epoch-consistent between
-// open_epoch() calls; commit_admission() applies a whole path's
-// decrement + stamping as one unit (single-writer discipline: the epoch
-// engine is the only committer, solvers only read).
-class ResidualView {
- public:
-  const Graph& base() const;
-  const std::shared_ptr<const Graph>& base_shared() const;
-
-  // Epoch-start residuals: the capacities the current epoch's solve is
-  // priced against (frozen by open_epoch, unaffected by commits).
-  std::span<const double> capacities() const;
-  // Live residuals, updated by commits and reclaims.
-  std::span<const double> residual() const;
-  std::span<const std::uint8_t> blocked() const;
-  std::span<const std::int64_t> stamps() const;
-  int num_active() const;
-  // B = min residual over active edges; kInf when no edge is active.
-  double bound_B() const;
-  std::int64_t clock() const;
-  std::int64_t last_decrease() const;
-
-  void commit_admission(std::span<const EdgeId> path, double demand) const;
-
-  // Materializes a UfpInstance over the base graph for offline consumers
-  // (lab baselines, exact solvers). Requires every edge active — the
-  // blocked mask cannot be expressed in an instance.
-  UfpInstance make_instance(std::span<const Request> requests) const;
-
-  // The owning store (warm-start wiring in the solver internals).
-  const ResidualGraph& owner() const { return *rg_; }
-
- private:
-  friend class ResidualGraph;
-  explicit ResidualView(ResidualGraph* rg) : rg_(rg) {}
-
-  ResidualGraph* rg_;
-};
-
 // The persistent per-world edge store. Owns the residual/stamp/blocked
 // arrays for the lifetime of a world; the engine opens an epoch, solves
-// against view(), commits winners, and lets the lease ledger write
-// reclaims back through mutable_residual() + note_reclaimed().
+// against it, commits winners, and lets the lease ledger write reclaims
+// back through mutable_residual() + note_reclaimed(). Reads are
+// epoch-consistent between open_epoch() calls.
 class ResidualGraph {
  public:
   // `min_usable_capacity` is the activity floor: edges with residual
@@ -111,7 +70,6 @@ class ResidualGraph {
                          double min_usable_capacity = 1.0);
 
   const Graph& base() const { return *base_; }
-  const std::shared_ptr<const Graph>& base_shared() const { return base_; }
 
   // Rescans the activity mask against the floor and freezes epoch-start
   // capacities. O(m) with no allocation — the whole per-epoch cost of
@@ -149,12 +107,16 @@ class ResidualGraph {
     return residual_;
   }
 
+  // Live residuals, updated by commits and reclaims.
   std::span<const double> residual() const { return residual_; }
+  // Epoch-start residuals: the capacities the current epoch's solve is
+  // priced against (frozen by open_epoch, unaffected by commits).
   std::span<const double> epoch_capacities() const { return epoch_capacity_; }
   std::span<const std::uint8_t> blocked() const { return blocked_; }
   std::span<const std::int64_t> stamps() const { return stamp_; }
   int num_active() const { return num_active_; }
   int num_saturated() const { return base_->num_edges() - num_active_; }
+  // B = min residual over active edges; kInf when no edge is active.
   double min_residual() const { return min_residual_; }
   double min_usable_capacity() const { return floor_; }
   std::int64_t clock() const { return clock_; }
@@ -164,8 +126,6 @@ class ResidualGraph {
   // tree caches over this graph must be cleared alongside (the clock
   // restarts).
   void reset();
-
-  ResidualView view() { return ResidualView(this); }
 
  private:
   std::shared_ptr<const Graph> base_;

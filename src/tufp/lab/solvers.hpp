@@ -20,7 +20,7 @@
 #include <span>
 #include <string>
 
-#include "tufp/graph/residual_csr.hpp"
+#include "tufp/graph/dijkstra.hpp"
 #include "tufp/ufp/instance.hpp"
 #include "tufp/ufp/solution.hpp"
 
@@ -52,15 +52,8 @@ struct LabSolve {
   std::string note;  // deterministic diagnostics (gating reason, ...)
 };
 
-// Lab solvers run over the redesigned hot-path surface: a ResidualView
-// plus the request batch (graph/residual_csr.hpp). The primal-dual
-// members (bounded, bkv) solve on the view directly; enumeration-backed
-// members materialize a UfpInstance via view.make_instance(), which
-// requires every edge active — the lab always wraps a fresh, fully
-// usable world, so the blocked mask is empty by construction.
-using LabSolverFn = LabSolve (*)(const ResidualView&,
-                                 std::span<const Request>,
-                                 const LabSolveConfig&);
+// Lab solvers are offline: each one solves a whole UfpInstance.
+using LabSolverFn = LabSolve (*)(const UfpInstance&, const LabSolveConfig&);
 
 struct LabSolverEntry {
   const char* name;
@@ -74,13 +67,5 @@ std::span<const LabSolverEntry> solver_catalogue();
 
 // nullptr on an unknown name.
 const LabSolverEntry* find_solver(const std::string& name);
-
-// Runs `entry` over a standalone instance by wrapping its graph in a
-// throwaway ResidualGraph with every edge active (the activity floor is
-// dropped to the graph's min capacity, so nothing is blocked). The
-// one-off ad-hoc path; sweeps keep a ResidualGraph per world instead.
-LabSolve run_solver_on_instance(const LabSolverEntry& entry,
-                                const UfpInstance& instance,
-                                const LabSolveConfig& config);
 
 }  // namespace tufp::lab

@@ -81,14 +81,6 @@ std::vector<SweepCell> run_task(
   const UfpInstance instance = normalized.with_capacity_scale(
       task.beta / normalized.bound_B() * (1.0 + 1e-12));
 
-  // The cell's residual view: a fresh ResidualGraph per world wrapping
-  // the scaled instance, every edge active (c_min = beta >= 1 by the
-  // scaling above, so the default floor blocks nothing). All solver
-  // entries run through this view — the lab exercises the same hot-path
-  // API the engine serves through.
-  ResidualGraph rgraph(instance.shared_graph());
-  const std::span<const Request> requests = instance.requests();
-
   // One certifying run per cell: it yields the claim36 bound AND the
   // `bounded` solver's answer (primal_dual_config == the certifying
   // config by construction, see lab/solvers.cpp). `providers` holds only
@@ -98,7 +90,7 @@ std::vector<SweepCell> run_task(
       certifying_solver_config(config.solve.epsilon);
   certifying_cfg.sp_kernel = config.solve.sp_kernel;
   const BoundedUfpResult certifying_run =
-      bounded_ufp(rgraph.view(), requests, certifying_cfg);
+      bounded_ufp(instance, certifying_cfg);
   UpperBound bound = best_upper_bound(providers, instance);
   const double claim36 = claim36_upper_bound(instance, certifying_run);
   if (!bound.available || claim36 < bound.value) {
@@ -115,7 +107,7 @@ std::vector<SweepCell> run_task(
       solve.value = certifying_run.solution.total_value(instance);
       solve.selected = certifying_run.solution.num_selected();
     } else {
-      solve = entry->fn(rgraph.view(), requests, config.solve);
+      solve = entry->fn(instance, config.solve);
     }
     SweepCell cell;
     cell.family = task.family;

@@ -15,32 +15,25 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
   validate_config(sub, config);
   detail::SpCache cache(instance, config.parallel, config.num_threads,
                         config.sp_kernel);
-  return run_bounded_ufp<false>(sub, config, cache, /*warm_start=*/false);
+  return run_bounded_ufp<false>(sub, config, cache);
 }
 
-BoundedUfpResult bounded_ufp(const ResidualView& view,
+BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
-                             UfpWorkspace* workspace) {
-  const detail::Substrate sub = detail::substrate_of(view, requests);
+                             UfpWorkspace& workspace) {
+  const detail::Substrate sub = detail::substrate_of(rgraph, requests);
   detail::validate_requests(sub);
   validate_config(sub, config);
-  if (workspace != nullptr) {
-    detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.parallel,
-        config.num_threads, config.sp_kernel);
-    detail::EpochSolveState& st =
-        detail::WorkspaceAccess::solve_state(*workspace);
-    if (st.owner != &view.owner()) {
-      st.valid = false;  // a rebound workspace never reuses foreign state
-      st.owner = &view.owner();
-    }
-    return run_bounded_ufp<false>(sub, config, cache, /*warm_start=*/true,
-                                  &st);
+  detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
+      workspace, rgraph, requests, config.parallel, config.num_threads,
+      config.sp_kernel);
+  detail::EpochSolveState& st = detail::WorkspaceAccess::solve_state(workspace);
+  if (st.owner != &rgraph) {
+    st.valid = false;  // a rebound workspace never reuses foreign state
+    st.owner = &rgraph;
   }
-  detail::SpCache cache(view.base(), requests, config.parallel,
-                        config.num_threads, config.sp_kernel);
-  return run_bounded_ufp<false>(sub, config, cache, /*warm_start=*/false);
+  return run_bounded_ufp<false>(sub, config, cache, &st);
 }
 
 }  // namespace tufp

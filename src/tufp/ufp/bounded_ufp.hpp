@@ -158,17 +158,18 @@ struct BoundedUfpResult {
 BoundedUfpResult bounded_ufp(const UfpInstance& instance,
                              const BoundedUfpConfig& config = {});
 
-// Hot-path entry point: solves over a persistent residual view without
-// compiling a per-epoch instance. Edge ids are base-graph ids; blocked
-// edges are excluded from every search and carry y = 0 in result.y.
-// Preconditions as above with B = the view's min active residual and at
-// least one active edge. A non-null `workspace` reuses the shortest-path
-// cache, shard plan and cross-epoch settled trees across calls — results
-// are bitwise identical with or without it.
-BoundedUfpResult bounded_ufp(const ResidualView& view,
+// The engine's entry point: solves the epoch over the persistent
+// residual graph without compiling a per-epoch instance. Edge ids are
+// base-graph ids; blocked edges are excluded from every search and carry
+// y = 0 in result.y. Preconditions as above with B = the graph's min
+// active residual and at least one active edge. `workspace` carries the
+// shortest-path cache, shard plan, cross-epoch settled trees and
+// clean-epoch solve state across calls; results are bitwise identical to
+// a cold solve of the compiled epoch instance.
+BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
                              std::span<const Request> requests,
-                             const BoundedUfpConfig& config = {},
-                             UfpWorkspace* workspace = nullptr);
+                             const BoundedUfpConfig& config,
+                             UfpWorkspace& workspace);
 
 // Exact critical value of request r (Theorem 2.3's payment): the smallest
 // positive double bid at which bounded_ufp(·, config) selects r, all
@@ -192,12 +193,12 @@ BoundedUfpResult bounded_ufp(const ResidualView& view,
 // Cost: one solve (the run without r), serial when config.parallel is
 // off, against the ~log2(1/tol) re-solves of the rule-agnostic bisection
 // in mechanism/critical_payment.hpp, which stays the reference.
-// Preconditions as bounded_ufp's. The view overload prices r against the
-// view's epoch-start capacities, so it may run concurrently with other
-// replays over the same view but not across a commit.
+// Preconditions as bounded_ufp's. The residual-graph overload prices r
+// against the graph's epoch-start capacities, so it may run concurrently
+// with other replays over the same graph but not across a commit.
 double bounded_ufp_critical_value(const UfpInstance& instance, int r,
                                   const BoundedUfpConfig& config = {});
-double bounded_ufp_critical_value(const ResidualView& view,
+double bounded_ufp_critical_value(const ResidualGraph& rgraph,
                                   std::span<const Request> requests, int r,
                                   const BoundedUfpConfig& config = {});
 

@@ -25,8 +25,7 @@ double replay_critical(const detail::Substrate& sub,
   replay.classify_rejections = false;
   replay.export_duals = false;
   detail::Shadow shadow{r};
-  run_bounded_ufp<true>(sub, replay, cache, /*warm_start=*/false,
-                        /*state=*/nullptr, &shadow);
+  run_bounded_ufp<true>(sub, replay, cache, /*state=*/nullptr, &shadow);
   return shadow.critical;
 }
 
@@ -43,13 +42,13 @@ double bounded_ufp_critical_value(const UfpInstance& instance, int r,
   return replay_critical(sub, config, cache, r);
 }
 
-double bounded_ufp_critical_value(const ResidualView& view,
+double bounded_ufp_critical_value(const ResidualGraph& rgraph,
                                   std::span<const Request> requests, int r,
                                   const BoundedUfpConfig& config) {
-  const detail::Substrate sub = detail::substrate_of(view, requests);
+  const detail::Substrate sub = detail::substrate_of(rgraph, requests);
   detail::validate_requests(sub);
   validate_config(sub, config);
-  detail::SpCache cache(view.base(), requests, config.parallel,
+  detail::SpCache cache(rgraph.base(), requests, config.parallel,
                         config.num_threads, config.sp_kernel);
   return replay_critical(sub, config, cache, r);
 }

@@ -71,15 +71,16 @@ inline void lower_critical(double demand, double length, double alpha,
   *critical = std::bit_cast<double>(hi);
 }
 
-// Algorithm 1's loop, written once against the substrate. `warm_start`
-// marks a solve over a persistent residual view with a live workspace:
-// the first refresh may then be served from cross-epoch settled trees
-// (bitwise-equivalent; detail/sp_cache.hpp). A non-null `state` caches
-// the O(m) epoch-start arrays across solves: they are reused verbatim
-// when the view's stamp clock is unchanged — init_duals is
-// deterministic over inputs the unchanged clock certifies as bitwise
+// Algorithm 1's loop, written once against the substrate. A non-null
+// `state` marks the engine's solve over the persistent residual graph
+// with its workspace. The first refresh may then be served from
+// cross-epoch settled trees (bitwise-equivalent; detail/sp_cache.hpp),
+// and `state` caches the O(m) epoch-start arrays across solves: they are
+// reused verbatim when the graph's stamp clock is unchanged — init_duals
+// is deterministic over inputs the unchanged clock certifies as bitwise
 // identical, so reuse is exact — and they stay reusable after the solve
 // only when nothing was admitted (admissions are the sole mutation).
+// This loop is the only reader of that epoch-start state.
 // kShadow instantiates the critical-value replay: `shadow->request`
 // stays in `remaining`, so its entry is refreshed every iteration, but
 // the scan skips it; after each scan its winning-bid threshold is folded
@@ -89,7 +90,7 @@ inline void lower_critical(double demand, double length, double alpha,
 template <bool kShadow>
 BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  const BoundedUfpConfig& config,
-                                 SpCache& cache, bool warm_start,
+                                 SpCache& cache,
                                  EpochSolveState* state = nullptr,
                                  [[maybe_unused]] Shadow* shadow = nullptr) {
   const double B = sub.B;
@@ -142,7 +143,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     // epoch-start duals the cross-epoch trees were stored under.
     cache.refresh(y, edge_stamp, now, remaining, config.lazy_shortest_paths,
                   guard_residual, &profile, sub.blocked,
-                  /*epoch_start=*/warm_start && now == 1);
+                  /*epoch_start=*/state != nullptr && now == 1);
     result.sp_computations +=
         static_cast<std::int64_t>(cache.recomputed_last_refresh());
     result.sp_tree_runs += cache.tree_runs_last_refresh();

@@ -1,13 +1,13 @@
 // Solver substrate (internal header): the one description of an epoch's
 // problem that Bounded-UFP, Bounded-UFP-Repeat and BKV all run against.
 //
-// A solver sees either a UfpInstance (the offline mechanism, the lab, and
+// Every solver takes a UfpInstance (the offline mechanism, the lab, and
 // the sim oracles' cold reference replay, which solves a value-copied
-// snapshot per epoch) or the engine's persistent residual graph: the base
-// graph plus a blocked mask (graph/residual_csr.hpp), with base edge ids
-// as solver edge ids. This struct is the common denominator: both entry
-// points (UfpInstance and ResidualView) lower to it, and each solver's
-// core loop is written once against it. The two lowerings are
+// snapshot per epoch). Algorithm 1 alone also runs over the engine's
+// persistent residual graph: the base graph plus a blocked mask
+// (graph/residual_csr.hpp), with base edge ids as solver edge ids. This
+// struct is the common denominator: both lowerings meet here, and each
+// solver's core loop is written once against it. The two lowerings are
 // byte-equivalent on the active edge set — a compiled snapshot's arc
 // lists are order-preserving subsequences of the base arc lists, so the
 // canonical searches, tie-breaks and dual arithmetic agree bitwise
@@ -28,7 +28,7 @@ namespace tufp::detail {
 
 struct Substrate {
   const Graph* graph = nullptr;
-  // Per base edge; for a view these are the epoch-start residuals.
+  // Per base edge; over a residual graph, the epoch-start residuals.
   std::span<const double> capacities;
   std::span<const Request> requests;
   // Empty means every edge is active (the instance lowering).
@@ -52,16 +52,16 @@ inline Substrate substrate_of(const UfpInstance& instance) {
   return s;
 }
 
-inline Substrate substrate_of(const ResidualView& view,
+inline Substrate substrate_of(const ResidualGraph& rgraph,
                               std::span<const Request> requests) {
   Substrate s;
-  s.graph = &view.base();
-  s.capacities = view.capacities();
+  s.graph = &rgraph.base();
+  s.capacities = rgraph.epoch_capacities();
   s.requests = requests;
-  s.blocked = view.blocked();
-  s.B = view.bound_B();
-  s.num_active = view.num_active();
-  s.clock = view.clock();
+  s.blocked = rgraph.blocked();
+  s.B = rgraph.min_residual();
+  s.num_active = rgraph.num_active();
+  s.clock = rgraph.clock();
   return s;
 }
 
@@ -70,8 +70,8 @@ inline bool edge_active(const Substrate& s, std::size_t e) {
 }
 
 // The validation the UfpInstance constructor performs, applied to a raw
-// request span for the view entry points; plus the normalized-demand
-// precondition all three solvers share.
+// request span for the residual-graph entry points; plus the
+// normalized-demand precondition every solver shares.
 inline void validate_requests(const Substrate& s) {
   const int n = s.graph->num_vertices();
   for (const Request& r : s.requests) {

@@ -1,7 +1,7 @@
-// Internal backdoor into UfpWorkspace's pimpl (solver implementation
-// files only). Public consumers see ufp/workspace.hpp's opaque surface;
-// the solvers need the concrete SpCache/SourceTreeCache to wire warm
-// starts up.
+// Internal backdoor into UfpWorkspace's pimpl (Algorithm 1's
+// implementation files only). Public consumers see ufp/workspace.hpp's
+// opaque surface; the engine's solve needs the concrete
+// SpCache/SourceTreeCache to wire warm starts up.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +56,6 @@ struct UfpWorkspace::Impl {
   bool parallel = false;
   int num_threads = 0;
   SpKernel kernel = SpKernel::kAuto;
-
-  // Counter baselines from caches discarded by reconfiguration, so the
-  // public telemetry stays monotone across rebuilds.
-  std::int64_t retired_warm_trees = 0;
-  std::int64_t retired_warm_entries = 0;
-  std::int64_t retired_plan_builds = 0;
-  std::int64_t retired_plan_reuses = 0;
 };
 
 namespace detail {
@@ -83,12 +76,6 @@ class WorkspaceAccess {
     if (state.cache == nullptr || state.graph != graph ||
         state.parallel != parallel || state.num_threads != num_threads ||
         state.kernel != kernel) {
-      if (state.cache != nullptr) {
-        state.retired_warm_trees += state.cache->warm_trees_served();
-        state.retired_warm_entries += state.cache->warm_entries_served();
-        state.retired_plan_builds += state.cache->plan_builds();
-        state.retired_plan_reuses += state.cache->plan_reuses();
-      }
       state.cache = std::make_unique<SpCache>(*graph, requests, parallel,
                                               num_threads, kernel);
       state.graph = graph;

@@ -22,24 +22,4 @@ UfpWorkspace::ReclaimRevalidation UfpWorkspace::revalidate_warm_trees(
   return {r.kept, r.dropped};
 }
 
-std::int64_t UfpWorkspace::warm_tree_hits() const {
-  return impl_->retired_warm_trees +
-         (impl_->cache ? impl_->cache->warm_trees_served() : 0);
-}
-
-std::int64_t UfpWorkspace::warm_entries_served() const {
-  return impl_->retired_warm_entries +
-         (impl_->cache ? impl_->cache->warm_entries_served() : 0);
-}
-
-std::int64_t UfpWorkspace::shard_plan_builds() const {
-  return impl_->retired_plan_builds +
-         (impl_->cache ? impl_->cache->plan_builds() : 0);
-}
-
-std::int64_t UfpWorkspace::shard_plan_reuses() const {
-  return impl_->retired_plan_reuses +
-         (impl_->cache ? impl_->cache->plan_reuses() : 0);
-}
-
 }  // namespace tufp

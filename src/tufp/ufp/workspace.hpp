@@ -8,11 +8,11 @@
 //     lets an epoch's first refresh skip Dijkstra runs whose stored
 //     trees are still stamp-valid.
 //
-// Passing a workspace to the ResidualView solver overloads is purely an
-// optimization: results are bitwise identical with or without one (the
-// engine-differential sim oracle enforces this against a cold replay
-// that never builds one). The engine keeps one workspace per world;
-// standalone callers may simply pass nullptr.
+// Its one consumer is the engine's bounded_ufp over the residual graph
+// (ufp/bounded_ufp.hpp), which keeps one workspace per world. The
+// workspace is purely an optimization: results are bitwise identical to
+// a cold solve (the engine-differential sim oracle enforces this against
+// a cold replay that never builds one).
 #pragma once
 
 #include <cstdint>
@@ -54,12 +54,6 @@ class UfpWorkspace {
   ReclaimRevalidation revalidate_warm_trees(const Graph& base,
                                             std::span<const EdgeId> reclaimed,
                                             std::int64_t clock_after);
-
-  // Telemetry (monotone over the workspace lifetime, zeroed by clear()).
-  std::int64_t warm_tree_hits() const;      // shards served from stored trees
-  std::int64_t warm_entries_served() const; // entries those shards covered
-  std::int64_t shard_plan_builds() const;
-  std::int64_t shard_plan_reuses() const;
 
  private:
   friend class detail::WorkspaceAccess;

@@ -80,8 +80,9 @@ struct Tally {
 };
 
 // One world: a grid with a few edges pushed below the residual floor, so
-// the view carries a blocked mask and the instance is the compiled epoch
-// snapshot — the engine's lowering and the cold reference's.
+// the residual graph carries a blocked mask and the instance is the
+// compiled epoch snapshot — the engine's lowering and the cold
+// reference's.
 void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
                  Tally* tally) {
   const int m = shape.rows * (shape.cols - 1) + shape.cols * (shape.rows - 1);
@@ -117,7 +118,7 @@ void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
                  << " seed " << seed << " request " << r);
     const double bid = instance.request(r).value;
     const double p = bounded_ufp_critical_value(instance, r, cfg);
-    EXPECT_EQ(bits(bounded_ufp_critical_value(rg.view(), requests, r, cfg)),
+    EXPECT_EQ(bits(bounded_ufp_critical_value(rg, requests, r, cfg)),
               bits(p));
     if (!allocation.is_selected(r)) {
       EXPECT_GT(p, bid);

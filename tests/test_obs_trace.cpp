@@ -207,6 +207,51 @@ TEST(DecisionTraceEngine, CapacityBlockedNamesBottleneckNoPathIsTopological) {
       << lines[2];
 }
 
+// A saturated epoch (no edge at or above the floor) runs no auction,
+// yet its records read like any other epoch's: a bid the base topology
+// connects is capacity_blocked at the first below-floor edge of its base
+// route, and one it never connects is a true no_path.
+TEST(DecisionTraceEngine, SaturatedEpochRecordsNameTheBottleneck) {
+  Graph g = Graph::directed(3);
+  g.add_edge(0, 1, 1.5);  // e0
+  g.add_edge(1, 2, 1.5);  // e1
+  g.finalize();
+  EpochEngineConfig config;
+  config.max_batch = 3;
+  AdmissionReport saturated;
+  const std::vector<std::string> lines = traced_run(
+      std::make_shared<const Graph>(std::move(g)), config,
+      [&saturated](EpochEngine& engine) {
+        // Admitting 0->2 leaves both edges at 0.5, below the floor.
+        engine.run_epoch({make_timed(0.0, 0, 1.0, 2.0, kInf, 0, 2)});
+        saturated = engine.run_epoch({make_timed(1.0, 1, 0.5, 1.0, kInf, 0, 2),
+                                      make_timed(1.0, 2, 0.5, 1.0, kInf, 2, 0),
+                                      make_timed(1.0, 3, 0.5, 1.0, kInf, 1, 2)});
+      });
+  EXPECT_EQ(saturated.active_edges, 0);
+  EXPECT_EQ(saturated.capacity_blocked, 2);
+  EXPECT_EQ(saturated.no_path, 1);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_NE(lines[0].find("\"outcome\":\"admitted\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"seq\":1,"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"outcome\":\"capacity_blocked\""),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[1].find("\"bottleneck_edge\":0"), std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"seq\":2,"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("\"outcome\":\"no_path\""), std::string::npos)
+      << lines[2];
+  EXPECT_NE(lines[2].find("\"bottleneck_edge\":-1"), std::string::npos)
+      << lines[2];
+  EXPECT_NE(lines[3].find("\"seq\":3,"), std::string::npos) << lines[3];
+  EXPECT_NE(lines[3].find("\"outcome\":\"capacity_blocked\""),
+            std::string::npos)
+      << lines[3];
+  EXPECT_NE(lines[3].find("\"bottleneck_edge\":1"), std::string::npos)
+      << lines[3];
+}
+
 // Invalid sheds and lease expiries terminate in records too: every
 // request offered to the engine closes in exactly one decision.
 TEST(DecisionTraceEngine, InvalidAndLeaseExpiryEmitRecords) {

@@ -104,27 +104,6 @@ TEST(ResidualGraph, ResetRestoresBaseAndRestartsClock) {
   EXPECT_EQ(rg.num_active(), 3);
 }
 
-TEST(ResidualGraph, ViewIsANonOwningWindow) {
-  ResidualGraph rg(make_diamond(), 1.0);
-  const ResidualView view = rg.view();
-  EXPECT_EQ(&view.base(), &rg.base());
-  EXPECT_EQ(view.num_active(), 3);
-  EXPECT_EQ(view.bound_B(), 2.0);
-
-  // Commits through the view mutate the owning store.
-  const std::vector<EdgeId> path{2};
-  view.commit_admission(path, 1.0);
-  EXPECT_EQ(rg.residual()[2], 1.0);
-  EXPECT_EQ(view.residual()[2], 1.0);
-  EXPECT_EQ(view.clock(), rg.clock());
-
-  // make_instance materializes the base graph for offline consumers.
-  std::vector<Request> requests{{0, 2, 1.0, 5.0}};
-  const UfpInstance instance = view.make_instance(requests);
-  EXPECT_EQ(instance.graph().num_vertices(), 3);
-  EXPECT_EQ(instance.num_requests(), 1);
-}
-
 TEST(GenerationMap, AdvanceIsAWholesaleReset) {
   GenerationMap<int> map(4, -1);
   EXPECT_EQ(map.get(2), -1);
@@ -312,16 +291,11 @@ TEST(ResidualGraph, OpenEpochEnforcesTheReclaimWriteBackContract) {
 TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {
   const std::shared_ptr<const Graph> base = make_diamond();
 
-  // The engine owns a ResidualGraph and a cross-epoch workspace, and
-  // residual() reads through the store.
+  // The engine owns a ResidualGraph, and residual() reads through the
+  // store.
   EpochEngine engine(base, EpochEngineConfig{});
   ASSERT_NE(engine.residual_graph(), nullptr);
-  ASSERT_NE(engine.workspace(), nullptr);
   EXPECT_EQ(engine.residual().data(), engine.residual_graph()->residual().data());
-  EXPECT_GE(engine.workspace()->warm_tree_hits(), 0);
-  EXPECT_GE(engine.workspace()->warm_entries_served(), 0);
-  EXPECT_GE(engine.workspace()->shard_plan_builds(), 0);
-  EXPECT_GE(engine.workspace()->shard_plan_reuses(), 0);
 
   TimedRequest req;
   req.arrival_time = 0.0;

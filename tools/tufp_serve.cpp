@@ -79,7 +79,9 @@
 //   quit          flush, drain --horizon, emit final summary, exit
 //   shutdown      like quit; in socket mode also stops accepting
 // Clock values (a req arrival, a tick or drain T) must be finite: an inf
-// or NaN time is shed as a malformed line before the clock moves.
+// or NaN time is shed as a malformed line before the clock moves. Every
+// numeric token must parse whole: `5x`, `2.5abc` or a fractional vertex
+// id makes the line malformed too.
 //
 // Output discipline: the deterministic telemetry channel is byte-
 // identical across --threads and --sp-kernel for the same session (the
@@ -426,12 +428,29 @@ class ServeSession {
     return tokens;
   }
 
+  // Numbers off the wire parse whole. std::stoi/std::stod stop at the
+  // first character they cannot use, so without the length check `5x`
+  // would read as 5 and `35.5` as vertex 35. Trailing bytes throw like
+  // any other malformed number, and handle() sheds the line.
+  static int parse_int(const std::string& token) {
+    std::size_t pos = 0;
+    const int v = std::stoi(token, &pos);
+    if (pos != token.size()) throw std::invalid_argument("trailing bytes");
+    return v;
+  }
+  static double parse_double(const std::string& token) {
+    std::size_t pos = 0;
+    const double v = std::stod(token, &pos);
+    if (pos != token.size()) throw std::invalid_argument("trailing bytes");
+    return v;
+  }
+
   // A clock value off the wire. The virtual clock, and the lease wheel
   // behind it, only run on finite times: a non-finite value throws like
   // any other malformed number, so handle() sheds the line before the
   // clock moves.
   static double parse_time(const std::string& token) {
-    const double t = std::stod(token);
+    const double t = parse_double(token);
     if (!std::isfinite(t)) throw std::invalid_argument("non-finite time");
     return t;
   }
@@ -478,13 +497,13 @@ class ServeSession {
       return true;
     }
     TimedRequest timed;
-    timed.request.source = std::stoi(tokens[1]);
-    timed.request.target = std::stoi(tokens[2]);
-    timed.request.demand = std::stod(tokens[3]);
-    timed.request.value = std::stod(tokens[4]);
+    timed.request.source = parse_int(tokens[1]);
+    timed.request.target = parse_int(tokens[2]);
+    timed.request.demand = parse_double(tokens[3]);
+    timed.request.value = parse_double(tokens[4]);
     const double arrival =
         tokens.size() >= 6 ? parse_time(tokens[5]) : clock_;
-    timed.duration = tokens.size() >= 7 ? std::stod(tokens[6]) : kInf;
+    timed.duration = tokens.size() >= 7 ? parse_double(tokens[6]) : kInf;
     timed.sequence = next_sequence_++;
     // Arrivals are nondecreasing on an open-loop wire: a stale timestamp
     // means "now". Advance the clock first — the request may belong to
