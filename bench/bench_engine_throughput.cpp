@@ -24,8 +24,7 @@
 //                     worlds under hub-local traffic (spread source pool,
 //                     hop-ball targets) with finite lease durations
 //                     (exponential and flash-crowd), so reclaims fire
-//                     steadily and the warm tree cache survives them
-//                     (trees_kept_on_reclaim in the JSON rows).
+//                     steadily.
 //   --scale-churn-only  run only the churn scale cases (CI splits tiers)
 //   --scale-requests  override the scale tiers' streamed request count
 //                     (CI runs the full 10^6 tier; the nightly soak
@@ -67,16 +66,16 @@ struct BenchCase {
   // for 10^6-request streams:
   // assume_connected skips the per-sample reachability Dijkstra (legal
   // on these strongly connected worlds) and source_pool concentrates
-  // sources on a hub set, the locality the cross-epoch tree cache
-  // serves.
+  // sources on a hub set, so one source-shard tree answers many
+  // requests per refresh.
   int vertices = 0;
   int edges = 0;
   bool assume_connected = false;
   int source_pool = 0;
   // Churn-tier locality knobs (workload/request_gen.hpp): stride spreads
   // the source pool across the vertex set, radius draws targets from the
-  // per-source hop ball — together they keep each hub's warm trees away
-  // from the other hubs' reclaims.
+  // per-source hop ball — together they keep each hub's traffic and
+  // reclaims away from the other hubs' routes.
   int source_stride = 1;
   int target_radius = 0;
 };
@@ -105,11 +104,6 @@ struct BenchRow {
   double occupancy_final = 0.0;
   double virtual_horizon = 0.0;
   double reclaim_flat_ratio = 0.0;
-  // Warm-tree reclaim revalidation outcome (churn rows; zero on rows
-  // without finite leases). kept > 0 is the churn tier's whole point: reclaims
-  // that do NOT cost the cache its trees.
-  std::int64_t trees_kept_on_reclaim = 0;
-  std::int64_t trees_dropped_on_reclaim = 0;
   // Per-phase wall time from the span profiler (obs/trace.hpp), total
   // seconds inside each epoch phase across the run. Wall-channel data:
   // recorded in the artifact for trend eyeballing, never exact-gated.
@@ -197,10 +191,6 @@ BenchRow run_case(const BenchCase& c) {
     second /= static_cast<double>(reclaim_per_epoch.size() - half);
     row.reclaim_flat_ratio = first > 0.0 ? second / first : 0.0;
   }
-  row.trees_kept_on_reclaim =
-      engine.metrics().counters().trees_kept_on_reclaim;
-  row.trees_dropped_on_reclaim =
-      engine.metrics().counters().trees_dropped_on_reclaim;
   row.span_reclaim_seconds = profiler.phase_seconds("reclaim");
   row.span_snapshot_seconds = profiler.phase_seconds("snapshot");
   row.span_solve_seconds = profiler.phase_seconds("solve");
@@ -243,8 +233,6 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
        << ", \"occupancy_final\": " << r.occupancy_final
        << ", \"virtual_horizon\": " << r.virtual_horizon
        << ", \"reclaim_flat_ratio\": " << r.reclaim_flat_ratio
-       << ", \"trees_kept_on_reclaim\": " << r.trees_kept_on_reclaim
-       << ", \"trees_dropped_on_reclaim\": " << r.trees_dropped_on_reclaim
        << ", \"span_reclaim_seconds\": " << r.span_reclaim_seconds
        << ", \"span_snapshot_seconds\": " << r.span_snapshot_seconds
        << ", \"span_solve_seconds\": " << r.span_solve_seconds
@@ -356,10 +344,7 @@ int main(int argc, char** argv) {
     // (stride) with targets drawn from each hub's hop ball — and finite
     // lease durations, exponential and flash-crowd. The network never
     // saturates: reclaims return capacity as fast as admissions take it,
-    // so every epoch both reclaims AND admits. That is the regime the
-    // per-tree reclaim revalidation targets: most hubs sit far from any
-    // reclaimed edge and their warm trees survive
-    // (trees_kept_on_reclaim > 0 in the JSON rows). The hub regions run
+    // so every epoch both reclaims AND admits. The hub regions run
     // at steady mid-band load (occupancy_final in the JSON tracks the
     // global gauge, which reads low because the load is local by design).
     DurationConfig exp_churn;

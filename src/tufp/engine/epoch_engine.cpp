@@ -56,8 +56,8 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
 
 void EpochEngine::reset() {
   rgraph_->reset();
-  // The stamp clock restarted: every cached tree's computed_clock is now
-  // meaningless, so the workspace must be dropped wholesale.
+  // The stamp clock restarted: the workspace's clock-keyed epoch-start
+  // state is now meaningless, so it is dropped wholesale.
   workspace_->clear();
   metrics_ = EngineMetrics();
   ledger_->clear();
@@ -131,9 +131,8 @@ int EpochEngine::reclaim_expired(double now) {
   // explicit run_epoch() with an older batch) reclaims at the frontier.
   const double effective = std::max(now, ledger_->now());
   const std::span<double> residual = rgraph_->mutable_residual();
-  // Every edge a reclaim touched must be stamped (and last_decrease
-  // bumped) or the cross-epoch tree cache could serve a path priced before
-  // the capacity returned (residual_csr.hpp): the drained leases come back.
+  // Every edge a reclaim touched is declared to the residual graph, which
+  // ticks its clock (residual_csr.hpp): the drained leases come back.
   std::vector<temporal::Lease> drained;
   const int expired = ledger_->reclaim_until(effective, base_->capacities(),
                                              residual, &drained);
@@ -156,20 +155,9 @@ int EpochEngine::reclaim_expired(double now) {
     // open_epoch() aborts the next solve otherwise).
     rgraph_->note_reclaimed({});
   } else {
-    reclaimed_scratch_.clear();
     for (const temporal::Lease& lease : drained) {
       rgraph_->note_reclaimed(lease.edges);
-      reclaimed_scratch_.insert(reclaimed_scratch_.end(), lease.edges.begin(),
-                                lease.edges.end());
     }
-    // Cache-cooperative reclaim: keep every cross-epoch tree the drained
-    // edges provably cannot touch (residual_csr.hpp survival criterion),
-    // validated through the post-reclaim clock.
-    const UfpWorkspace::ReclaimRevalidation r =
-        workspace_->revalidate_warm_trees(*base_, reclaimed_scratch_,
-                                          rgraph_->clock());
-    metrics_.counters().trees_kept_on_reclaim += r.kept;
-    metrics_.counters().trees_dropped_on_reclaim += r.dropped;
   }
   if (trace_ != nullptr) {
     // One lease_expired record per drained lease, in drain order,
@@ -309,9 +297,10 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // Epoch boundary: return expired leases' capacity *before* opening the
   // epoch's residual view, so this auction runs over the residual left by
   // expired and active leases. The reclaim may only *increase* residuals;
-  // it stamps every edge it touched and revalidates the cross-epoch trees
-  // against them, which is what keeps cached negative fit verdicts from
-  // outliving a capacity increase (DESIGN.md §10, §12, sp_cache.hpp).
+  // it declares every edge it touched, ticking the residual graph's
+  // clock, which is what keeps the clean-epoch fast path and the
+  // solver's epoch-start state from outliving a capacity increase
+  // (DESIGN.md §10, §12).
   {
     WallTimer reclaim_timer;
     report.expired_leases = reclaim_expired(close_time);
@@ -396,8 +385,9 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   solver_cfg.classify_rejections = true;
 
   // The solver speaks base edge ids over the residual graph and keeps its
-  // warm state in the cross-epoch workspace. The engine-differential
-  // oracle pins the output byte-identical to a cold per-epoch replay.
+  // engines, shard plan and epoch-start state in the workspace. The
+  // engine-differential oracle pins the output byte-identical to a cold
+  // per-epoch replay.
   // A fully saturated network (or nothing valid to clear) runs no
   // auction: every valid bid is a solver no_path, which the commit loop
   // refines against the base topology like any other.
@@ -408,8 +398,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
           .solution = UfpSolution(num_requests),
           .y = {},
           .trace = {},
-          .rejections = std::vector<RejectionRecord>(requests.size()),
-          .warm = {}};
+          .rejections = std::vector<RejectionRecord>(requests.size())};
       for (int r = 0; r < num_requests; ++r) {
         RejectionRecord& rec = none.rejections[static_cast<std::size_t>(r)];
         rec.request = r;
@@ -491,8 +480,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
           rec.value = requests[static_cast<std::size_t>(r)].value;
           rec.demand = requests[static_cast<std::size_t>(r)].demand;
           rec.density = rr.density;
-          rec.warm_tree = static_cast<std::size_t>(r) < run.warm.size() &&
-                          run.warm[static_cast<std::size_t>(r)] != 0;
           rec.path.assign(rr.path.begin(), rr.path.end());
           rec.bottleneck_edge = bottleneck;
           trace_->record(rec);
@@ -521,14 +508,12 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
       rec.demand = demand;
       rec.path.assign(path.begin(), path.end());
       rec.payment = payments[static_cast<std::size_t>(r)];
-      rec.warm_tree = static_cast<std::size_t>(r) < run.warm.size() &&
-                      run.warm[static_cast<std::size_t>(r)] != 0;
       rec.admitted_at = close_time;
       rec.expires_at = expires;
       trace_->record(rec);
     }
-    // The solver already speaks base edge ids: commit the decrement +
-    // stamp in place.
+    // The solver already speaks base edge ids: commit the decrement in
+    // place (it ticks the clock).
     rgraph_->commit_admission(path, demand);
     ledger_->admit(timed.sequence, demand, path, close_time, expires);
     if (timed.duration < kInf) ++metrics_.counters().finite_leases;

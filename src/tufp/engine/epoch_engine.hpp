@@ -280,9 +280,6 @@ class EpochEngine {
 
   std::shared_ptr<const Graph> base_;
   EpochEngineConfig config_;
-  // Reclaim batch scratch: the epoch's drained lease edges, concatenated
-  // for the warm-tree revalidation pass (allocation-free steady state).
-  std::vector<EdgeId> reclaimed_scratch_;
   std::unique_ptr<ResidualGraph> rgraph_;
   std::unique_ptr<UfpWorkspace> workspace_;
   std::unique_ptr<temporal::LeaseLedger> ledger_;

@@ -129,12 +129,6 @@ std::string EngineMetrics::summary(bool include_wall_clock) const {
        << " active_leases=" << active_leases_
        << " occupancy=" << Table::format_double(occupancy_, 4) << "\n";
   }
-  // Same discipline for the warm-tree reclaim counters: only runs where
-  // a reclaim actually met a populated tree cache print the line.
-  if (c.trees_kept_on_reclaim > 0 || c.trees_dropped_on_reclaim > 0) {
-    os << "trees_kept_on_reclaim=" << c.trees_kept_on_reclaim
-       << " trees_dropped_on_reclaim=" << c.trees_dropped_on_reclaim << "\n";
-  }
   if (include_wall_clock && solve_seconds_.count() > 0) {
     os << "solve_seconds_mean="
        << Table::format_double(solve_seconds_.stats().mean(), 6)

@@ -90,12 +90,8 @@ struct EngineCounters {
   std::int64_t finite_leases = 0;
   std::int64_t leases_expired = 0;
 
-  // Warm-tree reclaim cooperation (DESIGN.md §12): at every reclaim
-  // batch, cross-epoch trees proven untouched by the reclaimed edges are
-  // kept warm, the rest dropped. Deterministic for any thread count (the
-  // tree set is; the engine-differential oracle pins it across legs).
-  // Both stay zero without churn, which keeps pre-churn summaries
-  // byte-identical.
+  // Always 0: perfbench/driver.cpp still reads them; the next benchmark
+  // change deletes them together with the ufp.trees_* metrics.
   std::int64_t trees_kept_on_reclaim = 0;
   std::int64_t trees_dropped_on_reclaim = 0;
 };

@@ -126,7 +126,6 @@ void ShortestPathEngine::run_heap(std::span<const double> weights,
     if (item.dist > stop_dist) break;
     const auto u = static_cast<std::size_t>(item.vertex);
     if (item.dist > dist_[u]) continue;  // stale heap entry
-    if (record_settled_) settled_.push_back(item.vertex);
     if (target_epoch_[u] == current_epoch_) {
       target_epoch_[u] = current_epoch_ - 1;  // settled
       if (--pending == 0) stop_dist = item.dist;
@@ -180,7 +179,6 @@ void ShortestPathEngine::run_bucket(std::span<const double> weights,
       --live;
       const auto u = static_cast<std::size_t>(item.vertex);
       if (item.dist > dist_[u]) continue;  // stale entry
-      if (record_settled_) settled_.push_back(item.vertex);
       if (target_epoch_[u] == current_epoch_) {
         target_epoch_[u] = current_epoch_ - 1;  // settled
         --pending;
@@ -274,27 +272,19 @@ void ShortestPathEngine::run(std::span<const double> weights, VertexId source,
   }
   last_used_ = use;
 
-  if (record_settled_) {
-    settled_.clear();
-    settled_radius_ = kInf;
-  }
-
   if (use == SpKernel::kBucket) {
     run_bucket(weights, source, pending, blocked, delta, num_buckets);
   } else {
     run_heap(weights, source, pending, blocked);
   }
 
-  double radius = 0.0;
   for (TreeTarget& t : targets) {
     const auto v = static_cast<std::size_t>(t.vertex);
     if (epoch_[v] != current_epoch_ || dist_[v] >= kInf) {
       t.length = kInf;
-      radius = kInf;
       continue;  // unreachable: path stays untouched
     }
     t.length = dist_[v];
-    radius = std::max(radius, dist_[v]);
     if (t.path == nullptr) continue;
     t.path->clear();
     int steps = 0;
@@ -306,7 +296,6 @@ void ShortestPathEngine::run(std::span<const double> weights, VertexId source,
     }
     std::reverse(t.path->begin(), t.path->end());
   }
-  if (record_settled_) settled_radius_ = radius;
 }
 
 double ShortestPathEngine::shortest_path(std::span<const double> weights,

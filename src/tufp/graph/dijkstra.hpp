@@ -117,37 +117,6 @@ class ShortestPathEngine {
   void set_kernel(SpKernel kernel) { kernel_ = kernel; }
   SpKernel kernel() const { return kernel_; }
 
-  // Settled-tree export, consumed by the cross-epoch source-tree cache
-  // (graph/residual_csr.hpp). When enabled, each query records every
-  // vertex it settles (exactly one non-stale pop per reached vertex, so
-  // the list is duplicate-free); the label accessors below then expose
-  // the canonical tree. Off by default: recording costs one push_back
-  // per settled vertex and nothing else.
-  void set_record_settled(bool on) { record_settled_ = on; }
-  bool record_settled() const { return record_settled_; }
-
-  // Vertices settled by the most recent query, in settle order (source
-  // first). Valid until the next query. The bucket kernel drains its
-  // last bucket fully and may settle a few vertices past the farthest
-  // target; filter with settled_radius() for a kernel-invariant set.
-  std::span<const VertexId> settled_vertices() const { return settled_; }
-
-  // Largest finite target distance of the most recent query, or kInf
-  // when any target was unreachable (the search then exhausted the
-  // entire reachable set, identically under both kernels).
-  double settled_radius() const { return settled_radius_; }
-
-  // Labels of the most recent query, valid for settled vertices only.
-  double settled_dist(VertexId v) const {
-    return dist_[static_cast<std::size_t>(v)];
-  }
-  VertexId settled_parent_vertex(VertexId v) const {
-    return parent_vertex_[static_cast<std::size_t>(v)];
-  }
-  EdgeId settled_parent_edge(VertexId v) const {
-    return parent_edge_[static_cast<std::size_t>(v)];
-  }
-
   // Kernel the most recent query actually ran (kAuto resolved).
   SpKernel last_used_kernel() const { return last_used_; }
 
@@ -183,10 +152,6 @@ class ShortestPathEngine {
   const Graph* graph_;
   SpKernel kernel_;
   SpKernel last_used_ = SpKernel::kHeap;
-
-  bool record_settled_ = false;
-  std::vector<VertexId> settled_;
-  double settled_radius_ = kInf;
 
   std::vector<double> dist_;
   std::vector<EdgeId> parent_edge_;

@@ -149,14 +149,6 @@ void EpochTelemetry::finish(const EngineMetrics& metrics,
       .field("occupancy", occupancy)
       .field("delay_p50", metrics.admission_delay().percentile(0.5))
       .field("delay_p99", metrics.admission_delay().percentile(0.99));
-  // Warm-tree reclaim counters join the deterministic summary only when
-  // a reclaim actually met a populated tree cache: committed baselines
-  // from churn-free runs stay byte-identical (the check_trend.py exact
-  // gate diffs this event field-for-field).
-  if (c.trees_kept_on_reclaim > 0 || c.trees_dropped_on_reclaim > 0) {
-    det.field("trees_kept_on_reclaim", c.trees_kept_on_reclaim)
-        .field("trees_dropped_on_reclaim", c.trees_dropped_on_reclaim);
-  }
   emit(Channel::kDeterministic, det.str());
 
   JsonObject wall;

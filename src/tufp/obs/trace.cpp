@@ -42,7 +42,6 @@ std::string DecisionRecord::to_json() const {
       .field("demand", demand)
       .raw("path", edges.str())
       .field("payment", payment)
-      .field("warm_tree", warm_tree)
       .field("density", density)
       .field("bottleneck_edge", bottleneck_edge)
       .field("admitted_at", admitted_at)

@@ -74,7 +74,6 @@ struct DecisionRecord {
   // candidate path the classification inspected; empty when unreachable.
   std::vector<std::int64_t> path;
   double payment = 0.0;       // winners only; zero otherwise
-  bool warm_tree = false;     // SP provenance: cross-epoch warm cache hit
   double density = 0.0;       // (d/v)·|p|_y at solver exit (lost_auction)
   std::int64_t bottleneck_edge = -1;  // capacity_blocked / shard_conflict
   double admitted_at = 0.0;   // lease grant time (admitted / lease_expired)

@@ -107,10 +107,9 @@ struct TemporalRun {
   std::vector<int> final_active_on_edge;
   std::int64_t final_active = 0;
   // The engine's det stream: every DecisionRecord, one `epoch` telemetry
-  // event per epoch, then the closing `hist` and `summary` events (the
-  // summary carries the warm-tree reclaim counters). The reference
-  // replay renders none and leaves it empty; an engine run always ends
-  // with the summary, so its stream never is.
+  // event per epoch, then the closing `hist` and `summary` events. The
+  // reference replay renders none and leaves it empty; an engine run
+  // always ends with the summary, so its stream never is.
   std::vector<std::string> stream;
 };
 
@@ -223,10 +222,10 @@ TemporalRun run_engine(const SimWorld& world, const Leg& leg) {
 
 // The engine-differential oracle's reference: the engine's epoch
 // semantics replayed cold. Nothing crosses an epoch but a plain residual
-// vector and a plain lease ledger — no EpochEngine, ResidualGraph,
-// UfpWorkspace or warm tree — so a stale stamp, a wrong reclaim or a
-// cached tree the engine should have dropped shows up as a byte
-// difference against it. Per batch: reclaim expired leases, compile a
+// vector and a plain lease ledger — no EpochEngine, ResidualGraph or
+// UfpWorkspace — so a missed clock tick, a wrong reclaim or epoch-start
+// state the engine should have rebuilt shows up as a byte difference
+// against it. Per batch: reclaim expired leases, compile a
 // fresh GraphSnapshot of the residual, solve it as a UfpInstance under
 // the engine's epoch config (serially: outputs are thread-invariant),
 // price at the dual price, and commit winners in request order. `churn`
@@ -978,12 +977,12 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
 // counters, residual and ledger views, the drained-horizon state and,
 // leg against leg, the det stream of decision records and telemetry. The
 // reference shares no cross-epoch state with the engine, so this is the
-// oracle that licenses the persistent residual store and its warm-tree
-// cache (DESIGN.md §12); the stream diff carries the decision provenance
-// (§14) and the summary's warm-tree reclaim counters, which are a pure
-// function of the epoch history, across kernels and thread counts. On
-// top, the first leg's stream must keep the terminal-decision contract
-// (equality carries it to every other leg).
+// oracle that licenses the persistent residual store, its clean-epoch
+// fast path and the workspace's clock-keyed epoch-start state (DESIGN.md
+// §12); the stream diff carries the decision provenance (§14) across
+// kernels and thread counts. On top, the first leg's stream must keep
+// the terminal-decision contract (equality carries it to every other
+// leg).
 std::vector<Violation> oracle_engine_differential(OracleContext& ctx) {
   std::vector<Violation> out;
   const std::size_t offered = ctx.world.instance.requests().size();

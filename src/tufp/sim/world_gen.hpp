@@ -17,9 +17,7 @@ SimWorld generate_world(const WorldSpec& spec);
 // the oracle suite and test_engine_leases: a grid mesh under hub-local
 // traffic (pooled sources spread across the grid, targets from each hub's
 // hop ball) with finite lease durations, so reclaims fire steadily while
-// most hubs' warm trees sit far from any reclaimed edge — the regime where
-// per-tree reclaim revalidation keeps trees_kept_on_reclaim > 0 and the
-// residual graph never saturates into the blocked-mask fast path.
+// the residual graph never saturates into the blocked-mask fast path.
 struct ScaleChurnSpec {
   int rows = 60;
   int cols = 60;

@@ -26,7 +26,7 @@ BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
   detail::validate_requests(sub);
   validate_config(sub, config);
   detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-      workspace, rgraph, requests, config.parallel, config.num_threads,
+      workspace, rgraph.base(), requests, config.parallel, config.num_threads,
       config.sp_kernel);
   detail::EpochSolveState& st = detail::WorkspaceAccess::solve_state(workspace);
   if (st.owner != &rgraph) {

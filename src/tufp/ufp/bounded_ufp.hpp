@@ -66,12 +66,11 @@ struct BoundedUfpConfig {
   // Record one IterationRecord per selection (tests/benches).
   bool record_trace = false;
 
-  // Classify every unselected request at loop exit (result.rejections)
-  // and export per-request warm-tree provenance (result.warm). The
-  // classification reads only the solver's own deterministic exit state —
-  // cached entries, the live residual, the epoch-start capacities — so
-  // records are identical across kernels and thread counts (the
-  // engine-differential oracle's contract, DESIGN.md §14).
+  // Classify every unselected request at loop exit (result.rejections).
+  // The classification reads only the solver's own deterministic exit
+  // state — cached entries, the live residual, the epoch-start
+  // capacities — so records are identical across kernels and thread
+  // counts (the engine-differential oracle's contract, DESIGN.md §14).
   // Cost: O(rejected × path length) once per solve.
   bool classify_rejections = false;
 
@@ -125,7 +124,9 @@ struct BoundedUfpResult {
   // Best (smallest) dual-feasible upper bound on the *fractional* optimum
   // observed during the run: min_i D1(i)/alpha(i) + P(i) (Claim 3.6).
   // Always >= OPT >= solution value, so value/dual_upper_bound lower-bounds
-  // the true approximation quality of this run.
+  // the true approximation quality of this run. When every request is
+  // routed it is capped at the routed value, summed in request order like
+  // UfpSolution::total_value, so the two agree to the bit.
   double dual_upper_bound = 0.0;
 
   // True when the loop exited because sum c_e y_e > e^{eps(B-1)}; false
@@ -147,10 +148,8 @@ struct BoundedUfpResult {
   std::vector<IterationRecord> trace;
 
   // classify_rejections only: one record per unselected request in
-  // ascending request order, and per-request warm-tree provenance
-  // (sp_cache Entry::warm at exit) for every request, winners included.
+  // ascending request order.
   std::vector<RejectionRecord> rejections;
-  std::vector<std::uint8_t> warm;
 };
 
 // Preconditions: normalized instance (d_r <= 1), B >= 1, eps in (0,1],
@@ -163,9 +162,9 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
 // base-graph ids; blocked edges are excluded from every search and carry
 // y = 0 in result.y. Preconditions as above with B = the graph's min
 // active residual and at least one active edge. `workspace` carries the
-// shortest-path cache, shard plan, cross-epoch settled trees and
-// clean-epoch solve state across calls; results are bitwise identical to
-// a cold solve of the compiled epoch instance.
+// shortest-path engines, shard plan and clean-epoch solve state across
+// calls; results are bitwise identical to a cold solve of the compiled
+// epoch instance.
 BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,

@@ -73,14 +73,13 @@ inline void lower_critical(double demand, double length, double alpha,
 
 // Algorithm 1's loop, written once against the substrate. A non-null
 // `state` marks the engine's solve over the persistent residual graph
-// with its workspace. The first refresh may then be served from
-// cross-epoch settled trees (bitwise-equivalent; detail/sp_cache.hpp),
-// and `state` caches the O(m) epoch-start arrays across solves: they are
-// reused verbatim when the graph's stamp clock is unchanged — init_duals
-// is deterministic over inputs the unchanged clock certifies as bitwise
-// identical, so reuse is exact — and they stay reusable after the solve
-// only when nothing was admitted (admissions are the sole mutation).
-// This loop is the only reader of that epoch-start state.
+// with its workspace, and caches the O(m) epoch-start arrays across
+// solves: they are reused verbatim when the graph's stamp clock is
+// unchanged — init_duals is deterministic over inputs the unchanged
+// clock certifies as bitwise identical, so reuse is exact — and they
+// stay reusable after the solve only when nothing was admitted
+// (admissions are the sole mutation). This loop is the only reader of
+// that epoch-start state.
 // kShadow instantiates the critical-value replay: `shadow->request`
 // stays in `remaining`, so its entry is refreshed every iteration, but
 // the scan skips it; after each scan its winning-bid threshold is folded
@@ -139,11 +138,8 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
       break;
     }
     ++now;
-    // now == 1 is the only refresh whose weights are still the
-    // epoch-start duals the cross-epoch trees were stored under.
     cache.refresh(y, edge_stamp, now, remaining, config.lazy_shortest_paths,
-                  guard_residual, &profile, sub.blocked,
-                  /*epoch_start=*/state != nullptr && now == 1);
+                  guard_residual, &profile, sub.blocked);
     result.sp_computations +=
         static_cast<std::int64_t>(cache.recomputed_last_refresh());
     result.sp_tree_runs += cache.tree_runs_last_refresh();
@@ -227,9 +223,14 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   }
 
   // Everything routed: the solution is optimal, so its own value is a
-  // valid (tight) upper bound.
+  // valid (tight) upper bound. Summed in request order, as
+  // UfpSolution::total_value and the engine's admitted_value are, so the
+  // bound equals the reported value to the bit (Claim 3.6 checked
+  // exactly); primal_value above is in selection order.
   if (remaining.empty()) {
-    result.dual_upper_bound = std::min(result.dual_upper_bound, primal_value);
+    double total = 0.0;
+    for (const Request& req : sub.requests) total += req.value;
+    result.dual_upper_bound = std::min(result.dual_upper_bound, total);
   }
 
   if (config.classify_rejections) {
@@ -241,11 +242,6 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     // exits right after a refresh (entries fresh); under the faithful
     // threshold any still-fitting request is lost_auction regardless of
     // whether a late winner touched its path.
-    result.warm.resize(static_cast<std::size_t>(R));
-    for (int r = 0; r < R; ++r) {
-      result.warm[static_cast<std::size_t>(r)] =
-          cache.entry(r).warm ? 1 : 0;
-    }
     result.rejections.reserve(remaining.size());
     for (const int r : remaining) {  // ascending: erase() keeps the order
       const auto& entry = cache.entry(r);

@@ -45,22 +45,11 @@
 // The cache is built for reuse across epochs (ufp/workspace.hpp): it is
 // bound to a graph once and rebind()s to each epoch's request batch,
 // keeping the engine pool and — when the source sequence is unchanged —
-// the source-shard plan (per-entry state always resets: computation
-// stamps are epoch-local). With a warm context (set_warm_context) the
-// epoch's FIRST refresh additionally consults the cross-epoch
-// SourceTreeCache: a stored settled tree whose path edges are unstamped
-// since it was computed (graph/residual_csr.hpp §12 argument) serves its
-// whole shard without a Dijkstra run, bitwise identical to a fresh
-// search — reachable targets from the stored predecessor chain,
-// unreachable verdicts from an exhausted radius. Trees survive reclaims
-// when the engine's per-tree revalidation proves the reclaimed edges
-// cannot touch them (validated_clock; residual_csr.hpp survival
-// criterion). Warm consultation is restricted to the first refresh
-// because only there the duals are still the epoch-start weights
-// y = 1/c_e the trees were stored under.
+// the source-shard plan. No path crosses an epoch boundary: per-entry
+// state always resets (computation stamps are epoch-local), so each
+// epoch's first refresh runs one tree search per source shard.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -68,7 +57,6 @@
 #include <vector>
 
 #include "tufp/graph/dijkstra.hpp"
-#include "tufp/graph/residual_csr.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/ufp/instance.hpp"
 #include "tufp/util/arena.hpp"
@@ -106,13 +94,6 @@ class SpCache {
     // until the entry goes stale (see header comment). Always true when
     // refresh() runs without a residual vector.
     bool fits = true;
-    // Provenance: the last (re)computation was served from the
-    // cross-epoch SourceTreeCache rather than a fresh Dijkstra run.
-    // Deterministic across thread counts — the warm/miss group split is
-    // decided serially and the tree-cache content is a pure function of
-    // the epochs so far — so decision traces may emit it on the det
-    // channel (obs/trace.hpp).
-    bool warm = false;
   };
 
   // Binds to a graph for the cache's lifetime and to an initial request
@@ -157,7 +138,6 @@ class SpCache {
       e.computed_at = -1;
       e.reachable = true;
       e.fits = true;
-      e.warm = false;
     }
     bool same_plan = requests.size() == plan_sources_.size();
     if (same_plan) {
@@ -175,35 +155,22 @@ class SpCache {
     build_plan();
   }
 
-  // Enables cross-epoch warm starts: at each epoch's first refresh the
-  // cache consults `trees` for stored settled trees over `graph`'s base
-  // edges and stores the trees it computes fresh. Both pointers must
-  // outlive the cache (the workspace owns all three).
-  void set_warm_context(const ResidualGraph* graph, SourceTreeCache* trees) {
-    warm_graph_ = graph;
-    warm_trees_ = trees;
-  }
-
   // Ensures entries for `active` are shortest paths under `y`, where
   // edge_stamp[e] is the iteration at which e's weight last changed and
   // `now` the current iteration. With lazy=false everything recomputes.
   // A non-empty `residual` additionally refreshes Entry::fits against the
   // per-request demand. `profile`, when given, lets per-shard engines use
   // the bucket kernel (kAuto); it must be current for `y`. A non-empty
-  // `blocked` mask excludes edges from every search. `epoch_start` marks
-  // the first refresh of a solve whose weights are the epoch-start duals
-  // y = 1/c_e — the only point where the warm context may be consulted.
+  // `blocked` mask excludes edges from every search.
   void refresh(std::span<const double> y,
                std::span<const std::int64_t> edge_stamp, std::int64_t now,
                std::span<const int> active, bool lazy,
                std::span<const double> residual = {},
                const WeightProfile* profile = nullptr,
-               std::span<const std::uint8_t> blocked = {},
-               bool epoch_start = false) {
+               std::span<const std::uint8_t> blocked = {}) {
     TUFP_SPAN("sp_refresh");
     stale_count_ = 0;
     tree_runs_last_refresh_ = 0;
-    warm_trees_last_refresh_ = 0;
     for (Group& g : groups_) g.stale.clear();
     touched_groups_.clear();
     for (const int r : active) {
@@ -222,47 +189,12 @@ class SpCache {
       ++stale_count_;
     }
     if (touched_groups_.empty()) return;
-    // Counter parity with the always-fresh baseline: a warm-served shard
-    // still counts as a tree run and its entries as recomputations, so
-    // the sp_computations/sp_tree_runs the solvers report are identical
-    // whether or not the warm cache hits (goldens stay byte-stable).
     tree_runs_last_refresh_ =
         static_cast<std::int64_t>(touched_groups_.size());
 
-    // Warm starts need strictly positive epoch-start weights: with a
-    // zero weight present the engine falls back to first-discovery
-    // parents, which are not canonical and must not be cached.
-    const bool warm = epoch_start && warm_graph_ != nullptr &&
-                      warm_trees_ != nullptr && profile != nullptr &&
-                      profile->all_positive;
-    miss_groups_.clear();
-    if (warm) {
-      // Serial point for the tree cache's generation-reset eviction:
-      // store() itself never evicts (it runs on the OpenMP workers), so
-      // the limits are enforced here, where the tree set is a
-      // deterministic function of the epochs so far — identical for
-      // every thread count.
-      warm_trees_->enforce_limits();
-      for (const int gi : touched_groups_) {
-        if (serve_warm_group(groups_[static_cast<std::size_t>(gi)], residual,
-                             now)) {
-          ++warm_trees_last_refresh_;
-          ++warm_trees_served_;
-          warm_entries_served_ += static_cast<std::int64_t>(
-              groups_[static_cast<std::size_t>(gi)].stale.size());
-        } else {
-          miss_groups_.push_back(gi);
-        }
-      }
-      if (miss_groups_.empty()) return;
-      for (auto& engine : engines_) engine->set_record_settled(true);
-    } else {
-      miss_groups_.assign(touched_groups_.begin(), touched_groups_.end());
-    }
-    const std::int64_t warm_clock = warm ? warm_graph_->clock() : 0;
-
     const auto work = [&](std::size_t idx, int engine_id) {
-      const Group& g = groups_[static_cast<std::size_t>(miss_groups_[idx])];
+      const Group& g =
+          groups_[static_cast<std::size_t>(touched_groups_[idx])];
       // Per-engine (= per-thread) scratch keeps the steady-state refresh
       // loop allocation-free.
       std::vector<ShortestPathEngine::TreeTarget>& targets =
@@ -277,18 +209,11 @@ class SpCache {
       ShortestPathEngine& engine =
           *engines_[static_cast<std::size_t>(engine_id)];
       engine.shortest_tree(y, g.source, targets, blocked, profile);
-      if (warm) {
-        // Store order across shards is thread-schedule dependent, but
-        // every stored tree is canonical, so anything later served from
-        // it is bitwise identical to a fresh search either way.
-        warm_trees_->store(g.source, engine, warm_clock);
-      }
       for (std::size_t i = 0; i < g.stale.size(); ++i) {
         const int r = g.stale[i];
         Entry& entry = entries_[static_cast<std::size_t>(r)];
         entry.length = targets[i].length;
         entry.computed_at = now;
-        entry.warm = false;
         if (entry.length >= kInf) {
           entry.reachable = false;
           entry.fits = false;
@@ -303,21 +228,18 @@ class SpCache {
     };
 
 #if defined(TUFP_HAVE_OPENMP)
-    if (parallel_ && miss_groups_.size() > 1) {
+    if (parallel_ && touched_groups_.size() > 1) {
       const int pool = static_cast<int>(engines_.size());
 #pragma omp parallel for schedule(dynamic, 1) num_threads(pool)
-      for (std::size_t i = 0; i < miss_groups_.size(); ++i) {
+      for (std::size_t i = 0; i < touched_groups_.size(); ++i) {
         work(i, omp_get_thread_num());
       }
     } else {
-      for (std::size_t i = 0; i < miss_groups_.size(); ++i) work(i, 0);
+      for (std::size_t i = 0; i < touched_groups_.size(); ++i) work(i, 0);
     }
 #else
-    for (std::size_t i = 0; i < miss_groups_.size(); ++i) work(i, 0);
+    for (std::size_t i = 0; i < touched_groups_.size(); ++i) work(i, 0);
 #endif
-    if (warm) {
-      for (auto& engine : engines_) engine->set_record_settled(false);
-    }
   }
 
   const Entry& entry(int r) const {
@@ -325,12 +247,11 @@ class SpCache {
   }
 
   // Entries recomputed by the last refresh (the algorithmic
-  // shortest-path count the solvers report; warm-served entries count).
+  // shortest-path count the solvers report).
   std::size_t recomputed_last_refresh() const { return stale_count_; }
 
-  // Dijkstra tree searches the last refresh accounted for — one per
-  // source shard with at least one stale entry (warm-served shards
-  // count; see the parity note in refresh()).
+  // Dijkstra tree searches the last refresh ran — one per source shard
+  // with at least one stale entry.
   std::int64_t tree_runs_last_refresh() const {
     return tree_runs_last_refresh_;
   }
@@ -339,13 +260,6 @@ class SpCache {
   // source-shard plan was rebuilt vs reused across rebind()s.
   std::int64_t plan_builds() const { return plan_builds_; }
   std::int64_t plan_reuses() const { return plan_reuses_; }
-
-  // Cross-epoch warm-start telemetry (never part of solver reports).
-  std::int64_t warm_trees_last_refresh() const {
-    return warm_trees_last_refresh_;
-  }
-  std::int64_t warm_trees_served() const { return warm_trees_served_; }
-  std::int64_t warm_entries_served() const { return warm_entries_served_; }
 
  private:
   struct Group {
@@ -386,69 +300,6 @@ class SpCache {
     return true;
   }
 
-  // Tries to serve every stale target of `g` from the cross-epoch tree
-  // cache. All-or-nothing: on any failed validation the whole shard is
-  // reported as a miss and recomputed fresh (entries partially filled
-  // here are overwritten by the fresh run). Soundness: residual_csr.hpp
-  // §12 header — unstamped path edges + no global weight decrease imply
-  // a fresh canonical search would reproduce the stored tree bitwise.
-  bool serve_warm_group(const Group& g, std::span<const double> residual,
-                        std::int64_t now) {
-    const SourceTreeCache::Tree* tree = warm_trees_->lookup(g.source);
-    if (tree == nullptr) return false;
-    // Weight decreases after max(computed, validated) are unaccounted
-    // for; a reclaim revalidation that kept this tree bumped
-    // validated_clock past the reclaim's last_decrease() tick
-    // (residual_csr.hpp survival criterion), so surviving trees keep
-    // serving. Per-edge stamp checks below stay against computed_clock:
-    // a kept tree contains no reclaimed edge, so any later stamp on a
-    // stored path edge is an admission — a weight increase the stored
-    // path cannot certify against.
-    const std::int64_t valid_through =
-        std::max(tree->computed_clock, tree->validated_clock);
-    if (warm_graph_->last_decrease() > valid_through) return false;
-    const std::span<const std::int64_t> stamps = warm_graph_->stamps();
-    for (const int r : g.stale) {
-      Entry& entry = entries_[static_cast<std::size_t>(r)];
-      const Request& req = requests_[static_cast<std::size_t>(r)];
-      const int ti = tree->index_of(req.target);
-      if (ti < 0) {
-        // Absent target: conclusive only when the stored search
-        // exhausted the entire reachable set.
-        if (tree->radius < kInf) return false;
-        entry.length = kInf;
-        entry.reachable = false;
-        entry.fits = false;
-        entry.warm = true;
-        entry.path.clear();
-        entry.computed_at = std::numeric_limits<std::int64_t>::max();
-        continue;
-      }
-      // Reconstruct the stored path while validating its stamps.
-      entry.path.clear();
-      int i = ti;
-      VertexId v = req.target;
-      while (v != g.source) {
-        const EdgeId pe = tree->parent_edge[static_cast<std::size_t>(i)];
-        if (stamps[static_cast<std::size_t>(pe)] > tree->computed_clock) {
-          return false;
-        }
-        entry.path.push_back(pe);
-        v = tree->parent_vertex[static_cast<std::size_t>(i)];
-        i = tree->index_of(v);
-        if (i < 0) return false;  // defensive: parents are always settled
-      }
-      std::reverse(entry.path.begin(), entry.path.end());
-      entry.length = tree->dist[static_cast<std::size_t>(ti)];
-      entry.reachable = true;
-      entry.computed_at = now;
-      entry.warm = true;
-      entry.fits =
-          residual.empty() || path_fits(entry.path, residual, req.demand);
-    }
-    return true;
-  }
-
   const Graph* graph_;
   std::span<const Request> requests_;
   std::vector<Entry> entries_;
@@ -459,16 +310,10 @@ class SpCache {
   std::vector<VertexId> plan_sources_;  // source signature of the plan
   GenerationMap<int> group_of_source_;
   std::vector<int> touched_groups_;
-  std::vector<int> miss_groups_;
   std::size_t stale_count_ = 0;
   std::int64_t tree_runs_last_refresh_ = 0;
   std::int64_t plan_builds_ = 0;
   std::int64_t plan_reuses_ = 0;
-  std::int64_t warm_trees_last_refresh_ = 0;
-  std::int64_t warm_trees_served_ = 0;
-  std::int64_t warm_entries_served_ = 0;
-  const ResidualGraph* warm_graph_ = nullptr;
-  SourceTreeCache* warm_trees_ = nullptr;
   bool parallel_;
   int num_threads_;
 };

@@ -1,7 +1,7 @@
 // Internal backdoor into UfpWorkspace's pimpl (Algorithm 1's
 // implementation files only). Public consumers see ufp/workspace.hpp's
-// opaque surface; the engine's solve needs the concrete
-// SpCache/SourceTreeCache to wire warm starts up.
+// opaque surface; the engine's solve needs the concrete SpCache and
+// epoch-start solve state.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,6 @@ struct EpochSolveState {
 
 struct UfpWorkspace::Impl {
   std::unique_ptr<detail::SpCache> cache;
-  SourceTreeCache trees;
   detail::EpochSolveState solve_state;
 
   // Construction parameters the cached SpCache was built with; a solve
@@ -66,26 +65,23 @@ class WorkspaceAccess {
 
   // The workspace's SpCache bound to (graph, requests) under the given
   // parallelism/kernel configuration: rebinds the existing cache when
-  // compatible, rebuilds it otherwise. The returned cache has its warm
-  // context attached to the workspace's tree cache.
-  static SpCache& bind_cache(UfpWorkspace& ws, const ResidualGraph& rgraph,
+  // compatible, rebuilds it otherwise.
+  static SpCache& bind_cache(UfpWorkspace& ws, const Graph& graph,
                              std::span<const Request> requests, bool parallel,
                              int num_threads, SpKernel kernel) {
     UfpWorkspace::Impl& state = *ws.impl_;
-    const Graph* graph = &rgraph.base();
-    if (state.cache == nullptr || state.graph != graph ||
+    if (state.cache == nullptr || state.graph != &graph ||
         state.parallel != parallel || state.num_threads != num_threads ||
         state.kernel != kernel) {
-      state.cache = std::make_unique<SpCache>(*graph, requests, parallel,
+      state.cache = std::make_unique<SpCache>(graph, requests, parallel,
                                               num_threads, kernel);
-      state.graph = graph;
+      state.graph = &graph;
       state.parallel = parallel;
       state.num_threads = num_threads;
       state.kernel = kernel;
     } else {
       state.cache->rebind(requests);
     }
-    state.cache->set_warm_context(&rgraph, &state.trees);
     return *state.cache;
   }
 

@@ -1,37 +1,24 @@
-// Epoch-arena primitives: O(1) logical resets for per-epoch scratch.
+// Epoch-arena primitive: O(1) logical resets for per-epoch scratch.
 //
-// The serving hot path (graph/residual_csr.hpp, ufp/detail/sp_cache.hpp)
-// re-enters the same data structures every epoch. Rebuilding or
-// memset-ing them costs O(universe) per epoch — exactly the
-// snapshot-recompile overhead the persistent residual graph removes — so
-// the per-epoch scratch follows one rule instead: a *generation counter*
-// is bumped in O(1) and every slot whose recorded generation is stale
-// reads as the reset value. ShortestPathEngine's label arrays
-// (graph/dijkstra.hpp) apply the same rule in-place with their
-// query-epoch counter; the helpers here package it for the other
-// epoch-scoped structures:
-//
-//   * GenerationMap<T> — a flat array with lazy generation-stamped
-//     entries. advance() is the whole reset; reads of untouched slots
-//     return the reset value without the array ever being rewritten.
-//     Used for the source->shard map rebuilt per epoch over a 10^5-vertex
-//     universe with only O(batch) distinct sources.
-//   * BumpArena — a chunked bump allocator for trivially-destructible
-//     records. reset() rewinds every chunk in O(chunks) and keeps the
-//     memory; the cross-epoch source-tree cache stores its settled-tree
-//     records here and evicts wholesale by arena reset + generation bump
-//     (no per-tree free lists).
+// The serving hot path (ufp/detail/sp_cache.hpp) re-enters the same data
+// structures every epoch. Rebuilding or memset-ing them costs
+// O(universe) per epoch — exactly the snapshot-recompile overhead the
+// persistent residual graph removes — so the per-epoch scratch follows
+// one rule instead: a *generation counter* is bumped in O(1) and every
+// slot whose recorded generation is stale reads as the reset value.
+// ShortestPathEngine's label arrays (graph/dijkstra.hpp) apply the same
+// rule in-place with their query-epoch counter; GenerationMap<T> packages
+// it as a flat array with lazy generation-stamped entries. advance() is
+// the whole reset; reads of untouched slots return the reset value
+// without the array ever being rewritten. Used for the source->shard map
+// rebuilt per epoch over a 10^5-vertex universe with only O(batch)
+// distinct sources.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <span>
-#include <type_traits>
 #include <vector>
-
-#include "tufp/util/assert.hpp"
 
 namespace tufp {
 
@@ -85,79 +72,6 @@ class GenerationMap {
   std::vector<std::uint32_t> stamps_;
   std::uint32_t current_ = 0;
   T reset_value_{};
-};
-
-// Chunked bump allocator for trivially-destructible records. allocate()
-// never invalidates previously returned spans; reset() rewinds all chunks
-// in O(chunks) keeping their memory. No per-allocation free: the owner
-// evicts everything at once (the generation-reset eviction rule).
-class BumpArena {
- public:
-  explicit BumpArena(std::size_t chunk_bytes = std::size_t{1} << 20)
-      : chunk_bytes_(chunk_bytes) {
-    TUFP_REQUIRE(chunk_bytes_ > 0, "arena chunk size must be positive");
-  }
-
-  template <typename T>
-  std::span<T> allocate(std::size_t count) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "BumpArena never runs destructors");
-    if (count == 0) return {};
-    const std::size_t bytes = count * sizeof(T);
-    void* p = raw_allocate(bytes, alignof(T));
-    return {static_cast<T*>(p), count};
-  }
-
-  // Rewinds every chunk; all outstanding spans become invalid.
-  void reset() {
-    for (Chunk& c : chunks_) c.used = 0;
-    active_ = 0;
-    allocated_bytes_ = 0;
-  }
-
-  // Bytes handed out since the last reset (live payload, not capacity).
-  // An order-independent sum over the outstanding allocations, so limit
-  // checks keyed on it are deterministic even when the allocations were
-  // made from differently-scheduled threads.
-  std::size_t bytes_allocated() const { return allocated_bytes_; }
-
-  // Total chunk capacity currently held (survives reset(): the memory is
-  // kept for reuse). The high-water figure resident-memory telemetry
-  // wants, as opposed to the live payload above.
-  std::size_t bytes_reserved() const {
-    std::size_t total = 0;
-    for (const Chunk& c : chunks_) total += c.capacity;
-    return total;
-  }
-
- private:
-  struct Chunk {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t capacity = 0;
-    std::size_t used = 0;
-  };
-
-  void* raw_allocate(std::size_t bytes, std::size_t align) {
-    while (active_ < chunks_.size()) {
-      Chunk& c = chunks_[active_];
-      const std::size_t start = (c.used + align - 1) / align * align;
-      if (start + bytes <= c.capacity) {
-        c.used = start + bytes;
-        allocated_bytes_ += bytes;
-        return c.data.get() + start;
-      }
-      ++active_;
-    }
-    const std::size_t capacity = std::max(chunk_bytes_, bytes + align);
-    chunks_.push_back({std::make_unique<std::byte[]>(capacity), capacity, 0});
-    active_ = chunks_.size() - 1;
-    return raw_allocate(bytes, align);
-  }
-
-  std::size_t chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  std::size_t active_ = 0;
-  std::size_t allocated_bytes_ = 0;
 };
 
 }  // namespace tufp

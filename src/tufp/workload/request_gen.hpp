@@ -36,21 +36,21 @@ struct RequestGenConfig {
   // Incompatible with kProportional, whose value needs the hop distance.
   bool assume_connected = false;
   // When > 0, sources are drawn from vertices [0, source_pool) instead
-  // of the whole vertex set — the hub-locality workload that gives the
-  // cross-epoch tree cache repeated sources to warm against. Targets
-  // still range over all vertices.
+  // of the whole vertex set — the hub-locality workload whose repeated
+  // sources let one source-shard tree answer many requests per refresh.
+  // Targets still range over all vertices.
   int source_pool = 0;
   // When > 1, the pooled sources are spread across the vertex set
   // instead of clustered at its low end: source = stride * draw, draw in
   // [0, source_pool). The churn tier uses this to place its hubs in
-  // distant graph regions, so one hub's reclaims cannot touch another
-  // hub's warm trees. Requires a source pool, with
+  // distant graph regions, so one hub's traffic and reclaims stay away
+  // from another hub's routes. Requires a source pool, with
   // stride * (pool - 1) < num_vertices.
   int source_stride = 1;
   // When > 0, targets are drawn uniformly from the hop-limited BFS ball
   // around the sampled source (excluding the source) instead of from the
-  // whole vertex set — local traffic, the knob that keeps warm trees
-  // small enough to survive remote reclaims. Balls are computed lazily
+  // whole vertex set — local traffic, the knob that keeps each search
+  // and each lease's footprint small. Balls are computed lazily
   // once per source over the base adjacency (deterministic, sorted by
   // vertex id), so a source pool is required; reachability holds by
   // construction, making assume_connected unnecessary. Incompatible with

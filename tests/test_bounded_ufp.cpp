@@ -34,6 +34,29 @@ TEST(BoundedUfp, RoutesEverythingWhenCapacityAmple) {
   EXPECT_DOUBLE_EQ(result.dual_upper_bound, result.solution.total_value(inst));
 }
 
+TEST(BoundedUfp, AllRoutedBoundEqualsValueBitwise) {
+  // Equal demands on one edge: the highest bid wins first, so requests
+  // are selected in the order 2, 1, 0. The values are chosen so the two
+  // summation orders differ in the last bit: (0.3 + 0.2) + 0.1 == 0.6,
+  // but (0.1 + 0.2) + 0.3 == 0.6000000000000001. The tight bound of an
+  // all-routed run must be the value as reported (request order), or an
+  // exact Claim 3.6 check reads value > bound.
+  Graph g = Graph::directed(2);
+  g.add_edge(0, 1, 10.0);
+  g.finalize();
+  const UfpInstance inst(
+      std::move(g), {{0, 1, 1.0, 0.1}, {0, 1, 1.0, 0.2}, {0, 1, 1.0, 0.3}});
+  BoundedUfpConfig cfg;
+  cfg.record_trace = true;
+  const BoundedUfpResult result = bounded_ufp(inst, cfg);
+  ASSERT_EQ(result.solution.num_selected(), 3);
+  ASSERT_EQ(result.trace.size(), 3u);
+  EXPECT_EQ(result.trace[0].request, 2);
+  EXPECT_EQ(result.trace[2].request, 0);
+  ASSERT_NE((0.3 + 0.2) + 0.1, (0.1 + 0.2) + 0.3);
+  EXPECT_EQ(result.dual_upper_bound, result.solution.total_value(inst));
+}
+
 TEST(BoundedUfp, EmptyRequestSet) {
   Graph g = grid_graph(2, 2, 5.0, false);
   UfpInstance inst(std::move(g), {});

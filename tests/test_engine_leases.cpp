@@ -172,15 +172,14 @@ TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
   }
 }
 
-TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
+TEST(EngineLeases, ScaleChurnWorldByteIdenticalUnderReclaims) {
   // The non-saturating churn tier at test scale (the bench runs the same
   // shape at 10^6 requests): a 60x60 grid under hub-local traffic with
   // exponential lease churn. The engine-differential oracle diffs the
   // engine against the cold reference replay on every report field at
-  // auto/heap/bucket x 1/4 threads — and the legs' det streams, with
-  // the warm-tree reclaim counters, against each other — and a direct
-  // persistent run must show trees actually SURVIVING reclaims (kept >
-  // 0), the property the whole per-tree revalidation exists for.
+  // auto/heap/bucket x 1/4 threads — and the legs' det streams against
+  // each other — and a direct persistent run must show reclaims actually
+  // firing, or the differential would be vacuous for the reclaim path.
   sim::ScaleChurnSpec spec;
   spec.num_requests = 1200;
   spec.seed = 3;
@@ -193,9 +192,7 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().detail);
 
-  // Direct persistent churn replay: reclaims fire and warm trees survive
-  // them (hub-local traffic keeps most hubs away from any reclaimed
-  // edge).
+  // Direct persistent churn replay: reclaims fire.
   EpochEngineConfig config;
   config.max_batch = world.max_batch;
   config.solver = world.solver;
@@ -219,8 +216,6 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   }
   const EngineCounters& c = engine.metrics().counters();
   EXPECT_GT(c.leases_expired, 0);
-  EXPECT_GT(c.trees_kept_on_reclaim, 0);
-  EXPECT_GT(c.trees_dropped_on_reclaim, 0);
 }
 
 TEST(EngineLeases, ScaleChurnFlashCrowdMatchesReferenceReplay) {

@@ -66,7 +66,6 @@ TEST(DecisionRecord, JsonIsByteExact) {
   rec.demand = 0.5;
   rec.path = {3, 5};
   rec.payment = 0.25;
-  rec.warm_tree = true;
   rec.admitted_at = 1.5;
   rec.expires_at = kInf;
   // Field order and rendering are part of the byte-exact contract: every
@@ -76,7 +75,7 @@ TEST(DecisionRecord, JsonIsByteExact) {
             "{\"event\":\"decision\",\"chan\":\"det\",\"seq\":7,\"epoch\":2,"
             "\"outcome\":\"admitted\",\"close_time\":1.5,\"value\":4,"
             "\"demand\":0.5,\"path\":[3,5],\"payment\":0.25,"
-            "\"warm_tree\":true,\"density\":0,\"bottleneck_edge\":-1,"
+            "\"density\":0,\"bottleneck_edge\":-1,"
             "\"admitted_at\":1.5,\"expires_at\":\"inf\"}");
 }
 

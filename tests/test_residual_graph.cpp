@@ -1,9 +1,8 @@
 // Unit coverage for the persistent serving core (DESIGN.md §12): the
 // ResidualGraph CSR store's epoch cycle (open/commit/reclaim/reset and
-// the stamp-clock invariants), the arena primitives its caches are built
-// on (GenerationMap, BumpArena), the cross-epoch SourceTreeCache with
-// its generation-reset eviction, and the engine-side accessors that
-// expose the persistent state to telemetry.
+// the stamp-clock invariants), the GenerationMap the solver's shard plan
+// is built on, and the engine-side accessors that expose the persistent
+// state to telemetry.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "tufp/engine/epoch_engine.hpp"
-#include "tufp/graph/dijkstra.hpp"
 #include "tufp/graph/graph.hpp"
 #include "tufp/graph/residual_csr.hpp"
 #include "tufp/util/arena.hpp"
@@ -39,21 +37,15 @@ TEST(ResidualGraph, EpochCycleUpdatesInPlace) {
   EXPECT_EQ(rg.num_saturated(), 0);
   EXPECT_EQ(rg.min_residual(), 2.0);
   EXPECT_EQ(rg.clock(), 0);
-  EXPECT_EQ(rg.last_decrease(), 0);
   EXPECT_EQ(rg.epoch_capacities()[2], 2.0);
 
-  // Commit a path over edges {0, 1}: residuals drop, stamps advance.
+  // Commit a path over edges {0, 1}: residuals drop, the clock ticks.
   const std::vector<EdgeId> path{0, 1};
   rg.commit_admission(path, 2.5);
   EXPECT_EQ(rg.residual()[0], 1.5);
   EXPECT_EQ(rg.residual()[1], 0.5);
   EXPECT_EQ(rg.residual()[2], 2.0);  // untouched
   EXPECT_GT(rg.clock(), 0);
-  EXPECT_EQ(rg.stamps()[0], rg.clock());
-  EXPECT_EQ(rg.stamps()[1], rg.clock());
-  EXPECT_EQ(rg.stamps()[2], 0);
-  // Admissions only increase weights: last_decrease stays put.
-  EXPECT_EQ(rg.last_decrease(), 0);
   // Epoch-start capacities are frozen; only the live residual moved.
   EXPECT_EQ(rg.epoch_capacities()[0], 4.0);
 
@@ -72,7 +64,7 @@ TEST(ResidualGraph, EpochCycleUpdatesInPlace) {
   EXPECT_EQ(rg.residual()[2], 0.0);
 }
 
-TEST(ResidualGraph, ReclaimBumpsLastDecrease) {
+TEST(ResidualGraph, ReclaimTicksTheClock) {
   ResidualGraph rg(make_diamond(), 1.0);
   const std::vector<EdgeId> path{0};
   rg.commit_admission(path, 3.5);
@@ -80,14 +72,16 @@ TEST(ResidualGraph, ReclaimBumpsLastDecrease) {
   const std::int64_t clock_after_admit = rg.clock();
 
   // A reclaim writes residual back through mutable_residual() and then
-  // declares the touched edges; the stamp AND last_decrease both move —
-  // a residual increase is the one direction stored trees cannot
-  // certify against.
+  // declares the touched edges, which ticks the clock: the next
+  // open_epoch() rescans instead of taking the clean-epoch fast path.
+  rg.open_epoch();
+  EXPECT_EQ(rg.epoch_capacities()[0], 0.5);
   rg.mutable_residual()[0] = 4.0;
   rg.note_reclaimed(path);
   EXPECT_GT(rg.clock(), clock_after_admit);
-  EXPECT_EQ(rg.stamps()[0], rg.clock());
-  EXPECT_EQ(rg.last_decrease(), rg.clock());
+  rg.open_epoch();
+  EXPECT_EQ(rg.epoch_capacities()[0], 4.0);
+  EXPECT_EQ(rg.blocked()[0], 0);
 }
 
 TEST(ResidualGraph, ResetRestoresBaseAndRestartsClock) {
@@ -99,8 +93,6 @@ TEST(ResidualGraph, ResetRestoresBaseAndRestartsClock) {
   EXPECT_EQ(rg.residual()[0], 4.0);
   EXPECT_EQ(rg.residual()[1], 3.0);
   EXPECT_EQ(rg.clock(), 0);
-  EXPECT_EQ(rg.last_decrease(), 0);
-  EXPECT_EQ(rg.stamps()[0], 0);
   EXPECT_EQ(rg.num_active(), 3);
 }
 
@@ -123,138 +115,6 @@ TEST(GenerationMap, AdvanceIsAWholesaleReset) {
   map.reset(8, -2);
   EXPECT_EQ(map.size(), 8u);
   EXPECT_EQ(map.get(2), -2);
-}
-
-TEST(BumpArena, SpansSurviveLaterAllocations) {
-  BumpArena arena(64);  // tiny chunks force multi-chunk growth
-  auto a = arena.allocate<std::int64_t>(4);
-  for (int i = 0; i < 4; ++i) a[i] = 100 + i;
-  auto b = arena.allocate<double>(32);  // spills into a new chunk
-  for (int i = 0; i < 32; ++i) b[i] = 0.5 * i;
-  // allocate() never invalidates previously returned spans.
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(a[i], 100 + i);
-  EXPECT_GE(arena.bytes_allocated(), 4 * sizeof(std::int64_t));
-
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // Memory is retained: a fresh allocation succeeds immediately.
-  auto c = arena.allocate<int>(4);
-  c[0] = 1;
-  EXPECT_EQ(c[0], 1);
-}
-
-TEST(SourceTreeCache, StoreLookupAndGenerationEviction) {
-  const std::shared_ptr<const Graph> base = make_diamond();
-  const std::vector<double> weights{1.0, 1.0, 3.0};
-
-  ShortestPathEngine engine(*base, SpKernel::kHeap);
-  engine.set_record_settled(true);
-
-  SourceTreeCache::Limits limits;
-  limits.max_trees = 2;
-  SourceTreeCache cache(limits);
-  EXPECT_EQ(cache.lookup(0), nullptr);
-
-  // Run a full tree query from source 0 and snapshot it.
-  std::vector<ShortestPathEngine::TreeTarget> targets{{1, 0.0, nullptr},
-                                                      {2, 0.0, nullptr}};
-  engine.shortest_tree(weights, 0, targets);
-  cache.store(0, engine, /*computed_clock=*/5);
-  ASSERT_EQ(cache.num_trees(), 1u);
-
-  const SourceTreeCache::Tree* tree = cache.lookup(0);
-  ASSERT_NE(tree, nullptr);
-  EXPECT_EQ(tree->source, 0);
-  EXPECT_EQ(tree->computed_clock, 5);
-  // 0 -> 1 -> 2 (length 2) beats the direct edge (length 3).
-  const int idx2 = tree->index_of(2);
-  ASSERT_GE(idx2, 0);
-  EXPECT_EQ(tree->dist[static_cast<std::size_t>(idx2)], 2.0);
-  EXPECT_EQ(tree->parent_vertex[static_cast<std::size_t>(idx2)], 1);
-  EXPECT_EQ(tree->index_of(42), -1);
-
-  // A second source fills the cache to its limit...
-  std::vector<ShortestPathEngine::TreeTarget> from1{{2, 0.0, nullptr}};
-  engine.shortest_tree(weights, 1, from1);
-  cache.store(1, engine, 6);
-  EXPECT_EQ(cache.num_trees(), 2u);
-  const std::int64_t generation_before = cache.generation();
-
-  // ...and a third store exceeds it WITHOUT evicting: store() runs on
-  // the OpenMP refresh workers, where an eviction would make the
-  // surviving tree set thread-schedule dependent. The limits are soft
-  // until the serial enforce_limits() point. (Vertex 2 has no outgoing
-  // edges, so this tree records only its source — unreachable targets
-  // are a legal tree to cache.)
-  std::vector<ShortestPathEngine::TreeTarget> from2{{0, 0.0, nullptr}};
-  engine.shortest_tree(weights, 2, from2);
-  cache.store(2, engine, 7);
-  EXPECT_EQ(cache.evictions(), 0);
-  EXPECT_EQ(cache.num_trees(), 3u);
-  EXPECT_EQ(cache.generation(), generation_before);
-  EXPECT_NE(cache.lookup(0), nullptr);
-  EXPECT_EQ(cache.stores(), 3);
-
-  // The serial point applies the wholesale generation-reset eviction:
-  // arena rewound, every tree gone, generation bumped.
-  cache.enforce_limits();
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_GT(cache.generation(), generation_before);
-  EXPECT_EQ(cache.num_trees(), 0u);
-  EXPECT_EQ(cache.lookup(0), nullptr);
-  EXPECT_EQ(cache.lookup(2), nullptr);
-
-  // Back under the limit nothing is evicted.
-  cache.enforce_limits();
-  EXPECT_EQ(cache.evictions(), 1);
-
-  cache.clear();
-  EXPECT_EQ(cache.num_trees(), 0u);
-  EXPECT_EQ(cache.lookup(2), nullptr);
-}
-
-TEST(SourceTreeCache, ReclaimRevalidationOnlyDropsTouchedTrees) {
-  const std::shared_ptr<const Graph> base = make_diamond();
-  const std::vector<double> weights{1.0, 1.0, 3.0};
-
-  ShortestPathEngine engine(*base, SpKernel::kHeap);
-  engine.set_record_settled(true);
-  SourceTreeCache cache;
-
-  // Tree A from source 0 settles {0, 1, 2}; tree B from source 2 settles
-  // only {2} (no outgoing edges, radius-exhausted).
-  std::vector<ShortestPathEngine::TreeTarget> from0{{2, 0.0, nullptr}};
-  engine.shortest_tree(weights, 0, from0);
-  cache.store(0, engine, /*computed_clock=*/5);
-  std::vector<ShortestPathEngine::TreeTarget> from2{{0, 0.0, nullptr}};
-  engine.shortest_tree(weights, 2, from2);
-  cache.store(2, engine, 5);
-  ASSERT_EQ(cache.num_trees(), 2u);
-
-  // Reclaim edge 0 (0 -> 1): its usable endpoint (the tail, 0) lies in
-  // tree A's settled set but not in tree B's — exactly one tree must
-  // die. The old wholesale generation reset dropped both.
-  const std::vector<EdgeId> reclaimed{0};
-  const SourceTreeCache::ReclaimRevalidation out =
-      cache.revalidate_after_reclaim(*base, reclaimed, /*clock_after=*/9);
-  EXPECT_EQ(out.dropped, 1);
-  EXPECT_EQ(out.kept, 1);
-  EXPECT_EQ(cache.num_trees(), 1u);
-  EXPECT_EQ(cache.lookup(0), nullptr);
-
-  // The survivor is revalidated through the post-reclaim clock, so the
-  // warm path's last_decrease() check keeps passing for it.
-  const SourceTreeCache::Tree* survivor = cache.lookup(2);
-  ASSERT_NE(survivor, nullptr);
-  EXPECT_EQ(survivor->computed_clock, 5);
-  EXPECT_EQ(survivor->validated_clock, 9);
-
-  // An empty reclaim batch is a no-op: nothing counted, nothing dropped.
-  const SourceTreeCache::ReclaimRevalidation quiet =
-      cache.revalidate_after_reclaim(*base, {}, /*clock_after=*/11);
-  EXPECT_EQ(quiet.kept, 0);
-  EXPECT_EQ(quiet.dropped, 0);
-  EXPECT_EQ(cache.num_trees(), 1u);
 }
 
 TEST(ResidualGraph, OpenEpochEnforcesTheReclaimWriteBackContract) {

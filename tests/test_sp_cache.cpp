@@ -272,185 +272,6 @@ TEST(SpCache, RebindResetsEntriesEvenWhenThePlanIsReused) {
   EXPECT_EQ(cache.recomputed_last_refresh(), 2u);
 }
 
-TEST(SpCache, WarmTreesServeEpochStartRefreshesBitwiseIdentically) {
-  // Cross-epoch warm start (DESIGN.md §12): the first refresh of epoch
-  // k+1 may serve a shard from a tree stored at epoch k when no path
-  // edge was stamped since — and the served entries must be bitwise
-  // identical to a fresh search (checked here against a cold cache).
-  Graph g = Graph::directed(4);
-  g.add_edge(0, 1, 5.0);
-  g.add_edge(1, 3, 5.0);
-  g.add_edge(0, 2, 5.0);
-  g.add_edge(2, 3, 5.0);
-  g.finalize();
-  auto base = std::make_shared<const Graph>(std::move(g));
-  const std::vector<Request> reqs{{0, 3, 1.0, 1.0}, {0, 1, 1.0, 1.0}};
-
-  ResidualGraph rgraph(base, 1.0);
-  SourceTreeCache trees;
-  detail::SpCache warm_cache(*base, reqs, false, 0);
-  warm_cache.set_warm_context(&rgraph, &trees);
-
-  const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
-  const WeightProfile profile = WeightProfile::scan(y);
-  ASSERT_TRUE(profile.all_positive);
-
-  // Epoch 0's first refresh: a miss, computed fresh and stored.
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(),
-                     /*epoch_start=*/true);
-  EXPECT_EQ(warm_cache.warm_trees_last_refresh(), 0);
-  ASSERT_EQ(trees.num_trees(), 1u);
-
-  // Epoch 1: no edge touched, same sources. The whole shard is served
-  // from the stored tree without a search.
-  rgraph.open_epoch();
-  warm_cache.rebind(reqs);
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(),
-                     /*epoch_start=*/true);
-  EXPECT_EQ(warm_cache.warm_trees_last_refresh(), 1);
-  EXPECT_EQ(warm_cache.warm_entries_served(), 2);
-  // Counter parity: the warm-served shard still accounts as a tree run.
-  EXPECT_EQ(warm_cache.tree_runs_last_refresh(), 1);
-
-  detail::SpCache cold_cache(*base, reqs, false, 0);
-  cold_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(), true);
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_EQ(warm_cache.entry(r).path, cold_cache.entry(r).path);
-    EXPECT_EQ(warm_cache.entry(r).length, cold_cache.entry(r).length);  // ==
-    EXPECT_EQ(warm_cache.entry(r).fits, cold_cache.entry(r).fits);
-  }
-
-  // An admission stamps edge 0; the stored tree fails validation at the
-  // next epoch start and the shard recomputes fresh.
-  const std::vector<EdgeId> path{0};
-  rgraph.commit_admission(path, 1.0);
-  rgraph.open_epoch();
-  warm_cache.rebind(reqs);
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(), true);
-  EXPECT_EQ(warm_cache.warm_trees_last_refresh(), 0);
-}
-
-TEST(SpCache, WarmTreesSurviveReclaimsThatMissTheirSettledSet) {
-  // The cache-cooperative reclaim path: a reclaim whose edges cannot
-  // touch a stored tree's settled set keeps that tree warm
-  // (revalidate_after_reclaim bumps validated_clock past the reclaim's
-  // last_decrease tick) while the touched tree drops and recomputes
-  // fresh. Served entries must stay bitwise identical to a cold search.
-  Graph g = Graph::directed(4);
-  g.add_edge(0, 1, 5.0);  // e0 — source 0's island
-  g.add_edge(2, 3, 5.0);  // e1 — source 2's island
-  g.finalize();
-  auto base = std::make_shared<const Graph>(std::move(g));
-  const std::vector<Request> reqs{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
-
-  ResidualGraph rgraph(base, 1.0);
-  SourceTreeCache trees;
-  detail::SpCache warm_cache(*base, reqs, false, 0);
-  warm_cache.set_warm_context(&rgraph, &trees);
-
-  const std::vector<double> y{1.0, 1.0};
-  const WeightProfile profile = WeightProfile::scan(y);
-  ASSERT_TRUE(profile.all_positive);
-
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(),
-                     /*epoch_start=*/true);
-  ASSERT_EQ(trees.num_trees(), 2u);
-
-  // An admission on e1 followed by a lease reclaim restoring it — the
-  // engine's reclaim protocol (write-back + note_reclaimed + per-tree
-  // revalidation). Source 0's island never sees edge 1.
-  rgraph.commit_admission(std::vector<EdgeId>{1}, 1.0);
-  rgraph.mutable_residual()[1] = 5.0;
-  const std::vector<EdgeId> reclaimed{1};
-  rgraph.note_reclaimed(reclaimed);
-  const SourceTreeCache::ReclaimRevalidation r =
-      trees.revalidate_after_reclaim(*base, reclaimed, rgraph.clock());
-  EXPECT_EQ(r.kept, 1);
-  EXPECT_EQ(r.dropped, 1);
-  ASSERT_NE(trees.lookup(0), nullptr);
-  EXPECT_EQ(trees.lookup(2), nullptr);
-
-  rgraph.open_epoch();
-  warm_cache.rebind(reqs);
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(), true);
-  // The surviving tree serves its shard warm across the reclaim; the
-  // dropped one recomputes (and is re-stored for the next epoch).
-  EXPECT_EQ(warm_cache.warm_trees_last_refresh(), 1);
-  EXPECT_EQ(warm_cache.warm_entries_served(), 1);
-  EXPECT_EQ(trees.num_trees(), 2u);
-
-  detail::SpCache cold_cache(*base, reqs, false, 0);
-  cold_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(), true);
-  for (int req = 0; req < 2; ++req) {
-    EXPECT_EQ(warm_cache.entry(req).path, cold_cache.entry(req).path);
-    EXPECT_EQ(warm_cache.entry(req).length, cold_cache.entry(req).length);
-    EXPECT_EQ(warm_cache.entry(req).fits, cold_cache.entry(req).fits);
-  }
-}
-
-TEST(SpCache, FirstGroupMissKeepsCounterParityWithAlwaysFresh) {
-  // Satellite audit: a warm epoch whose FIRST shard misses (its tree was
-  // dropped by a reclaim) while a later shard serves warm must report
-  // tree runs and recompute counts byte-identical to an always-fresh
-  // cache — the counters feed sp_computations/sp_tree_runs in goldens.
-  Graph g = Graph::directed(4);
-  g.add_edge(0, 1, 5.0);  // e0 — first group's island
-  g.add_edge(2, 3, 5.0);  // e1 — second group's island
-  g.finalize();
-  auto base = std::make_shared<const Graph>(std::move(g));
-  const std::vector<Request> reqs{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
-
-  ResidualGraph rgraph(base, 1.0);
-  SourceTreeCache trees;
-  detail::SpCache warm_cache(*base, reqs, false, 0);
-  warm_cache.set_warm_context(&rgraph, &trees);
-
-  const std::vector<double> y{1.0, 1.0};
-  const WeightProfile profile = WeightProfile::scan(y);
-
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(),
-                     /*epoch_start=*/true);
-  ASSERT_EQ(trees.num_trees(), 2u);
-
-  // Reclaim e0: the first group's tree dies, the second survives.
-  rgraph.commit_admission(std::vector<EdgeId>{0}, 1.0);
-  rgraph.mutable_residual()[0] = 5.0;
-  const std::vector<EdgeId> reclaimed{0};
-  rgraph.note_reclaimed(reclaimed);
-  trees.revalidate_after_reclaim(*base, reclaimed, rgraph.clock());
-  EXPECT_EQ(trees.lookup(0), nullptr);
-  ASSERT_NE(trees.lookup(2), nullptr);
-
-  rgraph.open_epoch();
-  warm_cache.rebind(reqs);
-  warm_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(), true);
-  EXPECT_EQ(warm_cache.warm_trees_last_refresh(), 1);
-
-  detail::SpCache cold_cache(*base, reqs, false, 0);
-  cold_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
-                     rgraph.residual(), &profile, rgraph.blocked(), true);
-  // Counter parity despite the mixed warm/fresh epoch.
-  EXPECT_EQ(warm_cache.tree_runs_last_refresh(),
-            cold_cache.tree_runs_last_refresh());
-  EXPECT_EQ(warm_cache.recomputed_last_refresh(),
-            cold_cache.recomputed_last_refresh());
-  EXPECT_EQ(warm_cache.tree_runs_last_refresh(), 2);
-  EXPECT_EQ(warm_cache.recomputed_last_refresh(), 2u);
-  for (int req = 0; req < 2; ++req) {
-    EXPECT_EQ(warm_cache.entry(req).path, cold_cache.entry(req).path);
-    EXPECT_EQ(warm_cache.entry(req).length, cold_cache.entry(req).length);
-  }
-}
-
 TEST(SpCache, SolverCountersShowLazySavings) {
   // Jittered capacities keep shortest paths unique (lazy and eager runs
   // are provably identical only up to shortest-path ties).

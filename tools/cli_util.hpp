@@ -3,6 +3,8 @@
 // must not live in a tool translation unit.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -26,8 +28,43 @@ inline std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-// Runs a tool's argument parser. std::stoi and friends report a malformed
-// or out-of-range number by throwing std::invalid_argument or
+// Numbers parse whole: the one numeric parser of every tool, for flags
+// and wire tokens alike. std::stoi and friends stop at the first
+// character they cannot use, so without the length check `50abc` would
+// read as 50 and `35.5` as 35. Trailing bytes throw std::invalid_argument
+// like any other malformed number.
+inline void require_whole(const std::string& token, std::size_t pos) {
+  if (pos != token.size()) {
+    throw std::invalid_argument("trailing bytes in '" + token + "'");
+  }
+}
+inline int parse_int(const std::string& token) {
+  std::size_t pos = 0;
+  const int v = std::stoi(token, &pos);
+  require_whole(token, pos);
+  return v;
+}
+inline std::int64_t parse_int64(const std::string& token) {
+  std::size_t pos = 0;
+  const std::int64_t v = std::stoll(token, &pos);
+  require_whole(token, pos);
+  return v;
+}
+inline std::uint64_t parse_uint64(const std::string& token) {
+  std::size_t pos = 0;
+  const std::uint64_t v = std::stoull(token, &pos);
+  require_whole(token, pos);
+  return v;
+}
+inline double parse_double(const std::string& token) {
+  std::size_t pos = 0;
+  const double v = std::stod(token, &pos);
+  require_whole(token, pos);
+  return v;
+}
+
+// Runs a tool's argument parser. The parsers above report a malformed or
+// out-of-range number by throwing std::invalid_argument or
 // std::out_of_range (both std::logic_error); that is a usage error like
 // any other bad flag — one line on stderr and exit 2, never an abort.
 template <typename Parse>

@@ -86,6 +86,10 @@
 namespace {
 
 using namespace tufp;
+using tufp::cli::parse_double;
+using tufp::cli::parse_int;
+using tufp::cli::parse_int64;
+using tufp::cli::parse_uint64;
 
 struct Options {
   std::string scenario = "grid";
@@ -153,34 +157,34 @@ Options parse(int argc, char** argv) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--scenario") opt.scenario = value(i);
-    else if (a == "--rows") opt.rows = std::stoi(value(i));
-    else if (a == "--cols") opt.cols = std::stoi(value(i));
-    else if (a == "--vertices") opt.vertices = std::stoi(value(i));
-    else if (a == "--edges") opt.edges = std::stoi(value(i));
-    else if (a == "--capacity") opt.capacity = std::stod(value(i));
+    else if (a == "--rows") opt.rows = parse_int(value(i));
+    else if (a == "--cols") opt.cols = parse_int(value(i));
+    else if (a == "--vertices") opt.vertices = parse_int(value(i));
+    else if (a == "--edges") opt.edges = parse_int(value(i));
+    else if (a == "--capacity") opt.capacity = parse_double(value(i));
     else if (a == "--value-model") opt.value_model = value(i);
-    else if (a == "--requests") opt.requests = std::stoll(value(i));
+    else if (a == "--requests") opt.requests = parse_int64(value(i));
     else if (a == "--arrivals") opt.arrivals = value(i);
-    else if (a == "--rate") opt.rate = std::stod(value(i));
-    else if (a == "--burst-size") opt.burst_size = std::stoi(value(i));
-    else if (a == "--burst-period") opt.burst_period = std::stod(value(i));
-    else if (a == "--seed") opt.seed = std::stoull(value(i));
-    else if (a == "--epochs") opt.epochs = std::stoi(value(i));
-    else if (a == "--epoch-duration") opt.epoch_duration = std::stod(value(i));
-    else if (a == "--queue") opt.queue = std::stoull(value(i));
+    else if (a == "--rate") opt.rate = parse_double(value(i));
+    else if (a == "--burst-size") opt.burst_size = parse_int(value(i));
+    else if (a == "--burst-period") opt.burst_period = parse_double(value(i));
+    else if (a == "--seed") opt.seed = parse_uint64(value(i));
+    else if (a == "--epochs") opt.epochs = parse_int(value(i));
+    else if (a == "--epoch-duration") opt.epoch_duration = parse_double(value(i));
+    else if (a == "--queue") opt.queue = parse_uint64(value(i));
     else if (a == "--payments") opt.payments = value(i);
-    else if (a == "--threads") opt.threads = std::stoi(value(i));
-    else if (a == "--eps") opt.eps = std::stod(value(i));
+    else if (a == "--threads") opt.threads = parse_int(value(i));
+    else if (a == "--eps") opt.eps = parse_double(value(i));
     else if (a == "--sp-kernel") opt.sp_kernel = value(i);
     else if (a == "--duration-profile") opt.duration_profile = value(i);
-    else if (a == "--duration-mean") opt.duration_mean = std::stod(value(i));
-    else if (a == "--duration-period") opt.duration_period = std::stod(value(i));
-    else if (a == "--horizon") opt.horizon = std::stod(value(i));
+    else if (a == "--duration-mean") opt.duration_mean = parse_double(value(i));
+    else if (a == "--duration-period") opt.duration_period = parse_double(value(i));
+    else if (a == "--horizon") opt.horizon = parse_double(value(i));
     else if (a == "--csv") opt.csv = true;
     else if (a == "--quiet") opt.quiet = true;
     else if (a == "--json") opt.json_path = value(i);
     else if (a == "--telemetry") opt.telemetry = value(i);
-    else if (a == "--hist-every") opt.hist_every = std::stoi(value(i));
+    else if (a == "--hist-every") opt.hist_every = parse_int(value(i));
     else if (a == "--trace") opt.trace = value(i);
     else if (a == "--flame") opt.flame = value(i);
     else usage();

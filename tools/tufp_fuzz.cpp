@@ -66,6 +66,9 @@ using namespace tufp::sim;
   std::exit(2);
 }
 
+using tufp::cli::parse_double;
+using tufp::cli::parse_int;
+using tufp::cli::parse_uint64;
 using tufp::cli::split_csv;
 
 struct Options {
@@ -87,18 +90,18 @@ Options parse(int argc, char** argv) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--seed") {
-      opt.config.seed = std::stoull(value(i));
+      opt.config.seed = parse_uint64(value(i));
     } else if (a == "--budget") {
       const std::string b = value(i);
       opt.budget_given = true;
       if (!b.empty() && b.back() == 's') {
-        opt.config.budget_seconds = std::stod(b.substr(0, b.size() - 1));
+        opt.config.budget_seconds = parse_double(b.substr(0, b.size() - 1));
         if (!max_worlds_given) opt.config.max_worlds = 100000;
       } else {
-        opt.config.max_worlds = std::stoi(b);
+        opt.config.max_worlds = parse_int(b);
       }
     } else if (a == "--max-worlds") {
-      opt.config.max_worlds = std::stoi(value(i));
+      opt.config.max_worlds = parse_int(value(i));
       max_worlds_given = true;
     } else if (a == "--families") {
       // The matrix has two registered axes: world families and duration

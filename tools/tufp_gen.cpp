@@ -16,11 +16,16 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "tufp/workload/io.hpp"
 #include "tufp/workload/lower_bounds.hpp"
 #include "tufp/workload/scenarios.hpp"
 
 namespace {
+
+using tufp::cli::parse_double;
+using tufp::cli::parse_int;
+using tufp::cli::parse_uint64;
 
 [[noreturn]] void usage() {
   std::cerr
@@ -64,10 +69,12 @@ int main(int argc, char** argv) {
 
   try {
     const std::string& kind = args[0];
-    const auto arg_int = [&](std::size_t i) { return std::stoi(args.at(i)); };
-    const auto arg_dbl = [&](std::size_t i) { return std::stod(args.at(i)); };
+    const auto arg_int = [&](std::size_t i) { return parse_int(args.at(i)); };
+    const auto arg_dbl = [&](std::size_t i) {
+      return parse_double(args.at(i));
+    };
     const auto arg_u64 = [&](std::size_t i) {
-      return static_cast<std::uint64_t>(std::stoull(args.at(i)));
+      return parse_uint64(args.at(i));
     };
 
     if (kind == "grid" && args.size() == 6) {

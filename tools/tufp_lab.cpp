@@ -56,6 +56,9 @@ using namespace tufp::lab;
   std::exit(2);
 }
 
+using tufp::cli::parse_double;
+using tufp::cli::parse_int;
+using tufp::cli::parse_uint64;
 using tufp::cli::split_csv;
 
 struct Options {
@@ -80,7 +83,7 @@ Options parse(int argc, char** argv) {
         std::exit(2);
       }
     } else if (a == "--seed") {
-      opt.config.seed = std::stoull(value(i));
+      opt.config.seed = parse_uint64(value(i));
     } else if (a == "--families") {
       for (const std::string& name : split_csv(value(i))) {
         opt.config.families.push_back(sim::family_from_name(name));
@@ -90,14 +93,14 @@ Options parse(int argc, char** argv) {
     } else if (a == "--betas") {
       opt.config.betas.clear();
       for (const std::string& b : split_csv(value(i))) {
-        opt.config.betas.push_back(std::stod(b));
+        opt.config.betas.push_back(parse_double(b));
       }
     } else if (a == "--worlds") {
-      opt.config.worlds_per_family = std::stoi(value(i));
+      opt.config.worlds_per_family = parse_int(value(i));
     } else if (a == "--eps") {
-      opt.config.solve.epsilon = std::stod(value(i));
+      opt.config.solve.epsilon = parse_double(value(i));
     } else if (a == "--threads") {
-      opt.config.num_threads = std::stoi(value(i));
+      opt.config.num_threads = parse_int(value(i));
       tufp::cli::require_threads_supported("tufp_lab",
                                            opt.config.num_threads);
     } else if (a == "--sp-kernel") {

@@ -17,6 +17,7 @@
 namespace {
 
 using namespace tufp;
+using tufp::cli::parse_double;
 
 struct Options {
   double eps = 1.0 / 6.0;
@@ -36,7 +37,7 @@ Options parse(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--eps" && i + 1 < args.size()) {
-      opt.eps = std::stod(args[++i]);
+      opt.eps = parse_double(args[++i]);
     } else if (args[i] == "--saturate") {
       opt.saturate = true;
     } else if (args[i] == "--audit") {

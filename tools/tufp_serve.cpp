@@ -119,6 +119,9 @@
 namespace {
 
 using namespace tufp;
+using tufp::cli::parse_double;
+using tufp::cli::parse_int;
+using tufp::cli::parse_uint64;
 
 struct Options {
   std::string listen_path;
@@ -182,31 +185,31 @@ Options parse(int argc, char** argv) {
     const std::string& a = args[i];
     if (a == "--listen") opt.listen_path = value(i);
     else if (a == "--workload") opt.workload = value(i);
-    else if (a == "--world-seed") opt.world_seed = std::stoull(value(i));
+    else if (a == "--world-seed") opt.world_seed = parse_uint64(value(i));
     else if (a == "--scenario") opt.scenario = value(i);
-    else if (a == "--rows") opt.rows = std::stoi(value(i));
-    else if (a == "--cols") opt.cols = std::stoi(value(i));
-    else if (a == "--vertices") opt.vertices = std::stoi(value(i));
-    else if (a == "--edges") opt.edges = std::stoi(value(i));
-    else if (a == "--capacity") opt.capacity = std::stod(value(i));
-    else if (a == "--seed") opt.seed = std::stoull(value(i));
-    else if (a == "--max-batch") opt.max_batch = std::stoi(value(i));
-    else if (a == "--epoch-duration") opt.epoch_duration = std::stod(value(i));
-    else if (a == "--queue") opt.queue = std::stoull(value(i));
+    else if (a == "--rows") opt.rows = parse_int(value(i));
+    else if (a == "--cols") opt.cols = parse_int(value(i));
+    else if (a == "--vertices") opt.vertices = parse_int(value(i));
+    else if (a == "--edges") opt.edges = parse_int(value(i));
+    else if (a == "--capacity") opt.capacity = parse_double(value(i));
+    else if (a == "--seed") opt.seed = parse_uint64(value(i));
+    else if (a == "--max-batch") opt.max_batch = parse_int(value(i));
+    else if (a == "--epoch-duration") opt.epoch_duration = parse_double(value(i));
+    else if (a == "--queue") opt.queue = parse_uint64(value(i));
     else if (a == "--payments") opt.payments = value(i);
-    else if (a == "--threads") opt.threads = std::stoi(value(i));
-    else if (a == "--eps") opt.eps = std::stod(value(i));
+    else if (a == "--threads") opt.threads = parse_int(value(i));
+    else if (a == "--eps") opt.eps = parse_double(value(i));
     else if (a == "--sp-kernel") opt.sp_kernel = value(i);
-    else if (a == "--horizon") opt.horizon = std::stod(value(i));
-    else if (a == "--max-line") opt.max_line = std::stoull(value(i));
+    else if (a == "--horizon") opt.horizon = parse_double(value(i));
+    else if (a == "--max-line") opt.max_line = parse_uint64(value(i));
     else if (a == "--telemetry") opt.telemetry = value(i);
     else if (a == "--det-only") opt.det_only = true;
-    else if (a == "--hist-every") opt.hist_every = std::stoi(value(i));
+    else if (a == "--hist-every") opt.hist_every = parse_int(value(i));
     else if (a == "--trace") opt.trace = value(i);
     else if (a == "--sanity") {
       const std::string v = value(i);
       if (v.rfind("every-", 0) != 0) usage();
-      opt.sanity_every = std::stoi(v.substr(6));
+      opt.sanity_every = parse_int(v.substr(6));
       if (opt.sanity_every < 1) usage();
     } else if (a == "--repro-dir") opt.repro_dir = value(i);
     else if (a == "--inject") opt.inject = value(i);
@@ -428,27 +431,11 @@ class ServeSession {
     return tokens;
   }
 
-  // Numbers off the wire parse whole. std::stoi/std::stod stop at the
-  // first character they cannot use, so without the length check `5x`
-  // would read as 5 and `35.5` as vertex 35. Trailing bytes throw like
-  // any other malformed number, and handle() sheds the line.
-  static int parse_int(const std::string& token) {
-    std::size_t pos = 0;
-    const int v = std::stoi(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument("trailing bytes");
-    return v;
-  }
-  static double parse_double(const std::string& token) {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument("trailing bytes");
-    return v;
-  }
-
-  // A clock value off the wire. The virtual clock, and the lease wheel
-  // behind it, only run on finite times: a non-finite value throws like
-  // any other malformed number, so handle() sheds the line before the
-  // clock moves.
+  // Numbers off the wire parse whole (cli_util.hpp): `5x` throws, and
+  // handle() sheds the line. A clock value must also be finite: the
+  // virtual clock, and the lease wheel behind it, only run on finite
+  // times, so a non-finite value throws like any other malformed number
+  // and handle() sheds the line before the clock moves.
   static double parse_time(const std::string& token) {
     const double t = parse_double(token);
     if (!std::isfinite(t)) throw std::invalid_argument("non-finite time");

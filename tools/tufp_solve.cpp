@@ -33,6 +33,7 @@
 namespace {
 
 using namespace tufp;
+using tufp::cli::parse_double;
 
 struct Options {
   std::string algo = "bounded";
@@ -55,7 +56,7 @@ Options parse(int argc, char** argv) {
     if (args[i] == "--algo" && i + 1 < args.size()) {
       opt.algo = args[++i];
     } else if (args[i] == "--eps" && i + 1 < args.size()) {
-      opt.eps = std::stod(args[++i]);
+      opt.eps = parse_double(args[++i]);
     } else if (args[i] == "--saturate") {
       opt.saturate = true;
     } else if (args[i] == "--quiet") {

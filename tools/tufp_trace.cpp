@@ -4,8 +4,8 @@
 // Usage:
 //   tufp_trace explain <trace.jsonl> <request-id>
 //       Narrate every record for the request: what was decided, why, and
-//       the evidence (path, density, bottleneck edge, payment, warm/fresh
-//       SP provenance, lease window).
+//       the evidence (path, density, bottleneck edge, payment, lease
+//       window).
 //   tufp_trace top <trace.jsonl> [--by outcome|edge|phase] [--limit N]
 //       Aggregate the trace: decision counts per outcome (default),
 //       bottleneck pressure per edge, or — for a collapsed-stack file
@@ -30,7 +30,13 @@
 #include <string_view>
 #include <vector>
 
+#include "cli_util.hpp"
+
 namespace {
+
+using tufp::cli::parse_double;
+using tufp::cli::parse_int;
+using tufp::cli::parse_int64;
 
 [[noreturn]] void usage() {
   std::cerr << "usage: tufp_trace explain <trace.jsonl> <request-id>\n"
@@ -83,7 +89,7 @@ double num_field(const std::string& line, const std::string& key,
   const std::string raw = field_text(line, key);
   if (raw.empty()) return fallback;
   try {
-    return std::stod(raw);
+    return parse_double(raw);
   } catch (const std::exception&) {
     return fallback;  // quoted non-finite ("inf") and malformed alike
   }
@@ -94,7 +100,7 @@ std::int64_t int_field(const std::string& line, const std::string& key,
   const std::string raw = field_text(line, key);
   if (raw.empty()) return fallback;
   try {
-    return std::stoll(raw);
+    return parse_int64(raw);
   } catch (const std::exception&) {
     return fallback;
   }
@@ -119,13 +125,11 @@ void narrate(const std::string& line) {
   const std::int64_t seq = int_field(line, "seq");
   const std::int64_t epoch = int_field(line, "epoch");
   const std::string path = field_text(line, "path");
-  const bool warm = field_text(line, "warm_tree") == "true";
   std::cout << "request " << seq << " @ epoch " << epoch << " -> " << outcome
             << "\n";
   if (outcome == "admitted") {
-    std::cout << "  admitted along path " << path << " ("
-              << (warm ? "warm cross-epoch SP tree" : "fresh SP tree")
-              << "), demand " << field_text(line, "demand") << ", bid "
+    std::cout << "  admitted along path " << path << ", demand "
+              << field_text(line, "demand") << ", bid "
               << field_text(line, "value") << ", charged "
               << field_text(line, "payment") << "\n"
               << "  lease granted at t=" << field_text(line, "admitted_at")
@@ -171,7 +175,7 @@ void narrate(const std::string& line) {
 int cmd_explain(const std::string& path, const std::string& id) {
   std::int64_t want = 0;
   try {
-    want = std::stoll(id);
+    want = parse_int64(id);
   } catch (const std::exception&) {
     usage();
   }
@@ -234,7 +238,7 @@ int cmd_top(const std::string& path, const std::string& by, int limit) {
       const std::string leaf =
           semi == std::string::npos ? stack : stack.substr(semi + 1);
       try {
-        counts[leaf] += std::stoll(line.substr(space + 1));
+        counts[leaf] += parse_int64(line.substr(space + 1));
       } catch (const std::exception&) {
       }
     }
@@ -290,7 +294,7 @@ int main(int argc, char** argv) {
       if (args[i] == "--by" && i + 1 < args.size()) by = args[++i];
       else if (args[i] == "--limit" && i + 1 < args.size()) {
         try {
-          limit = std::stoi(args[++i]);
+          limit = parse_int(args[++i]);
         } catch (const std::exception&) {
           usage();
         }
