@@ -56,8 +56,8 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
 
 void EpochEngine::reset() {
   rgraph_->reset();
-  // The stamp clock restarted: the workspace's clock-keyed epoch-start
-  // state is now meaningless, so it is dropped wholesale.
+  // Forget the solver's engines, shard plan and stamps too: a reset
+  // engine holds what a fresh one does.
   workspace_->clear();
   metrics_ = EngineMetrics();
   ledger_->clear();
@@ -65,55 +65,61 @@ void EpochEngine::reset() {
 }
 
 const EpochEngine::BaseBfsTree& EpochEngine::base_bfs(VertexId source) {
-  const auto it = base_bfs_trees_.find(source);
-  if (it != base_bfs_trees_.end()) return it->second;
+  const std::int64_t use = ++base_bfs_uses_;
+  BaseBfsTree* tree = nullptr;
+  for (BaseBfsTree& cached : base_bfs_trees_) {
+    if (cached.source == source) {
+      cached.last_use = use;
+      return cached;
+    }
+    if (tree == nullptr || cached.last_use < tree->last_use) tree = &cached;
+  }
+  if (base_bfs_trees_.size() < kBaseBfsTrees) {
+    tree = &base_bfs_trees_.emplace_back();
+  }
+  tree->source = source;
+  tree->last_use = use;
   // Canonical parent tree: plain queue BFS in CSR arc order, a pure
   // function of the topology — every run, kernel and thread count walks
   // the same route for a given terminal pair.
-  BaseBfsTree tree;
-  const auto n = static_cast<std::size_t>(base_->num_vertices());
-  tree.parent_vertex.assign(n, kInvalidVertex);
-  tree.parent_edge.assign(n, kInvalidEdge);
-  tree.parent_vertex[static_cast<std::size_t>(source)] = source;
-  std::vector<VertexId> queue;
-  queue.push_back(source);
+  std::vector<EdgeId>& parent_edge = tree->parent_edge;
+  parent_edge.assign(static_cast<std::size_t>(base_->num_vertices()),
+                     kInvalidEdge);
+  std::vector<VertexId>& queue = bfs_queue_;
+  queue.assign(1, source);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
     for (const Arc& arc : base_->arcs_from(v)) {
-      VertexId& parent = tree.parent_vertex[static_cast<std::size_t>(arc.to)];
-      if (parent != kInvalidVertex) continue;
-      parent = v;
-      tree.parent_edge[static_cast<std::size_t>(arc.to)] = arc.edge;
+      EdgeId& parent = parent_edge[static_cast<std::size_t>(arc.to)];
+      if (parent != kInvalidEdge || arc.to == source) continue;
+      parent = arc.edge;
       queue.push_back(arc.to);
     }
   }
-  return base_bfs_trees_.emplace(source, std::move(tree)).first->second;
+  return *tree;
 }
 
 EpochEngine::BaseRouteProbe EpochEngine::probe_base_route(VertexId source,
                                                           VertexId target) {
   BaseRouteProbe probe;
   const BaseBfsTree& tree = base_bfs(source);
-  if (tree.parent_vertex[static_cast<std::size_t>(target)] == kInvalidVertex) {
+  if (tree.parent_edge[static_cast<std::size_t>(target)] == kInvalidEdge) {
     return probe;  // disconnected in the base topology: a true no_path
   }
   probe.reachable = true;
-  // Reconstruct target -> source, then scan source -> target for the
-  // first edge the live residual holds below the usable floor. One must
-  // exist whenever the solver reported no path: a route entirely at or
-  // above the floor would have been in the epoch's active subgraph, and
-  // its shortest-path pass would have reached the target.
-  route_scratch_.clear();
-  for (VertexId v = target; v != source;
-       v = tree.parent_vertex[static_cast<std::size_t>(v)]) {
-    route_scratch_.push_back(tree.parent_edge[static_cast<std::size_t>(v)]);
-  }
+  // Walk the route target -> source; the last edge met that the live
+  // residual holds below the usable floor is the first one from the
+  // source. One must exist whenever the solver reported no path: a route
+  // entirely at or above the floor would have been in the epoch's active
+  // subgraph, and its shortest-path pass would have reached the target.
   const std::span<const double> res = residual();
-  for (auto it = route_scratch_.rbegin(); it != route_scratch_.rend(); ++it) {
-    if (res[static_cast<std::size_t>(*it)] < config_.min_usable_capacity) {
-      probe.bottleneck = *it;
-      break;
+  for (VertexId v = target; v != source;) {
+    const EdgeId e = tree.parent_edge[static_cast<std::size_t>(v)];
+    if (res[static_cast<std::size_t>(e)] < config_.min_usable_capacity) {
+      probe.bottleneck = e;
     }
+    const auto [a, b] = base_->endpoints(e);
+    v = a == v ? b : a;
   }
   return probe;
 }
@@ -132,7 +138,7 @@ int EpochEngine::reclaim_expired(double now) {
   const double effective = std::max(now, ledger_->now());
   const std::span<double> residual = rgraph_->mutable_residual();
   // Every edge a reclaim touched is declared to the residual graph, which
-  // ticks its clock (residual_csr.hpp): the drained leases come back.
+  // lists it as dirty (residual_csr.hpp): the drained leases come back.
   std::vector<temporal::Lease> drained;
   const int expired = ledger_->reclaim_until(effective, base_->capacities(),
                                              residual, &drained);
@@ -297,10 +303,9 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // Epoch boundary: return expired leases' capacity *before* opening the
   // epoch's residual view, so this auction runs over the residual left by
   // expired and active leases. The reclaim may only *increase* residuals;
-  // it declares every edge it touched, ticking the residual graph's
-  // clock, which is what keeps the clean-epoch fast path and the
-  // solver's epoch-start state from outliving a capacity increase
-  // (DESIGN.md §10, §12).
+  // it declares every edge it touched, putting it on the residual graph's
+  // dirty list, which is what keeps the epoch-start state open_epoch()
+  // derives from outliving a capacity increase (DESIGN.md §10, §12).
   {
     WallTimer reclaim_timer;
     report.expired_leases = reclaim_expired(close_time);
@@ -356,9 +361,9 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   }
   metrics_.counters().offered_value += report.offered_value;
 
-  // Epoch residual view: open_epoch() rescans the activity mask in place
-  // (no allocation). The per-layer benchmark reads the `snapshot` span as
-  // the epoch-open phase.
+  // Epoch residual view: open_epoch() re-derives the edges on the
+  // residual graph's dirty list, in place. The per-layer benchmark reads
+  // the `snapshot` span as the epoch-open phase.
   {
     TUFP_SPAN("snapshot");
     rgraph_->open_epoch();
@@ -373,8 +378,8 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   BoundedUfpConfig solver_cfg = config_.solver;
   solver_cfg.epsilon =
       std::min(solver_cfg.epsilon, kMaxSafeExponent / rgraph_->min_residual());
-  // The engine never reads the final duals; skipping the export keeps a
-  // clean epoch (nothing admitted) free of O(m) work.
+  // The engine never reads the final duals; skipping the export keeps
+  // the solve free of O(m) work.
   solver_cfg.export_duals = false;
   if (config_.payments == PaymentPolicy::kDualPrice) {
     solver_cfg.record_trace = true;  // admission-time alpha per winner
@@ -384,10 +389,10 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // a DecisionTrace is attached.
   solver_cfg.classify_rejections = true;
 
-  // The solver speaks base edge ids over the residual graph and keeps its
-  // engines, shard plan and epoch-start state in the workspace. The
-  // engine-differential oracle pins the output byte-identical to a cold
-  // per-epoch replay.
+  // The solver speaks base edge ids over the residual graph, starts from
+  // its epoch-start duals and keeps its engines, shard plan and stamps in
+  // the workspace. The engine-differential oracle pins the output
+  // byte-identical to a cold per-epoch replay.
   // A fully saturated network (or nothing valid to clear) runs no
   // auction: every valid bid is a solver no_path, which the commit loop
   // refines against the base topology like any other.
@@ -513,7 +518,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
       trace_->record(rec);
     }
     // The solver already speaks base edge ids: commit the decrement in
-    // place (it ticks the clock).
+    // place (it lists the path's edges as dirty).
     rgraph_->commit_admission(path, demand);
     ledger_->admit(timed.sequence, demand, path, close_time, expires);
     if (timed.duration < kInf) ++metrics_.counters().finite_leases;
@@ -561,9 +566,9 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // One shadowed replay per winner (bounded_ufp_critical_value):
       // the exact critical value, read off the epoch re-run without the
       // winner. Replays start from the epoch-start state the solve saw:
-      // the graph's frozen epoch capacities (commits only land in the
-      // loop after this one). Winners are independent and read only that
-      // immutable state, so
+      // the graph's frozen epoch capacities (the solve's overlay is
+      // rolled back, and commits only land in the loop after this one).
+      // Winners are independent and read only that immutable state, so
       // they fan out across OpenMP threads into per-winner slots —
       // byte-identical for any thread count, read back in arrival order
       // by the allocation loop. Each replay solves serially (identical

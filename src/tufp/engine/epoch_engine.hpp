@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -268,7 +267,10 @@ class EpochEngine {
   // capacity_blocked with the first edge on the canonical base-BFS route
   // the live residual holds below the floor as its bottleneck.
   struct BaseBfsTree {
-    std::vector<VertexId> parent_vertex;  // kInvalidVertex = unvisited
+    VertexId source = kInvalidVertex;
+    std::int64_t last_use = 0;  // base_bfs_uses_ at the last lookup
+    // Per vertex, the tree edge it was discovered by (kInvalidEdge:
+    // unreached, or the source); the parent is that edge's other end.
     std::vector<EdgeId> parent_edge;
   };
   struct BaseRouteProbe {
@@ -286,11 +288,15 @@ class EpochEngine {
   double total_capacity_ = 0.0;
   EngineMetrics metrics_;
   obs::DecisionTrace* trace_ = nullptr;
-  // Memoized base-topology BFS parent trees, one per distinct rejected
-  // source. The base graph is immutable, so trees never invalidate; only
-  // the bottleneck scan reads live residual state.
-  std::map<VertexId, BaseBfsTree> base_bfs_trees_;
-  std::vector<EdgeId> route_scratch_;  // probe path reconstruction
+  // Memoized base-topology BFS parent trees of the most recently
+  // rejected sources, at most kBaseBfsTrees of them: a miss past the cap
+  // rebuilds the least recently used tree in place. The base graph is
+  // immutable, so trees never invalidate, and eviction only costs a BFS;
+  // only the bottleneck scan reads live residual state.
+  static constexpr std::size_t kBaseBfsTrees = 64;
+  std::vector<BaseBfsTree> base_bfs_trees_;
+  std::int64_t base_bfs_uses_ = 0;
+  std::vector<VertexId> bfs_queue_;  // base_bfs scratch
   // Epoch id decision records are attributed to while clear_epoch is on
   // the stack; -1 between epochs (an external reclaim_expired drain —
   // the --horizon path — then attributes to the next epoch id).

@@ -67,11 +67,12 @@ bool ShortestPathEngine::relax(VertexId u, double du, const Arc& arc,
     parent_edge_[to] = arc.edge;
     return true;
   }
-  if (cand == dv && cand < kInf && w > 0.0) {
+  if (cand == dv && cand < kInf && cand > du) {
     // Canonical tie-break: the lexicographically smallest (u, e) among
-    // positive-weight shortest predecessors wins, independent of the
-    // order relaxations arrive in. Positive weight keeps the parent
-    // forest acyclic (a tie cycle would need total weight zero).
+    // strictly closer shortest predecessors wins, independent of the
+    // order relaxations arrive in. Strictly closer — not merely positive
+    // weight, which floating point can absorb (du + w == du) — keeps the
+    // parent forest acyclic: every tie-break parent is nearer the source.
     if (u < parent_vertex_[to] ||
         (u == parent_vertex_[to] && arc.edge < parent_edge_[to])) {
       parent_vertex_[to] = u;

@@ -23,10 +23,16 @@
 //      target pop, which would make the relaxation set depend on the
 //      queue's tie order);
 //   2. the parent of v is the lexicographically smallest (u, e) among
-//      positive-weight shortest predecessors (dist(u) + w_e == dist(v)).
-//      Relaxation order cannot matter: min is commutative. Positive
-//      weight keeps the parent forest acyclic; with zero weights present
-//      only the heap kernel runs and falls back to first-discovery order.
+//      the shortest predecessors strictly closer to the source
+//      (dist(u) + w_e == dist(v) > dist(u)). Relaxation order cannot
+//      matter: min is commutative. "Strictly closer" is computed, not
+//      inferred from w_e > 0: a positive weight far below dist(u)'s ulp
+//      is absorbed (dist(u) + w_e == dist(u)), and two vertices at equal
+//      distance would then adopt each other as parents. Comparing the
+//      sums keeps every tie-break parent nearer the source, so the parent
+//      forest stays acyclic; a vertex with no strictly closer shortest
+//      predecessor (zero or absorbed weights) keeps its first-discovery
+//      parent.
 // The reconstructed path is therefore the lexicographically minimal
 // shortest path read as a predecessor sequence from the target — the
 // deterministic tie-break the solvers and the sharded refresh rely on.
@@ -144,9 +150,9 @@ class ShortestPathEngine {
   bool touch(VertexId v);  // lazily reset labels for this query's epoch
 
   // Canonical relaxation (both kernels): strict improvement updates dist
-  // and parent; an exact tie updates the parent only when the edge weight
-  // is positive and (u, e) is lexicographically smaller. Returns whether
-  // the vertex needs (re-)queueing.
+  // and parent; an exact tie updates the parent only when u is strictly
+  // closer (du + w > du) and (u, e) is lexicographically smaller. Returns
+  // whether the vertex needs (re-)queueing.
   bool relax(VertexId u, double du, const Arc& arc, double w);
 
   const Graph* graph_;

@@ -1,6 +1,7 @@
 #include "tufp/lab/sweep.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -181,16 +182,25 @@ SweepResult run_beta_sweep(const SweepConfig& config) {
 
   // Every task is a pure function of its WorldTask; slots are disjoint, so
   // the merged result is schedule-invariant (the golden determinism check
-  // compares --threads 1 vs 4 byte-for-byte).
+  // compares --threads 1 vs 4 byte-for-byte). An exception may not leave
+  // the OpenMP region (it would be std::terminate): each task's is kept in
+  // its own slot, and the first in task order is rethrown after the loop.
   std::vector<std::vector<SweepCell>> slots(tasks.size());
+  std::vector<std::exception_ptr> errors(tasks.size());
 #if defined(TUFP_HAVE_OPENMP)
   const int threads = effective_num_threads(config.num_threads);
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
 #endif
   for (std::int64_t t = 0; t < static_cast<std::int64_t>(tasks.size()); ++t) {
-    slots[static_cast<std::size_t>(t)] =
-        run_task(tasks[static_cast<std::size_t>(t)], config, providers,
-                 solvers);
+    const auto i = static_cast<std::size_t>(t);
+    try {
+      slots[i] = run_task(tasks[i], config, providers, solvers);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   SweepResult result;

@@ -223,8 +223,9 @@ TemporalRun run_engine(const SimWorld& world, const Leg& leg) {
 // The engine-differential oracle's reference: the engine's epoch
 // semantics replayed cold. Nothing crosses an epoch but a plain residual
 // vector and a plain lease ledger — no EpochEngine, ResidualGraph or
-// UfpWorkspace — so a missed clock tick, a wrong reclaim or epoch-start
-// state the engine should have rebuilt shows up as a byte difference
+// UfpWorkspace, and its solver derives line 4 from scratch every epoch
+// (init_duals) — so a missed dirty edge, a wrong reclaim or an overlay
+// edge the engine failed to roll back shows up as a byte difference
 // against it. Per batch: reclaim expired leases, compile a
 // fresh GraphSnapshot of the residual, solve it as a UfpInstance under
 // the engine's epoch config (serially: outputs are thread-invariant),
@@ -977,9 +978,8 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
 // counters, residual and ledger views, the drained-horizon state and,
 // leg against leg, the det stream of decision records and telemetry. The
 // reference shares no cross-epoch state with the engine, so this is the
-// oracle that licenses the persistent residual store, its clean-epoch
-// fast path and the workspace's clock-keyed epoch-start state (DESIGN.md
-// §12); the stream diff carries the decision provenance (§14) across
+// oracle that licenses the persistent residual store, its dirty-edge
+// list and the solve overlay on its epoch-start state (DESIGN.md §12); the stream diff carries the decision provenance (§14) across
 // kernels and thread counts. On top, the first leg's stream must keep
 // the terminal-decision contract (equality carries it to every other
 // leg).

@@ -1,6 +1,7 @@
 #include "tufp/ufp/bounded_ufp.hpp"
 
 #include "tufp/ufp/detail/bounded_ufp_loop.hpp"
+#include "tufp/ufp/detail/workspace_access.hpp"
 
 namespace tufp {
 
@@ -18,7 +19,7 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
   return run_bounded_ufp<false>(sub, config, cache);
 }
 
-BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
+BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
                              UfpWorkspace& workspace) {
@@ -28,12 +29,21 @@ BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
   detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
       workspace, rgraph.base(), requests, config.parallel, config.num_threads,
       config.sp_kernel);
-  detail::EpochSolveState& st = detail::WorkspaceAccess::solve_state(workspace);
-  if (st.owner != &rgraph) {
-    st.valid = false;  // a rebound workspace never reuses foreign state
-    st.owner = &rgraph;
-  }
-  return run_bounded_ufp<false>(sub, config, cache, &st);
+  // Line 4 is already in the graph: the overlay starts at the epoch-start
+  // duals and capacities open_epoch() derived, and its destructor rolls
+  // back every edge this solve writes before the caller reads the graph
+  // again (payments, commits).
+  ResidualGraph::SolveOverlay overlay(rgraph);
+  detail::LoopArrays arrays;
+  arrays.y = overlay.duals();
+  arrays.residual = overlay.residual();
+  arrays.edge_stamp =
+      detail::WorkspaceAccess::edge_stamps(workspace, rgraph.base());
+  arrays.generation = &detail::WorkspaceAccess::generation(workspace);
+  arrays.profile = rgraph.dual_profile();
+  arrays.dual_sum = static_cast<double>(sub.num_active);
+  arrays.written = &overlay.written();
+  return run_bounded_ufp<false>(sub, config, cache, &arrays);
 }
 
 }  // namespace tufp

@@ -75,8 +75,8 @@ struct BoundedUfpConfig {
   bool classify_rejections = false;
 
   // Populate result.y with the final dual weights. Only dual-certificate
-  // consumers need them; the epoch engine turns this off so a clean epoch
-  // (nothing admitted) costs no O(m) export. Never changes the solution.
+  // consumers need them; the epoch engine turns this off so its solve
+  // costs no O(m) export. Never changes the solution.
   bool export_duals = true;
 };
 
@@ -161,11 +161,14 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
 // residual graph without compiling a per-epoch instance. Edge ids are
 // base-graph ids; blocked edges are excluded from every search and carry
 // y = 0 in result.y. Preconditions as above with B = the graph's min
-// active residual and at least one active edge. `workspace` carries the
-// shortest-path engines, shard plan and clean-epoch solve state across
-// calls; results are bitwise identical to a cold solve of the compiled
-// epoch instance.
-BoundedUfpResult bounded_ufp(const ResidualGraph& rgraph,
+// active residual and at least one active edge. The solve starts from
+// the graph's epoch-start duals and writes through its SolveOverlay,
+// which it rolls back before returning: the graph is unchanged on exit,
+// and no O(m) pass runs unless export_duals asks for result.y.
+// `workspace` carries the shortest-path engines, shard plan and
+// iteration stamps across calls; results are bitwise identical to a cold
+// solve of the compiled epoch instance.
+BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
                              UfpWorkspace& workspace);

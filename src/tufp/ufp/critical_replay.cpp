@@ -25,7 +25,7 @@ double replay_critical(const detail::Substrate& sub,
   replay.classify_rejections = false;
   replay.export_duals = false;
   detail::Shadow shadow{r};
-  run_bounded_ufp<true>(sub, replay, cache, /*state=*/nullptr, &shadow);
+  run_bounded_ufp<true>(sub, replay, cache, /*arrays=*/nullptr, &shadow);
   return shadow.critical;
 }
 

@@ -4,6 +4,12 @@
 // separate translation units: with both in one unit SpCache::refresh has
 // two call sites there and the compiler stops inlining it into the
 // solve, which measurably slows the dual-price serving path.
+//
+// Line 4's state reaches the loop as LoopArrays. Every cold caller — the
+// UfpInstance solve, the critical-value replays — builds it in O(m)
+// (init_duals); the engine's solve passes its residual graph's overlay,
+// kept at the epoch-start values edge by edge, and gets every written
+// edge rolled back when the solve's scope ends.
 #pragma once
 
 #include <algorithm>
@@ -11,12 +17,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "tufp/ufp/bounded_ufp.hpp"
 #include "tufp/ufp/detail/sp_cache.hpp"
 #include "tufp/ufp/detail/substrate.hpp"
-#include "tufp/ufp/detail/workspace_access.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
@@ -71,15 +78,55 @@ inline void lower_critical(double demand, double length, double alpha,
   *critical = std::bit_cast<double>(hi);
 }
 
+// Algorithm 1's working arrays at line 4: the duals y, the guard's
+// residual working copy and the lazy cache's per-edge iteration stamps.
+// A cold solve builds its own (init_duals, O(m)); the engine's solve
+// borrows its residual graph's SolveOverlay, which holds y and the
+// residual at their epoch-start values between solves
+// (graph/residual_csr.hpp), plus its workspace's stamps, so it starts
+// with no O(m) pass.
+struct LoopArrays {
+  std::span<double> y;
+  std::span<double> residual;
+  std::span<std::int64_t> edge_stamp;
+  // Iteration stamps issued so far, every edge_stamp entry included: the
+  // loop numbers its iterations on from here and leaves the last one.
+  std::int64_t* generation = nullptr;
+  WeightProfile profile;
+  double dual_sum = 0.0;
+  // The overlay's undo log: the loop appends each edge the first time it
+  // writes it. Null for cold arrays, which are simply dropped.
+  std::vector<EdgeId>* written = nullptr;
+};
+
+// A cold solve's own line-4 arrays: y_e = 1/c_e on active edges,
+// D1(0) = sum c_e y_e = |active|, the residual copied from the
+// capacities and all stamps at generation 0. The profile is kept current
+// incrementally as y inflates: enables the bucket-queue kernel while the
+// key range is bounded (§6).
+struct ColdArrays {
+  std::vector<double> y;
+  std::vector<double> residual;
+  std::vector<std::int64_t> edge_stamp;
+  std::int64_t generation = 0;
+  LoopArrays view;
+
+  explicit ColdArrays(const Substrate& sub)
+      : residual(sub.capacities.begin(), sub.capacities.end()),
+        edge_stamp(sub.capacities.size(), 0) {
+    init_duals(sub, &y, &view.dual_sum, &view.profile);
+    view.y = y;
+    view.residual = residual;
+    view.edge_stamp = edge_stamp;
+    view.generation = &generation;
+  }
+  ColdArrays(const ColdArrays&) = delete;  // view points into the vectors
+  ColdArrays& operator=(const ColdArrays&) = delete;
+};
+
 // Algorithm 1's loop, written once against the substrate. A non-null
-// `state` marks the engine's solve over the persistent residual graph
-// with its workspace, and caches the O(m) epoch-start arrays across
-// solves: they are reused verbatim when the graph's stamp clock is
-// unchanged — init_duals is deterministic over inputs the unchanged
-// clock certifies as bitwise identical, so reuse is exact — and they
-// stay reusable after the solve only when nothing was admitted
-// (admissions are the sole mutation). This loop is the only reader of
-// that epoch-start state.
+// `arrays` is the engine's solve over the persistent residual graph with
+// its workspace; null builds cold arrays from the substrate.
 // kShadow instantiates the critical-value replay: `shadow->request`
 // stays in `remaining`, so its entry is refreshed every iteration, but
 // the scan skips it; after each scan its winning-bid threshold is folded
@@ -90,7 +137,7 @@ template <bool kShadow>
 BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  const BoundedUfpConfig& config,
                                  SpCache& cache,
-                                 EpochSolveState* state = nullptr,
+                                 LoopArrays* arrays = nullptr,
                                  [[maybe_unused]] Shadow* shadow = nullptr) {
   const double B = sub.B;
   const double eps = config.epsilon;
@@ -99,28 +146,17 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   BoundedUfpResult result{UfpSolution(R)};
   result.dual_upper_bound = kInf;
 
-  EpochSolveState local;
-  EpochSolveState& st = state != nullptr ? *state : local;
-  const bool reused = state != nullptr && st.valid && sub.clock >= 0 &&
-                      st.clock == sub.clock &&
-                      st.cap_data == sub.capacities.data() &&
-                      st.cap_size == sub.capacities.size();
-  if (!reused) {
-    // Line 4: y_e = 1/c_e on active edges, D1(0) = sum c_e y_e = |active|.
-    // The profile is kept current incrementally as y inflates: enables
-    // the bucket-queue kernel while the key range is bounded (§6).
-    st.profile = WeightProfile();  // init_duals folds, it does not reset
-    init_duals(sub, &st.y, &st.dual_sum, &st.profile);
-    st.residual.assign(sub.capacities.begin(), sub.capacities.end());
-    st.edge_stamp.assign(sub.capacities.size(), 0);
-  }
-  std::vector<double>& y = st.y;
-  std::vector<double>& residual = st.residual;
-  std::vector<std::int64_t>& edge_stamp = st.edge_stamp;
-  double dual_sum = st.dual_sum;
-  WeightProfile profile = st.profile;
+  std::optional<ColdArrays> cold;
+  if (arrays == nullptr) arrays = &cold.emplace(sub).view;
+  const std::span<double> y = arrays->y;
+  const std::span<double> residual = arrays->residual;
+  const std::span<std::int64_t> edge_stamp = arrays->edge_stamp;
+  std::vector<EdgeId>* const written = arrays->written;
+  double dual_sum = arrays->dual_sum;
+  WeightProfile profile = arrays->profile;
+  std::int64_t& now = *arrays->generation;
+  const std::int64_t first_stamp = now + 1;
   const double threshold = std::exp(eps * (B - 1.0));
-  std::int64_t now = 0;
 
   std::vector<int> remaining(static_cast<std::size_t>(R));
   for (int r = 0; r < R; ++r) remaining[static_cast<std::size_t>(r)] = r;
@@ -204,6 +240,9 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     const double dual_before = dual_sum;
     for (EdgeId e : entry.path) {
       const auto ei = static_cast<std::size_t>(e);
+      if (written != nullptr && edge_stamp[ei] < first_stamp) {
+        written->push_back(e);  // first write of e in this solve
+      }
       const double cap = sub.capacities[ei];
       const double old_y = y[ei];
       y[ei] = old_y * std::exp(eps * B * req.demand / cap);
@@ -282,16 +321,12 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   }
 
   result.final_dual_sum = dual_sum;
-  if (state != nullptr) {
-    // Admissions mutated the arrays in place; only an untouched solve
-    // leaves them at their epoch-start values for the next epoch.
-    st.valid = result.iterations == 0;
-    st.clock = sub.clock;
-    st.cap_data = sub.capacities.data();
-    st.cap_size = sub.capacities.size();
-    if (config.export_duals) result.y = y;  // the cache keeps its copy
-  } else if (config.export_duals) {
-    result.y = std::move(y);
+  if (config.export_duals) {
+    if (cold) {
+      result.y = std::move(cold->y);
+    } else {
+      result.y.assign(y.begin(), y.end());  // the overlay rolls its own back
+    }
   }
   return result;
 }

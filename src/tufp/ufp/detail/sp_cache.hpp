@@ -46,8 +46,12 @@
 // bound to a graph once and rebind()s to each epoch's request batch,
 // keeping the engine pool and — when the source sequence is unchanged —
 // the source-shard plan. No path crosses an epoch boundary: per-entry
-// state always resets (computation stamps are epoch-local), so each
-// epoch's first refresh runs one tree search per source shard.
+// state always resets, so each epoch's first refresh runs one tree
+// search per source shard. The edge stamps need no reset: the engine's
+// solves draw them from one generation that only grows (the workspace
+// keeps it), each solve numbering its iterations past every stamp an
+// earlier solve left, so an old stamp is older than any entry a later
+// solve computes and never marks it stale.
 #pragma once
 
 #include <cstdint>
@@ -121,8 +125,8 @@ class SpCache {
                 kernel) {}
 
   // Points the cache at a new request batch. Per-entry state always
-  // resets (computation stamps and fit verdicts are epoch-local; the
-  // blocked mask they were judged under changes between epochs). The
+  // resets (paths and fit verdicts were judged under another epoch's
+  // duals, residuals and blocked mask). The
   // source-shard plan is reused when the new batch's source sequence is
   // identical to the previous one — the common steady-state case the
   // plan_reuses() counter pins — and rebuilt otherwise via a
@@ -157,7 +161,8 @@ class SpCache {
 
   // Ensures entries for `active` are shortest paths under `y`, where
   // edge_stamp[e] is the iteration at which e's weight last changed and
-  // `now` the current iteration. With lazy=false everything recomputes.
+  // `now` the current iteration (both on the solve's generation: every
+  // stamp a solve did not write is below its first `now`). With lazy=false everything recomputes.
   // A non-empty `residual` additionally refreshes Entry::fits against the
   // per-request demand. `profile`, when given, lets per-shard engines use
   // the bucket kernel (kAuto); it must be current for `y`. A non-empty

@@ -35,11 +35,6 @@ struct Substrate {
   std::span<const std::uint8_t> blocked;
   double B = 0.0;  // min active capacity, the paper's bound
   int num_active = 0;
-  // The owning ResidualGraph's stamp clock at lowering time (-1 for the
-  // instance lowering). An unchanged clock certifies that capacities and
-  // blocked mask are bitwise what they were — the key for the
-  // workspace's epoch-start solve-state cache (workspace_access.hpp).
-  std::int64_t clock = -1;
 };
 
 inline Substrate substrate_of(const UfpInstance& instance) {
@@ -61,7 +56,6 @@ inline Substrate substrate_of(const ResidualGraph& rgraph,
   s.blocked = rgraph.blocked();
   s.B = rgraph.min_residual();
   s.num_active = rgraph.num_active();
-  s.clock = rgraph.clock();
   return s;
 }
 
@@ -90,7 +84,10 @@ inline void validate_requests(const Substrate& s) {
 // and 0 on blocked ones (never read — searches skip blocked edges before
 // reading their weight), D1(0) = sum_e c_e y_e = |active|, and the
 // weight profile folded over active weights only (so bucket-queue
-// eligibility matches the compiled-subgraph baseline exactly).
+// eligibility matches the compiled-subgraph baseline exactly). The O(m)
+// form the instance lowering and the critical-value replays run; the
+// engine's solve reads the same state off its ResidualGraph, kept current
+// edge by edge (graph/residual_csr.hpp).
 inline void init_duals(const Substrate& s, std::vector<double>* y,
                        double* dual_sum, WeightProfile* profile) {
   const std::size_t m = s.capacities.size();

@@ -4,9 +4,9 @@
 // One UfpWorkspace owns, behind an opaque pimpl:
 //   * the sharded shortest-path cache (detail/sp_cache.hpp) — engine
 //     pool and source-shard plan reused across epochs via rebind();
-//   * the clock-keyed epoch-start solve state
-//     (detail/workspace_access.hpp) that lets a clean epoch skip the
-//     O(m) dual initialisation.
+//   * the per-edge iteration stamps of the lazy cache, a generation that
+//     only grows across solves, so no solve zero-fills them
+//     (detail/workspace_access.hpp).
 //
 // Its one consumer is the engine's bounded_ufp over the residual graph
 // (ufp/bounded_ufp.hpp), which keeps one workspace per world. The
@@ -32,8 +32,8 @@ class UfpWorkspace {
   UfpWorkspace(const UfpWorkspace&) = delete;
   UfpWorkspace& operator=(const UfpWorkspace&) = delete;
 
-  // Drops all cached state. Required whenever the underlying residual
-  // graph is reset (its stamp clock restarts).
+  // Drops all cached state. Never needed for correctness: the next solve
+  // rebuilds what it needs.
   void clear();
 
  private:

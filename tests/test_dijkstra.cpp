@@ -82,6 +82,26 @@ TEST(Dijkstra, ZeroWeightsAllowed) {
   EXPECT_DOUBLE_EQ(engine.shortest_path(w, 0, 3), 0.0);
 }
 
+// A weight far below dist(u)'s ulp is absorbed: 1 + 1e-17 == 1. Vertices
+// 1 and 2 then sit at equal distance with positive arcs both ways, and a
+// tie-break guarded by w > 0 let each adopt the other as its parent — the
+// path extraction looped. Ties must come from strictly closer vertices.
+TEST(Dijkstra, AbsorbedWeightsCannotCloseAParentCycle) {
+  Graph g = Graph::directed(4);
+  g.add_edge(3, 1, 1.0);  // e0
+  g.add_edge(1, 2, 1.0);  // e1
+  g.add_edge(2, 1, 1.0);  // e2
+  g.add_edge(2, 0, 1.0);  // e3
+  g.finalize();
+  const std::vector<double> w{1.0, 1e-17, 1e-17, 1.0};
+  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
+    ShortestPathEngine engine(g, kernel);
+    Path path;
+    EXPECT_EQ(engine.shortest_path(w, 3, 0, &path), 2.0);
+    EXPECT_EQ(path, (Path{0, 1, 3}));
+  }
+}
+
 TEST(Dijkstra, NegativeWeightRejected) {
   Graph g = diamond();
   ShortestPathEngine engine(g);

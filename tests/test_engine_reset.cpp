@@ -1,7 +1,8 @@
 // EpochEngine::reset() vs persistent state (DESIGN.md §12): after a full
-// churn replay — reclaims fired, the stamp clock, the workspace's
-// epoch-start state and the ledger clocks advanced — reset() must return
-// the engine to a state byte-indistinguishable from freshly constructed.
+// churn replay — reclaims fired, the residual graph's dirty list and
+// overlay arrays, the workspace's stamp generation and the ledger clocks
+// advanced — reset() must return the engine to a state
+// byte-indistinguishable from freshly constructed.
 // Pinned by replaying the same churn world twice through one engine
 // (reset between) and comparing every deterministic report field, the
 // final residual and the lifetime counters against a fresh engine's
@@ -92,8 +93,8 @@ void expect_same_run(const std::vector<ReportDigest>& expected,
 
 TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
   // A churn world: finite leases expire mid-replay, so the state a stale
-  // reset would leak — the stamp clock, the clock-keyed epoch-start
-  // solve state, the ledger wheel — is all genuinely exercised.
+  // reset would leak — the dirty list, the epoch-start duals and counts,
+  // the ledger wheel — is all genuinely exercised.
   sim::ScaleChurnSpec spec;
   spec.rows = 24;
   spec.cols = 24;
