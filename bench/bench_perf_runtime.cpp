@@ -94,7 +94,6 @@ void BM_BoundedUfpKernel(benchmark::State& state) {
   const UfpInstance inst = grid_workload(6, 600, 12.0, 29);
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
-  cfg.parallel = false;
   cfg.sp_kernel = kernel == 0   ? SpKernel::kHeap
                   : kernel == 1 ? SpKernel::kBucket
                                 : SpKernel::kAuto;
@@ -112,7 +111,6 @@ void BM_BoundedUfp(benchmark::State& state) {
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
   cfg.lazy_shortest_paths = lazy;
-  cfg.parallel = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bounded_ufp(inst, cfg).iterations);
   }
@@ -131,7 +129,7 @@ void BM_BoundedUfpParallel(benchmark::State& state) {
   const UfpInstance inst = grid_workload(6, 600, 12.0, 29);
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
-  cfg.parallel = parallel;
+  cfg.num_threads = parallel ? 0 : 1;  // runtime default vs serial
   for (auto _ : state) {
     benchmark::DoNotOptimize(bounded_ufp(inst, cfg).iterations);
   }
@@ -143,6 +141,7 @@ void BM_Repeat(benchmark::State& state) {
   const UfpInstance inst = grid_workload(3, 8, 12.0, 31);
   BoundedUfpRepeatConfig cfg;
   cfg.epsilon = 0.7;
+  cfg.num_threads = 0;  // runtime default: every core
   for (auto _ : state) {
     benchmark::DoNotOptimize(bounded_ufp_repeat(inst, cfg).iterations);
   }
@@ -156,6 +155,7 @@ void BM_IterationsScaleLinearlyInRequests(benchmark::State& state) {
   const UfpInstance inst = grid_workload(4, requests, 40.0, 37);
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.4;
+  cfg.num_threads = 0;  // runtime default: every core
   int iterations = 0;
   for (auto _ : state) {
     iterations = bounded_ufp(inst, cfg).iterations;

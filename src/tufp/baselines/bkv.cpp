@@ -126,8 +126,7 @@ BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
 BkvResult bkv_ufp(const UfpInstance& instance, const BoundedUfpConfig& config) {
   TUFP_REQUIRE(instance.is_normalized(), "demands must be in (0,1]");
   const detail::Substrate sub = detail::substrate_of(instance);
-  detail::SpCache cache(instance, config.parallel, config.num_threads,
-                        config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
   return run_bkv(sub, config, cache);
 }
 

@@ -569,34 +569,26 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // the graph's frozen epoch capacities (the solve's overlay is
       // rolled back, and commits only land in the loop after this one).
       // Winners are independent and read only that immutable state, so
-      // they fan out across OpenMP threads into per-winner slots —
-      // byte-identical for any thread count, read back in arrival order
-      // by the allocation loop. Each replay solves serially (identical
-      // output): parallelism lives at the winner level here, and a
-      // parallel inner config would only allocate engine pools a nested
-      // region cannot use — or oversubscribe when nested OpenMP is
-      // enabled.
+      // they fan out through parallel_for on the solver's thread count
+      // into per-winner slots — byte-identical for any thread count, read
+      // back in arrival order by the allocation loop. Each replay solves
+      // on one thread (identical output): parallelism lives at the winner
+      // level here, and the solver config may carry more threads, which a
+      // replay inside a task would only spend on engine pools a nested
+      // region cannot use.
       BoundedUfpConfig replay_cfg = solver_cfg;
-      replay_cfg.parallel = false;
+      replay_cfg.num_threads = 1;
       std::vector<int> winners;
       for (int r = 0; r < static_cast<int>(requests.size()); ++r) {
         if (run.solution.is_selected(r)) winners.push_back(r);
       }
-      const auto price_winner = [&](int r) {
-        (*payments)[static_cast<std::size_t>(r)] = bounded_ufp_critical_value(
-            *rgraph_, requests, r, replay_cfg);
-      };
-#if defined(TUFP_HAVE_OPENMP)
-      if (config_.solver.parallel && winners.size() > 1) {
-        const int pool = effective_num_threads(config_.solver.num_threads);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(pool)
-        for (std::size_t i = 0; i < winners.size(); ++i) {
-          price_winner(winners[i]);
-        }
-        return;
-      }
-#endif
-      for (const int r : winners) price_winner(r);
+      parallel_for(winners.size(), solver_cfg.num_threads,
+                   [&](std::size_t i, int) {
+                     const int r = winners[i];
+                     (*payments)[static_cast<std::size_t>(r)] =
+                         bounded_ufp_critical_value(*rgraph_, requests, r,
+                                                    replay_cfg);
+                   });
       return;
     }
   }

@@ -40,7 +40,7 @@
 // The engine owns its workspace and reuses it across queries with an
 // epoch-versioned label array, so a query costs O(touched vertices) to
 // set up instead of O(n). One engine per thread; the solvers keep a pool
-// for the OpenMP parallel per-source loop.
+// for the parallel per-source refresh (util/parallel.hpp).
 #pragma once
 
 #include <cstdint>

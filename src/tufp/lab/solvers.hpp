@@ -13,7 +13,7 @@
 //
 // Every solver is a pure function of (instance, config) — `rounding`
 // includes its explicit seed in the config — so lab sweeps are
-// deterministic under any OpenMP schedule.
+// deterministic under any thread count and schedule.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,9 @@
 
 namespace tufp::lab {
 
-// All lab solves run strictly serial regardless of this config: the sweep
-// parallelizes across cells and must not nest OpenMP regions.
+// Every lab solve runs on one thread (the solver default; this config has
+// no thread knob): the sweep fans out across cells instead
+// (SweepConfig::num_threads, util/parallel.hpp).
 struct LabSolveConfig {
   // Accuracy parameter for the primal-dual solvers (bounded, bkv) and for
   // the claim36 certifying run, which uses the identical configuration.

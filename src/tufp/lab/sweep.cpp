@@ -1,7 +1,6 @@
 #include "tufp/lab/sweep.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,10 +12,6 @@
 #include "tufp/util/parallel.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/scenarios.hpp"
-
-#if defined(TUFP_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace tufp::lab {
 
@@ -182,26 +177,12 @@ SweepResult run_beta_sweep(const SweepConfig& config) {
 
   // Every task is a pure function of its WorldTask; slots are disjoint, so
   // the merged result is schedule-invariant (the golden determinism check
-  // compares --threads 1 vs 4 byte-for-byte). An exception may not leave
-  // the OpenMP region (it would be std::terminate): each task's is kept in
-  // its own slot, and the first in task order is rethrown after the loop.
+  // compares --threads 1 vs 4 byte-for-byte). A task that throws reaches
+  // the caller after the loop, the first in task order winning.
   std::vector<std::vector<SweepCell>> slots(tasks.size());
-  std::vector<std::exception_ptr> errors(tasks.size());
-#if defined(TUFP_HAVE_OPENMP)
-  const int threads = effective_num_threads(config.num_threads);
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-#endif
-  for (std::int64_t t = 0; t < static_cast<std::int64_t>(tasks.size()); ++t) {
-    const auto i = static_cast<std::size_t>(t);
-    try {
-      slots[i] = run_task(tasks[i], config, providers, solvers);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  parallel_for(tasks.size(), config.num_threads, [&](std::size_t i, int) {
+    slots[i] = run_task(tasks[i], config, providers, solvers);
+  });
 
   SweepResult result;
   result.seed = config.seed;

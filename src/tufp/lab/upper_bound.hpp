@@ -27,7 +27,7 @@
 //                  when enumeration truncates.
 //
 // Every provider is a pure function of the instance: identical inputs
-// yield identical bounds, which is what makes the lab's OpenMP sweep
+// yield identical bounds, which is what makes the lab's parallel sweep
 // deterministic and its JSON artifacts byte-comparable across runs.
 #pragma once
 
@@ -60,8 +60,9 @@ class UpperBoundProvider {
 
 // The solver configuration certified bounds are computed under: paper
 // epsilon, capacity guard on, run to saturation (so out-of-regime
-// instances still produce non-trivial duals), strictly serial — providers
-// run inside the sweep's OpenMP region and must not nest parallelism.
+// instances still produce non-trivial duals), and the serial default
+// num_threads = 1 — providers run inside the sweep's parallel_for tasks
+// (util/parallel.hpp), and no region nests another.
 BoundedUfpConfig certifying_solver_config(double epsilon = 1.0 / 6.0);
 
 // The shared Claim 3.6 implementation lives in ufp/dual_certificate.hpp

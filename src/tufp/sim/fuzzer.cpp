@@ -215,9 +215,20 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
     SimWorld shrunk = world;
     if (config.shrink) {
       const std::vector<std::string> only{record.oracle};
+      // A thrown violation shrinks only while the oracle throws the same
+      // message, so the shrinker cannot drift to another precondition
+      // failure; any other only while the oracle reports one it did not
+      // throw.
+      const bool threw = record.detail.starts_with(kThrewPrefix);
       const WorldPredicate still_fails = [&](const SimWorld& candidate) {
-        return !run_oracle_suite(candidate, config.oracle_options, only)
-                    .empty();
+        for (const Violation& v :
+             run_oracle_suite(candidate, config.oracle_options, only)) {
+          if (threw ? v.detail == record.detail
+                    : !v.detail.starts_with(kThrewPrefix)) {
+            return true;
+          }
+        }
+        return false;
       };
       ShrinkStats stats;
       shrunk = shrink_world(world, still_fails, config.shrink_options, &stats);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <compare>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -275,7 +276,6 @@ TemporalRun run_world_reference(const SimWorld& world, bool churn) {
       const UfpInstance instance(snap.graph(), std::move(offered));
       BoundedUfpConfig cfg = world.solver;
       cfg.capacity_guard = true;
-      cfg.parallel = false;
       cfg.epsilon =
           std::min(cfg.epsilon, kMaxSafeExponent / snap.min_residual());
       cfg.export_duals = false;
@@ -469,13 +469,26 @@ std::vector<Violation> oracle_feasible(OracleContext& ctx) {
   return out;
 }
 
+// Claim 3.6, exactly: the solver's bound and the admitted value are both
+// summed in request order, so an all-admitted run reads equal to the bit
+// and no tolerance is needed — in the one-shot solve and in every epoch of
+// the engine's plain leg alike.
 std::vector<Violation> oracle_dual_bound(OracleContext& ctx) {
   std::vector<Violation> out;
   const double value = ctx.base().solution.total_value(ctx.world.instance);
-  if (!approx_le(value, ctx.base().dual_upper_bound, 1e-9, 1e-9)) {
+  if (!(value <= ctx.base().dual_upper_bound)) {
     add(&out, "dual-bound",
         "admitted value " + fmt(value) + " exceeds dual upper bound " +
             fmt(ctx.base().dual_upper_bound));
+  }
+  for (const TemporalEpoch& epoch : ctx.run({}).epochs) {
+    const AdmissionReport& report = epoch.report;
+    if (!(report.admitted_value <= report.dual_upper_bound)) {
+      add(&out, "dual-bound",
+          "engine epoch " + std::to_string(report.epoch) + ": admitted value " +
+              fmt(report.admitted_value) + " exceeds dual upper bound " +
+              fmt(report.dual_upper_bound));
+    }
   }
   return out;
 }
@@ -504,10 +517,8 @@ std::vector<Violation> oracle_thread_diff(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   std::vector<Violation> out;
   BoundedUfpConfig one = world.solver;
-  one.parallel = true;
   one.num_threads = 1;
   BoundedUfpConfig four = world.solver;
-  four.parallel = true;
   four.num_threads = 4;
   const BoundedUfpResult a = solve(world, one);
   const BoundedUfpResult b = solve(world, four);
@@ -647,7 +658,7 @@ std::vector<Violation> oracle_capacity_monotone(OracleContext& ctx) {
   // evaluation lab also builds on, so the fuzzer and the lab can never
   // disagree on it.
   const double wide_bound = claim36_upper_bound(bigger, world.solver);
-  if (!approx_le(value, wide_bound, 1e-9, 1e-9)) {
+  if (!(value <= wide_bound)) {
     add(&out, "capacity-monotone",
         "value " + fmt(value) + " at base capacity exceeds the dual bound " +
             fmt(wide_bound) + " of the doubled network");
@@ -1058,12 +1069,6 @@ constexpr OracleEntry kCatalogue[] = {
      oracle_engine_differential},
 };
 
-// The oracles engine-differential replaced. Their names still select it,
-// so old repro headers and scripts keep working.
-constexpr const char* kRetiredNames[] = {
-    "engine-thread", "temporal-infinite", "residual-differential",
-    "trace-differential"};
-
 }  // namespace
 
 const char* fault_name(FaultInjection fault) {
@@ -1090,9 +1095,6 @@ FaultInjection fault_from_name(const std::string& name) {
 std::span<const OracleEntry> oracle_catalogue() { return kCatalogue; }
 
 const OracleEntry* find_oracle(std::string_view name) {
-  for (const char* retired : kRetiredNames) {
-    if (name == retired) name = "engine-differential";
-  }
   for (const OracleEntry& entry : kCatalogue) {
     if (name == entry.name) return &entry;
   }
@@ -1117,7 +1119,15 @@ std::vector<Violation> run_oracle_suite(const SimWorld& world,
         std::find(selected.begin(), selected.end(), &entry) == selected.end()) {
       continue;
     }
-    std::vector<Violation> found = entry.fn(ctx);
+    // An oracle that throws (a solver precondition, an internal check)
+    // reports it as its violation: the sweep logs the world and writes a
+    // repro instead of dying with it.
+    std::vector<Violation> found;
+    try {
+      found = entry.fn(ctx);
+    } catch (const std::exception& e) {
+      found = {{entry.name, std::string(kThrewPrefix) + e.what()}};
+    }
     out.insert(out.end(), std::make_move_iterator(found.begin()),
                std::make_move_iterator(found.end()));
   }
@@ -1158,7 +1168,6 @@ SimPricing sim_price(const UfpInstance& instance,
                          0.0)};
   if (instance.num_requests() <= options.critical_cap) {
     BoundedUfpConfig probe = cfg;
-    probe.parallel = false;
     probe.record_trace = false;
     const UfpRule rule = make_bounded_ufp_rule(probe);
     for (int r = 0; r < instance.num_requests(); ++r) {

@@ -20,10 +20,7 @@
 //                      replay, the det stream of DecisionRecords and
 //                      det telemetry included; the first leg's stream
 //                      must hold exactly one terminal decision per
-//                      offered request (DESIGN.md §14). The retired names
-//                      engine-thread, temporal-infinite,
-//                      residual-differential and trace-differential
-//                      select it.
+//                      offered request (DESIGN.md §14).
 //
 // Metamorphic oracles perturb the world in a direction with a provable
 // consequence and check the consequence:
@@ -42,7 +39,9 @@
 //
 // Invariant oracles check single-run properties:
 //   * feasible          — output exact + capacity-feasible (Lemma 3.3)
-//   * dual-bound        — admitted value <= dual upper bound (Claim 3.6)
+//   * dual-bound        — admitted value <= dual upper bound (Claim 3.6),
+//                       exactly, in the one-shot solve and in every epoch
+//                       of the engine's plain leg
 //   * residual-feasible — per-epoch residual in [0, base capacity] and
 //                       cumulative load reconstructed from admitted paths
 //                       matching base - residual
@@ -122,13 +121,17 @@ struct OracleEntry {
 // The full catalogue, in a fixed canonical order.
 std::span<const OracleEntry> oracle_catalogue();
 
-// The catalogue entry a name selects, retired names included; nullptr
-// when no entry answers to it.
+// The catalogue entry a name selects; nullptr when no entry answers to it.
 const OracleEntry* find_oracle(std::string_view name);
+
+// Detail prefix of the violation an oracle that threw is reported as.
+inline constexpr std::string_view kThrewPrefix = "threw: ";
 
 // Runs `only` (all when empty) against the world, concatenating violations
 // in catalogue order; names resolve through find_oracle and each selected
-// entry runs once. Throws std::invalid_argument on an unknown oracle name.
+// entry runs once. An oracle that throws a std::exception reports one
+// violation under its own name whose detail is kThrewPrefix + what().
+// Throws std::invalid_argument on an unknown oracle name.
 std::vector<Violation> run_oracle_suite(
     const SimWorld& world, const OracleOptions& options,
     std::span<const std::string> only = {});

@@ -14,8 +14,7 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
                "Bounded-UFP requires demands in (0,1]; call normalized() first");
   const detail::Substrate sub = detail::substrate_of(instance);
   validate_config(sub, config);
-  detail::SpCache cache(instance, config.parallel, config.num_threads,
-                        config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
   return run_bounded_ufp<false>(sub, config, cache);
 }
 
@@ -27,8 +26,7 @@ BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
   detail::validate_requests(sub);
   validate_config(sub, config);
   detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-      workspace, rgraph.base(), requests, config.parallel, config.num_threads,
-      config.sp_kernel);
+      workspace, rgraph.base(), requests, config.num_threads, config.sp_kernel);
   // Line 4 is already in the graph: the overlay starts at the epoch-start
   // duals and capacities open_epoch() derived, and its destructor rolls
   // back every edge this solve writes before the caller reads the graph

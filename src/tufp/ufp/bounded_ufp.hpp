@@ -52,10 +52,10 @@ struct BoundedUfpConfig {
   // Theorem 3.1 applies only to the faithful setting.
   bool run_to_saturation = false;
 
-  // OpenMP-parallel per-source shortest-path trees. Deterministic for
-  // any thread count.
-  bool parallel = true;
-  int num_threads = 0;  // 0: runtime default
+  // Threads for the per-source shortest-path trees: 1 (the default) runs
+  // serially, 0 takes the OpenMP runtime default, n > 1 forks a team of n
+  // (util/parallel.hpp). Output is identical for any thread count.
+  int num_threads = 1;
 
   // Shortest-path queue discipline. kAuto runs the monotone bucket queue
   // while the dual weights' key range allows it and falls back to the
@@ -192,9 +192,9 @@ BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
 // patterns of the positive doubles. The answer is the minimum over t, or
 // exactly 0 at an iteration where r is the only request that fits.
 //
-// Cost: one solve (the run without r), serial when config.parallel is
-// off, against the ~log2(1/tol) re-solves of the rule-agnostic bisection
-// in mechanism/critical_payment.hpp, which stays the reference.
+// Cost: one solve (the run without r) on config.num_threads threads,
+// against the ~log2(1/tol) re-solves of the rule-agnostic bisection in
+// mechanism/critical_payment.hpp, which stays the reference.
 // Preconditions as bounded_ufp's. The residual-graph overload prices r
 // against the graph's epoch-start capacities, so it may run concurrently
 // with other replays over the same graph but not across a commit.

@@ -37,8 +37,7 @@ double bounded_ufp_critical_value(const UfpInstance& instance, int r,
                "Bounded-UFP requires demands in (0,1]; call normalized() first");
   const detail::Substrate sub = detail::substrate_of(instance);
   validate_config(sub, config);
-  detail::SpCache cache(instance, config.parallel, config.num_threads,
-                        config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
   return replay_critical(sub, config, cache, r);
 }
 
@@ -48,8 +47,8 @@ double bounded_ufp_critical_value(const ResidualGraph& rgraph,
   const detail::Substrate sub = detail::substrate_of(rgraph, requests);
   detail::validate_requests(sub);
   validate_config(sub, config);
-  detail::SpCache cache(rgraph.base(), requests, config.parallel,
-                        config.num_threads, config.sp_kernel);
+  detail::SpCache cache(rgraph.base(), requests, config.num_threads,
+                        config.sp_kernel);
   return replay_critical(sub, config, cache, r);
 }
 

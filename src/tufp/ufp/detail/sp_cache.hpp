@@ -36,11 +36,14 @@
 //
 // Recomputation is sharded by source vertex: requests sharing a source
 // are answered from one Dijkstra tree (ShortestPathEngine::shortest_tree)
-// instead of one search per request. Shards are embarrassingly parallel
-// across OpenMP threads — each thread drives its own engine and writes
-// only the entries of its own sources — and every tree is canonical
+// instead of one search per request. Shards are embarrassingly parallel:
+// with num_threads != 1 they fan out through parallel_for
+// (util/parallel.hpp), each worker driving its own engine and writing
+// only the entries of its own sources. Every tree is canonical
 // (dijkstra.hpp), so entries are bitwise identical for any thread count
-// and any shard schedule; consumers then read them in arrival order.
+// and any shard schedule; consumers then read them in arrival order. A
+// shard that throws (a precondition of shortest_tree) reaches the caller
+// of refresh() with the same exception at any thread count.
 //
 // The cache is built for reuse across epochs (ufp/workspace.hpp): it is
 // bound to a graph once and rebind()s to each epoch's request batch,
@@ -66,10 +69,7 @@
 #include "tufp/util/arena.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
-
-#if defined(TUFP_HAVE_OPENMP)
-#include <omp.h>
-#endif
+#include "tufp/util/parallel.hpp"
 
 namespace tufp::detail {
 
@@ -103,13 +103,11 @@ class SpCache {
   // Binds to a graph for the cache's lifetime and to an initial request
   // batch (rebind() repoints later). The request span must stay alive
   // through every refresh()/entry() call until the next rebind.
+  // `num_threads` is the solver config's (1 = serial, 0 = runtime
+  // default); one engine is built per thread.
   SpCache(const Graph& graph, std::span<const Request> requests,
-          bool parallel, int num_threads, SpKernel kernel = SpKernel::kAuto)
-      : graph_(&graph), parallel_(parallel), num_threads_(num_threads) {
-    int pool = 1;
-#if defined(TUFP_HAVE_OPENMP)
-    if (parallel_) pool = num_threads_ > 0 ? num_threads_ : omp_get_max_threads();
-#endif
+          int num_threads, SpKernel kernel = SpKernel::kAuto) {
+    const int pool = effective_num_threads(num_threads);
     engines_.reserve(static_cast<std::size_t>(pool));
     for (int i = 0; i < pool; ++i) {
       engines_.push_back(std::make_unique<ShortestPathEngine>(graph, kernel));
@@ -119,10 +117,9 @@ class SpCache {
     rebind(requests);
   }
 
-  SpCache(const UfpInstance& instance, bool parallel, int num_threads,
+  SpCache(const UfpInstance& instance, int num_threads,
           SpKernel kernel = SpKernel::kAuto)
-      : SpCache(instance.graph(), instance.requests(), parallel, num_threads,
-                kernel) {}
+      : SpCache(instance.graph(), instance.requests(), num_threads, kernel) {}
 
   // Points the cache at a new request batch. Per-entry state always
   // resets (paths and fit verdicts were judged under another epoch's
@@ -232,19 +229,9 @@ class SpCache {
       }
     };
 
-#if defined(TUFP_HAVE_OPENMP)
-    if (parallel_ && touched_groups_.size() > 1) {
-      const int pool = static_cast<int>(engines_.size());
-#pragma omp parallel for schedule(dynamic, 1) num_threads(pool)
-      for (std::size_t i = 0; i < touched_groups_.size(); ++i) {
-        work(i, omp_get_thread_num());
-      }
-    } else {
-      for (std::size_t i = 0; i < touched_groups_.size(); ++i) work(i, 0);
-    }
-#else
-    for (std::size_t i = 0; i < touched_groups_.size(); ++i) work(i, 0);
-#endif
+    // One worker per engine: the pool size, resolved once at construction.
+    parallel_for(touched_groups_.size(), static_cast<int>(engines_.size()),
+                 work);
   }
 
   const Entry& entry(int r) const {
@@ -305,7 +292,6 @@ class SpCache {
     return true;
   }
 
-  const Graph* graph_;
   std::span<const Request> requests_;
   std::vector<Entry> entries_;
   std::vector<std::unique_ptr<ShortestPathEngine>> engines_;
@@ -319,8 +305,6 @@ class SpCache {
   std::int64_t tree_runs_last_refresh_ = 0;
   std::int64_t plan_builds_ = 0;
   std::int64_t plan_reuses_ = 0;
-  bool parallel_;
-  int num_threads_;
 };
 
 }  // namespace tufp::detail

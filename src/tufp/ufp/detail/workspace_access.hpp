@@ -28,8 +28,7 @@ struct UfpWorkspace::Impl {
   // Construction parameters the cached SpCache was built with; a solve
   // with a different configuration rebuilds it.
   const Graph* graph = nullptr;
-  bool parallel = false;
-  int num_threads = 0;
+  int num_threads = 1;
   SpKernel kernel = SpKernel::kAuto;
 };
 
@@ -38,19 +37,17 @@ namespace detail {
 class WorkspaceAccess {
  public:
   // The workspace's SpCache bound to (graph, requests) under the given
-  // parallelism/kernel configuration: rebinds the existing cache when
-  // compatible, rebuilds it otherwise.
+  // thread count and kernel: rebinds the existing cache when compatible,
+  // rebuilds it otherwise.
   static SpCache& bind_cache(UfpWorkspace& ws, const Graph& graph,
-                             std::span<const Request> requests, bool parallel,
+                             std::span<const Request> requests,
                              int num_threads, SpKernel kernel) {
     UfpWorkspace::Impl& state = *ws.impl_;
     if (state.cache == nullptr || state.graph != &graph ||
-        state.parallel != parallel || state.num_threads != num_threads ||
-        state.kernel != kernel) {
-      state.cache = std::make_unique<SpCache>(graph, requests, parallel,
-                                              num_threads, kernel);
+        state.num_threads != num_threads || state.kernel != kernel) {
+      state.cache =
+          std::make_unique<SpCache>(graph, requests, num_threads, kernel);
       state.graph = &graph;
-      state.parallel = parallel;
       state.num_threads = num_threads;
       state.kernel = kernel;
     } else {

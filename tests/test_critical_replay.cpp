@@ -66,10 +66,8 @@ struct Leg {
 std::vector<Leg> legs() {
   BoundedUfpConfig saturation;  // the engine's default solver config
   saturation.run_to_saturation = true;
-  saturation.parallel = false;
   BoundedUfpConfig faithful;  // paper threshold at eps = 1
   faithful.epsilon = 1.0;
-  faithful.parallel = false;
   return {{"saturation", saturation, false}, {"faithful", faithful, true}};
 }
 
@@ -312,7 +310,7 @@ TEST(CriticalReplay, EnginePaymentsEqualAColdPerEpochReplay) {
     cfg.epsilon =
         std::min(cfg.epsilon, kMaxSafeExponent / snapshot.min_residual());
     cfg.export_duals = false;
-    cfg.parallel = false;
+    cfg.num_threads = 1;
     for (const AdmissionRecord& a : report.allocations) {
       EXPECT_EQ(bits(a.payment),
                 bits(bounded_ufp_critical_value(instance, a.request, cfg)))

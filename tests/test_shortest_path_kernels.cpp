@@ -261,7 +261,6 @@ TEST(KernelCrossCheck, BoundedUfpInvariantUnderKernel) {
   BoundedUfpConfig base;
   base.epsilon = 0.5;
   base.run_to_saturation = true;
-  base.parallel = false;
 
   BoundedUfpConfig heap_cfg = base;
   heap_cfg.sp_kernel = SpKernel::kHeap;

@@ -41,38 +41,42 @@ TEST(SimOracles, CatalogueNamesAreUniqueAndSelectable) {
   }
 }
 
-TEST(SimOracles, RetiredNamesSelectTheEngineDifferential) {
-  // The four engine differentials merged into engine-differential keep
-  // their names as selectors, so old repro headers and scripts replay.
-  for (const char* retired : {"engine-thread", "temporal-infinite",
-                              "residual-differential", "trace-differential"}) {
-    const OracleEntry* entry = find_oracle(retired);
-    ASSERT_NE(entry, nullptr) << retired;
-    EXPECT_STREQ(entry->name, "engine-differential") << retired;
-    for (const OracleEntry& listed : oracle_catalogue()) {
-      EXPECT_STRNE(listed.name, retired);
-    }
+TEST(SimOracles, UnknownOracleNameThrows) {
+  // The names of the four engine differentials merged into
+  // engine-differential select nothing either.
+  const SimWorld world = generate_world({WorldFamily::kGrid, 5});
+  for (const char* name :
+       {"not-an-oracle", "engine-thread", "temporal-infinite",
+        "residual-differential", "trace-differential"}) {
+    EXPECT_EQ(find_oracle(name), nullptr) << name;
+    const std::vector<std::string> only{name};
+    EXPECT_THROW(run_oracle_suite(world, OracleOptions{}, only),
+                 std::invalid_argument)
+        << name;
   }
-  EXPECT_EQ(find_oracle("not-an-oracle"), nullptr);
-  // The suite resolves them the same way and runs the merged oracle once
-  // (on a one-edge world: the catalogue test above already runs it on a
-  // generated one).
+}
+
+TEST(SimOracles, ThrowingOracleIsReportedAsItsViolation) {
+  // epsilon = 2 is outside Bounded-UFP's (0, 1]: the solve `feasible`
+  // reads throws std::invalid_argument, and the suite reports that as
+  // the oracle's violation instead of letting it end the sweep.
   Graph g = Graph::directed(2);
   g.add_edge(0, 1, 4.0);
   g.finalize();
-  const SimWorld world =
-      wrap_instance(UfpInstance(std::move(g), {Request{0, 1, 1.0, 1.0}}));
-  const std::vector<std::string> only{
-      "engine-thread", "temporal-infinite", "residual-differential",
-      "trace-differential", "engine-differential"};
-  EXPECT_TRUE(run_oracle_suite(world, OracleOptions{}, only).empty());
-}
-
-TEST(SimOracles, UnknownOracleNameThrows) {
-  const SimWorld world = generate_world({WorldFamily::kGrid, 5});
-  const std::vector<std::string> only{"not-an-oracle"};
-  EXPECT_THROW(run_oracle_suite(world, OracleOptions{}, only),
-               std::invalid_argument);
+  BoundedUfpConfig solver;
+  solver.epsilon = 2.0;
+  const SimWorld world = wrap_instance(
+      UfpInstance(std::move(g), {Request{0, 1, 1.0, 1.0}}), solver, 2);
+  const std::vector<std::string> only{"feasible"};
+  const std::vector<Violation> violations =
+      run_oracle_suite(world, OracleOptions{}, only);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].oracle, "feasible");
+  EXPECT_TRUE(violations[0].detail.starts_with(kThrewPrefix))
+      << violations[0].detail;
+  EXPECT_NE(violations[0].detail.find("epsilon outside (0,1]"),
+            std::string::npos)
+      << violations[0].detail;
 }
 
 // First grid world whose auction actually admits somebody (a world can

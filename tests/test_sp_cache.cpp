@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "tufp/ufp/bounded_ufp.hpp"
 
 #include "tufp/graph/generators.hpp"
@@ -29,7 +34,7 @@ UfpInstance diamond_instance() {
 
 TEST(SpCache, ComputesShortestPathsOnFirstRefresh) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, /*parallel=*/false, 0);
+  detail::SpCache cache(inst, /*num_threads=*/1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1, 2};
@@ -42,7 +47,7 @@ TEST(SpCache, ComputesShortestPathsOnFirstRefresh) {
 
 TEST(SpCache, UntouchedPathsAreNotRecomputed) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1};
@@ -67,7 +72,7 @@ TEST(SpCache, UntouchedPathsAreNotRecomputed) {
 
 TEST(SpCache, UnreachableIsCachedForever) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 1.0, 1.0};
   std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{2};
@@ -82,7 +87,7 @@ TEST(SpCache, UnreachableIsCachedForever) {
 
 TEST(SpCache, EagerModeAlwaysRecomputes) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1};
@@ -105,19 +110,49 @@ TEST(SpCache, ParallelAndSerialProduceIdenticalEntries) {
   std::vector<int> active(static_cast<std::size_t>(inst.num_requests()));
   for (int r = 0; r < inst.num_requests(); ++r) active[static_cast<std::size_t>(r)] = r;
 
-  detail::SpCache serial(inst, false, 0);
-  detail::SpCache parallel(inst, true, 0);
+  detail::SpCache serial(inst, 1);
+  detail::SpCache parallel(inst, 4);  // a team on any machine
   serial.refresh(y, stamps, 1, active, true);
   parallel.refresh(y, stamps, 1, active, true);
   for (int r = 0; r < inst.num_requests(); ++r) {
-    EXPECT_DOUBLE_EQ(serial.entry(r).length, parallel.entry(r).length);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.entry(r).length),
+              std::bit_cast<std::uint64_t>(parallel.entry(r).length));
     EXPECT_EQ(serial.entry(r).path, parallel.entry(r).path);
   }
 }
 
+TEST(SpCache, WorkerExceptionReachesTheCaller) {
+  // Request 2 -> 2 breaks shortest_tree's target != source precondition
+  // inside its source shard. With a team of 4 the shard runs on a worker
+  // thread; the exception must still reach the caller of refresh(), with
+  // the message one thread reports, not end the process.
+  Graph g = Graph::directed(4);
+  g.add_edge(0, 1, 5.0);
+  g.add_edge(1, 3, 5.0);
+  g.add_edge(2, 3, 5.0);
+  g.finalize();
+  const std::vector<Request> requests{
+      {0, 3, 1.0, 1.0}, {1, 3, 1.0, 1.0}, {2, 2, 1.0, 1.0}};
+  const std::vector<double> y(3, 1.0);
+  const std::vector<std::int64_t> stamps(3, 0);
+  const std::vector<int> active{0, 1, 2};
+  std::string messages[2];
+  for (const int threads : {1, 4}) {
+    detail::SpCache cache(g, requests, threads);
+    try {
+      cache.refresh(y, stamps, 1, active, true);
+      ADD_FAILURE() << "refresh did not throw at " << threads << " threads";
+    } catch (const std::invalid_argument& e) {
+      messages[threads == 1 ? 0 : 1] = e.what();
+    }
+  }
+  EXPECT_FALSE(messages[0].empty());
+  EXPECT_EQ(messages[0], messages[1]);
+}
+
 TEST(SpCache, FitStatusTracksCapacityGuardCrossings) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   std::vector<double> residual{5.0, 5.0, 5.0, 5.0};
@@ -150,7 +185,7 @@ TEST(SpCache, FitStatusIsPerRequestDemand) {
   g.add_edge(0, 1, 5.0);
   g.finalize();
   const UfpInstance inst(std::move(g), {{0, 1, 1.0, 1.0}, {0, 1, 0.25, 1.0}});
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0};
   std::vector<std::int64_t> stamps{0};
   std::vector<double> residual{0.5};
@@ -169,7 +204,7 @@ TEST(SpCache, ReclaimedCapacityNeedsAStampToUnstickNegativeFits) {
   // reclaim path must stamp every edge whose residual it increases, which
   // is exactly what flips the verdict back.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   std::vector<double> residual{5.0, 5.0, 5.0, 5.0};
@@ -199,7 +234,7 @@ TEST(SpCache, ReclaimedCapacityNeedsAStampToUnstickNegativeFits) {
 
 TEST(SpCache, WithoutResidualEveryEntryFits) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);
@@ -211,7 +246,7 @@ TEST(SpCache, SharedSourcesRefreshFromOneTree) {
   // Requests 0 and 1 share source 0: one Dijkstra tree serves both, so
   // two recomputed entries cost one tree run.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   cache.refresh(y, stamps, 1, std::vector<int>{0, 1, 2}, true);
@@ -227,7 +262,7 @@ TEST(SpCache, RebindReusesShardPlanAcrossEpochs) {
   // match the previous batch position-for-position, and rebuilt whenever
   // they do not.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst.graph(), inst.requests(), /*parallel=*/false, 0);
+  detail::SpCache cache(inst.graph(), inst.requests(), /*num_threads=*/1);
   EXPECT_EQ(cache.plan_builds(), 1);
   EXPECT_EQ(cache.plan_reuses(), 0);
 
@@ -259,7 +294,7 @@ TEST(SpCache, RebindResetsEntriesEvenWhenThePlanIsReused) {
   // mask they were judged under changes between epochs); a reused plan
   // must never carry a reused entry with it.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst.graph(), inst.requests(), false, 0);
+  detail::SpCache cache(inst.graph(), inst.requests(), 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);

@@ -92,11 +92,19 @@ inline SpKernel parse_sp_kernel(const std::string& tool,
   std::exit(2);
 }
 
-// The shared --threads contract: an explicit positive thread count in a
-// build without OpenMP is refused (deterministic output would be
-// identical either way, but wall-clock numbers would not mean what the
-// caller asked for). Identical message and exit code in every tool.
+// The shared --threads contract: 0 is the runtime default and a positive
+// count asks for that many threads; a negative count is a usage error.
+// An explicit positive count in a build without OpenMP is refused too
+// (deterministic output would be identical either way, but wall-clock
+// numbers would not mean what the caller asked for). Identical messages
+// and exit code in every tool.
 inline void require_threads_supported(const std::string& tool, int threads) {
+  if (threads < 0) {
+    std::cerr << tool << ": --threads " << threads
+              << " is negative (expected 0 for the runtime default, or a "
+                 "thread count)\n";
+    std::exit(2);
+  }
   if (threads > 0 && !openmp_available()) {
     std::cerr << tool << ": --threads " << threads
               << " requires an OpenMP build (rebuild with an OpenMP-capable "

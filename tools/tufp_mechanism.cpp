@@ -70,6 +70,7 @@ int run_ufp(const Options& opt) {
   BoundedUfpConfig cfg;
   cfg.epsilon = opt.eps;
   cfg.run_to_saturation = opt.saturate;
+  cfg.num_threads = 0;  // runtime default: every core
   const UfpRule rule = make_bounded_ufp_rule(cfg);
   const UfpMechanismResult res = run_ufp_mechanism(inst, rule);
 

@@ -95,6 +95,7 @@ int solve_ufp_file(const Options& opt) {
     BoundedUfpConfig cfg;
     cfg.epsilon = opt.eps;
     cfg.run_to_saturation = opt.saturate;
+    cfg.num_threads = 0;  // runtime default: every core
     const BoundedUfpResult r = bounded_ufp(inst, cfg);
     value = r.solution.total_value(inst);
     selected = r.solution.num_selected();
@@ -113,6 +114,7 @@ int solve_ufp_file(const Options& opt) {
   } else if (opt.algo == "repeat") {
     BoundedUfpRepeatConfig cfg;
     cfg.epsilon = opt.eps;
+    cfg.num_threads = 0;  // runtime default: every core
     const BoundedUfpRepeatResult r = bounded_ufp_repeat(inst, cfg);
     value = r.solution.total_value(inst);
     selected = static_cast<int>(r.solution.allocations().size());
