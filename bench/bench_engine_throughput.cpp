@@ -96,8 +96,9 @@ struct BenchRow {
   double clear_requests_per_second = 0.0;
   // Steady-state lease telemetry (zero on fill-phase cases). The
   // flatness ratio divides the mean per-epoch reclaim wall time of the
-  // run's second half by its first half: amortized-O(1) expiry
-  // processing keeps it near 1 however long the horizon grows.
+  // run's second half by its first half: expiry processing costs
+  // O(log active leases) per expiry, so it stays near 1 however long the
+  // horizon grows.
   std::int64_t active_leases_max = 0;
   std::int64_t active_leases_final = 0;
   std::int64_t leases_expired = 0;
@@ -288,8 +289,8 @@ int main(int argc, char** argv) {
     // exponential lease churn, so the network never fills: the active
     // lease set stays bounded by capacity x duration while admissions
     // keep flowing — the sustained-load regime a production admission
-    // system actually lives in. reclaim_flat_ratio near 1 in the JSON is
-    // the measured amortized-O(1) expiry claim; the t1/t4 pair doubles
+    // system actually lives in. reclaim_flat_ratio near 1 in the JSON
+    // shows reclaim cost flat over the horizon; the t1/t4 pair doubles
     // as the steady-state thread-determinism fixture.
     DurationConfig churn;
     churn.profile = DurationProfile::kExponential;

@@ -94,8 +94,14 @@ BoundedMucaResult bounded_muca(const MucaInstance& instance,
     }
   }
 
+  // Everything selected: the value itself is a tight bound. Summed in
+  // request order, as MucaSolution::total_value is, so the bound equals
+  // the reported value to the bit (Claim 3.6 checked exactly);
+  // primal_value above is in selection order.
   if (remaining.empty()) {
-    result.dual_upper_bound = std::min(result.dual_upper_bound, primal_value);
+    double total = 0.0;
+    for (int r = 0; r < R; ++r) total += instance.request(r).value;
+    result.dual_upper_bound = std::min(result.dual_upper_bound, total);
   }
   result.final_dual_sum = dual_sum;
   result.y = std::move(y);

@@ -115,8 +115,14 @@ BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
     ++result.iterations;
   }
 
+  // Everything routed: the value itself is a tight bound. Summed in
+  // request order, as UfpSolution::total_value is, so the bound equals
+  // the reported value to the bit (Claim 3.6 checked exactly);
+  // primal_value above is in selection order.
   if (num_remaining == 0) {
-    result.tight_upper_bound = std::min(result.tight_upper_bound, primal_value);
+    double total = 0.0;
+    for (const Request& req : sub.requests) total += req.value;
+    result.tight_upper_bound = std::min(result.tight_upper_bound, total);
   }
   return result;
 }

@@ -378,16 +378,9 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   BoundedUfpConfig solver_cfg = config_.solver;
   solver_cfg.epsilon =
       std::min(solver_cfg.epsilon, kMaxSafeExponent / rgraph_->min_residual());
-  // The engine never reads the final duals; skipping the export keeps
-  // the solve free of O(m) work.
-  solver_cfg.export_duals = false;
   if (config_.payments == PaymentPolicy::kDualPrice) {
     solver_cfg.record_trace = true;  // admission-time alpha per winner
   }
-  // Always on: the per-outcome counters (no_path/capacity_blocked/
-  // lost_auction/shard_conflict) feed the det telemetry whether or not
-  // a DecisionTrace is attached.
-  solver_cfg.classify_rejections = true;
 
   // The solver speaks base edge ids over the residual graph, starts from
   // its epoch-start duals and keeps its engines, shard plan and stamps in

@@ -12,9 +12,9 @@
 // otherwise, in which case the lease's capacity returns to the residual
 // when it expires. Expiries are drained at every epoch boundary, before
 // the epoch's residual view is opened, in deterministic (expiry time,
-// lease id) order off a hierarchical timer wheel, so the per-epoch
-// reclaim cost is amortized O(1) per expiry and the admission history
-// stays byte-identical across thread counts. Each epoch remains a
+// lease id) order off the ledger's expiry heap, so the per-epoch reclaim
+// cost is O(log n) per expiry and the admission history stays
+// byte-identical across thread counts. Each epoch remains a
 // per-auction application of the paper's mechanism over the residual
 // left by expired *and* active leases, so the monotonicity/exactness
 // guarantees are untouched (§5's repeated-auction view, now with the

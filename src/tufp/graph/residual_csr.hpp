@@ -8,7 +8,7 @@
 //
 //   residual_[e]  live residual capacity, decremented by admissions
 //                 (clamped at 0, the engine's commit rule) and restored by
-//                 timer-wheel reclaims writing through mutable_residual();
+//                 lease reclaims writing through mutable_residual();
 //   blocked_[e]   per-epoch activity mask (residual < min_usable floor) —
 //                 a compiled snapshot's edge filter (sim/snapshot.hpp), as
 //                 a mask instead of a rebuild;

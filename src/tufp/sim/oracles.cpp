@@ -278,7 +278,6 @@ TemporalRun run_world_reference(const SimWorld& world, bool churn) {
       cfg.capacity_guard = true;
       cfg.epsilon =
           std::min(cfg.epsilon, kMaxSafeExponent / snap.min_residual());
-      cfg.export_duals = false;
       cfg.record_trace = true;  // admission-time alpha per winner
       const BoundedUfpResult solved = bounded_ufp(instance, cfg);
       report.solver_iterations = solved.iterations;

@@ -9,10 +9,18 @@
 
 namespace tufp::temporal {
 
-LeaseLedger::LeaseLedger(int num_edges, LeaseLedgerConfig config)
-    : config_(config),
-      wheel_(config.tick_seconds),
-      leased_demand_(static_cast<std::size_t>(num_edges), 0.0),
+namespace {
+
+// Heap order: `a` drains after `b`. std::push_heap/pop_heap keep the
+// greatest element in front, so "after" puts the earliest (due, id) there.
+constexpr auto drains_after = [](const auto& a, const auto& b) {
+  return a.due != b.due ? a.due > b.due : a.lease.id > b.lease.id;
+};
+
+}  // namespace
+
+LeaseLedger::LeaseLedger(int num_edges)
+    : leased_demand_(static_cast<std::size_t>(num_edges), 0.0),
       active_on_edge_(static_cast<std::size_t>(num_edges), 0) {
   TUFP_REQUIRE(num_edges >= 1, "lease ledger needs a non-empty edge space");
 }
@@ -31,17 +39,19 @@ LeaseId LeaseLedger::admit(std::int64_t sequence, double demand,
     ++active_on_edge_[ei];
   }
   leased_capacity_ += demand * static_cast<double>(edges.size());
-  if (expires_at < kInf) {
-    // The wheel clock may already sit past this expiry: reclaim_until()
-    // advances it to the frontier, and a driver may legally admit from an
-    // older batch afterwards (EpochEngine::run_epoch). Such a lease is
-    // due immediately — schedule it at the frontier instead of tripping
-    // the wheel's no-past precondition; it drains on the next reclaim.
-    wheel_.schedule(std::max(expires_at, wheel_.now()), id);
-    ++finite_admitted_;
+  if (expires_at == kInf) {
+    ++permanent_;
+    return id;
   }
-  leases_.emplace(id, Lease{id, sequence, demand, now, expires_at,
-                            std::move(edges)});
+  // The clock may already sit past this expiry: reclaim_until() advances
+  // it to the frontier, and a driver may legally admit from an older
+  // batch afterwards (EpochEngine::run_epoch). Such a lease is due at the
+  // frontier and drains on the next reclaim.
+  pending_.push_back({std::max(expires_at, clock_),
+                      Lease{id, sequence, demand, now, expires_at,
+                            std::move(edges)}});
+  std::push_heap(pending_.begin(), pending_.end(), drains_after);
+  ++finite_admitted_;
   return id;
 }
 
@@ -51,12 +61,13 @@ int LeaseLedger::reclaim_until(double now, std::span<const double> capacities,
   TUFP_REQUIRE(capacities.size() == leased_demand_.size() &&
                    residual.size() == leased_demand_.size(),
                "reclaim_until spans must cover the base edge space");
-  due_.clear();
-  wheel_.advance(now, &due_);
-  for (const TimerWheel::Event& event : due_) {
-    const auto it = leases_.find(event.id);
-    TUFP_CHECK(it != leases_.end(), "timer fired for an unknown lease");
-    Lease& lease = it->second;
+  TUFP_REQUIRE(std::isfinite(now) && now >= clock_,
+               "lease ledger clock must be finite and nondecreasing");
+  clock_ = now;
+  int drained = 0;
+  while (!pending_.empty() && pending_.front().due <= now) {
+    std::pop_heap(pending_.begin(), pending_.end(), drains_after);
+    Lease& lease = pending_.back().lease;
     for (const EdgeId e : lease.edges) {
       const auto ei = static_cast<std::size_t>(e);
       leased_demand_[ei] -= lease.demand;
@@ -73,19 +84,21 @@ int LeaseLedger::reclaim_until(double now, std::span<const double> capacities,
     leased_capacity_ -=
         lease.demand * static_cast<double>(lease.edges.size());
     ++expired_total_;
+    ++drained;
     if (expired != nullptr) expired->push_back(std::move(lease));
-    leases_.erase(it);
+    pending_.pop_back();
   }
-  if (leases_.empty()) leased_capacity_ = 0.0;  // same snap, global gauge
-  return static_cast<int>(due_.size());
+  if (active_count() == 0) leased_capacity_ = 0.0;  // same snap, global gauge
+  return drained;
 }
 
 void LeaseLedger::clear() {
-  wheel_ = TimerWheel(config_.tick_seconds);
-  leases_.clear();
+  pending_.clear();
+  permanent_ = 0;
   std::fill(leased_demand_.begin(), leased_demand_.end(), 0.0);
   std::fill(active_on_edge_.begin(), active_on_edge_.end(), 0);
   leased_capacity_ = 0.0;
+  clock_ = 0.0;
   next_id_ = 0;
   finite_admitted_ = 0;
   expired_total_ = 0;

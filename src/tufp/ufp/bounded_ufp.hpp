@@ -65,19 +65,6 @@ struct BoundedUfpConfig {
 
   // Record one IterationRecord per selection (tests/benches).
   bool record_trace = false;
-
-  // Classify every unselected request at loop exit (result.rejections).
-  // The classification reads only the solver's own deterministic exit
-  // state — cached entries, the live residual, the epoch-start
-  // capacities — so records are identical across kernels and thread
-  // counts (the engine-differential oracle's contract, DESIGN.md §14).
-  // Cost: O(rejected × path length) once per solve.
-  bool classify_rejections = false;
-
-  // Populate result.y with the final dual weights. Only dual-certificate
-  // consumers need them; the epoch engine turns this off so its solve
-  // costs no O(m) export. Never changes the solution.
-  bool export_duals = true;
 };
 
 struct IterationRecord {
@@ -119,6 +106,8 @@ struct BoundedUfpResult {
   // sum_e c_e y_e when the loop exited.
   double final_dual_sum = 0.0;
   // Final dual weights y_e (inputs to dual_certificate / diagnostics).
+  // The UfpInstance solve only: the residual-graph solve rolls its duals
+  // back, and its caller never reads them.
   std::vector<double> y;
 
   // Best (smallest) dual-feasible upper bound on the *fractional* optimum
@@ -147,8 +136,12 @@ struct BoundedUfpResult {
 
   std::vector<IterationRecord> trace;
 
-  // classify_rejections only: one record per unselected request in
-  // ascending request order.
+  // The residual-graph solve only: one record per unselected request in
+  // ascending request order, classified from the solver's own
+  // deterministic exit state — cached entries, the live residual, the
+  // epoch-start capacities — so records are identical across kernels and
+  // thread counts (the engine-differential oracle's contract, DESIGN.md
+  // §14). Cost: O(rejected × path length) once per solve.
   std::vector<RejectionRecord> rejections;
 };
 
@@ -159,15 +152,15 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
 
 // The engine's entry point: solves the epoch over the persistent
 // residual graph without compiling a per-epoch instance. Edge ids are
-// base-graph ids; blocked edges are excluded from every search and carry
-// y = 0 in result.y. Preconditions as above with B = the graph's min
-// active residual and at least one active edge. The solve starts from
-// the graph's epoch-start duals and writes through its SolveOverlay,
-// which it rolls back before returning: the graph is unchanged on exit,
-// and no O(m) pass runs unless export_duals asks for result.y.
-// `workspace` carries the shortest-path engines, shard plan and
-// iteration stamps across calls; results are bitwise identical to a cold
-// solve of the compiled epoch instance.
+// base-graph ids; blocked edges are excluded from every search.
+// Preconditions as above with B = the graph's min active residual and at
+// least one active edge. The solve starts from the graph's epoch-start
+// duals and writes through its SolveOverlay, which it rolls back before
+// returning: the graph is unchanged on exit, no O(m) pass runs, and
+// result.y stays empty while result.rejections is filled. `workspace`
+// carries the shortest-path engines, shard plan and iteration stamps
+// across calls; the solution, bounds and counters are bitwise identical
+// to a cold solve of the compiled epoch instance.
 BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,

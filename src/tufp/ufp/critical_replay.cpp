@@ -14,7 +14,8 @@ using detail::validate_config;
 namespace {
 
 // One shadowed replay from the epoch-start state. Only the threshold is
-// read, so the replay skips every export the selection does not need.
+// read: the replay records no trace, and its loop exports neither duals
+// nor rejections.
 double replay_critical(const detail::Substrate& sub,
                        const BoundedUfpConfig& config, detail::SpCache& cache,
                        int r) {
@@ -22,8 +23,6 @@ double replay_critical(const detail::Substrate& sub,
                "critical value of a request outside the batch");
   BoundedUfpConfig replay = config;
   replay.record_trace = false;
-  replay.classify_rejections = false;
-  replay.export_duals = false;
   detail::Shadow shadow{r};
   run_bounded_ufp<true>(sub, replay, cache, /*arrays=*/nullptr, &shadow);
   return shadow.critical;

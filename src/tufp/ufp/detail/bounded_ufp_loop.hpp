@@ -272,61 +272,60 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     result.dual_upper_bound = std::min(result.dual_upper_bound, total);
   }
 
-  if (config.classify_rejections) {
-    // Serial exit-state classification (DESIGN.md §14): every input here —
-    // cached entries, the live residual, the epoch-start capacities — is a
-    // deterministic function of the admission history, so the records are
-    // byte-identical across kernels and thread counts.
-    // Staleness is benign AND deterministic: in saturation mode the loop
-    // exits right after a refresh (entries fresh); under the faithful
-    // threshold any still-fitting request is lost_auction regardless of
-    // whether a late winner touched its path.
-    result.rejections.reserve(remaining.size());
-    for (const int r : remaining) {  // ascending: erase() keeps the order
-      const auto& entry = cache.entry(r);
-      const Request& req = sub.requests[static_cast<std::size_t>(r)];
-      RejectionRecord rec;
-      rec.request = r;
-      if (!entry.reachable) {
-        rec.reason = RejectReason::kNoPath;
-      } else if (entry.length >= kInf) {
-        // Threshold crossed before the first refresh ever ran: nothing
-        // was computed, the request simply never got an auction round.
+  result.final_dual_sum = dual_sum;
+  // The entry point decides what leaves the loop: the shadowed replay
+  // only its threshold, a cold solve its duals (a move), and the engine's
+  // solve over the residual graph its rejection records (its overlay
+  // rolls the duals back).
+  if (kShadow) return result;
+  if (cold) {
+    result.y = std::move(cold->y);
+    return result;
+  }
+
+  // Serial exit-state classification (DESIGN.md §14): every input here —
+  // cached entries, the live residual, the epoch-start capacities — is a
+  // deterministic function of the admission history, so the records are
+  // byte-identical across kernels and thread counts.
+  // Staleness is benign AND deterministic: in saturation mode the loop
+  // exits right after a refresh (entries fresh); under the faithful
+  // threshold any still-fitting request is lost_auction regardless of
+  // whether a late winner touched its path.
+  result.rejections.reserve(remaining.size());
+  for (const int r : remaining) {  // ascending: erase() keeps the order
+    const auto& entry = cache.entry(r);
+    const Request& req = sub.requests[static_cast<std::size_t>(r)];
+    RejectionRecord rec;
+    rec.request = r;
+    if (!entry.reachable) {
+      rec.reason = RejectReason::kNoPath;
+    } else if (entry.length >= kInf) {
+      // Threshold crossed before the first refresh ever ran: nothing
+      // was computed, the request simply never got an auction round.
+      rec.reason = RejectReason::kLostAuction;
+    } else {
+      rec.density = req.demand / req.value * entry.length;
+      rec.path = entry.path;
+      if (path_fits(entry.path, residual, req.demand)) {
         rec.reason = RejectReason::kLostAuction;
       } else {
-        rec.density = req.demand / req.value * entry.length;
-        rec.path = entry.path;
-        if (path_fits(entry.path, residual, req.demand)) {
-          rec.reason = RejectReason::kLostAuction;
-        } else {
-          const std::span<const double> at_start = sub.capacities;
-          rec.reason = path_fits(entry.path, at_start, req.demand)
-                           ? RejectReason::kCapacityRace
-                           : RejectReason::kBlockedAtStart;
-          const std::span<const double> judged =
-              rec.reason == RejectReason::kCapacityRace
-                  ? std::span<const double>(residual)
-                  : at_start;
-          for (const EdgeId e : entry.path) {
-            if (judged[static_cast<std::size_t>(e)] + kFitSlack <
-                req.demand) {
-              rec.bottleneck = e;
-              break;
-            }
+        const std::span<const double> at_start = sub.capacities;
+        rec.reason = path_fits(entry.path, at_start, req.demand)
+                         ? RejectReason::kCapacityRace
+                         : RejectReason::kBlockedAtStart;
+        const std::span<const double> judged =
+            rec.reason == RejectReason::kCapacityRace
+                ? std::span<const double>(residual)
+                : at_start;
+        for (const EdgeId e : entry.path) {
+          if (judged[static_cast<std::size_t>(e)] + kFitSlack < req.demand) {
+            rec.bottleneck = e;
+            break;
           }
         }
       }
-      result.rejections.push_back(std::move(rec));
     }
-  }
-
-  result.final_dual_sum = dual_sum;
-  if (config.export_duals) {
-    if (cold) {
-      result.y = std::move(cold->y);
-    } else {
-      result.y.assign(y.begin(), y.end());  // the overlay rolls its own back
-    }
+    result.rejections.push_back(std::move(rec));
   }
   return result;
 }

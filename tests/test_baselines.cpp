@@ -80,6 +80,7 @@ TEST(Bkv, SharedSkeletonMatchesBoundedUfpSelections) {
   EXPECT_GT(bkv.iterations, 0);
   EXPECT_EQ(bkv.solution.selected_requests(), ufp.solution.selected_requests());
   EXPECT_EQ(bkv.iterations, ufp.iterations);
+  EXPECT_EQ(bkv.tight_upper_bound, ufp.dual_upper_bound);
 }
 
 TEST(Bkv, CoarseBoundDominatesTightBound) {
@@ -94,7 +95,49 @@ TEST(Bkv, CoarseBoundDominatesTightBound) {
     const double value = bkv.solution.total_value(inst);
     EXPECT_GE(bkv.coarse_upper_bound, bkv.tight_upper_bound - 1e-9)
         << "seed " << seed;
-    EXPECT_GE(bkv.tight_upper_bound, value - 1e-9);
+    EXPECT_GE(bkv.tight_upper_bound, value) << "seed " << seed;
+  }
+}
+
+TEST(Bkv, AllRoutedTightBoundEqualsValueBitwise) {
+  // Values 0.1, 0.2, 0.3 on one edge are selected in order 2, 1, 0, and
+  // 0.3 + 0.2 + 0.1 is one ulp below 0.1 + 0.2 + 0.3. The all-routed cap
+  // must be the value as reported — summed in request order — or the
+  // bound reads below the value it certifies.
+  Graph g = Graph::directed(2);
+  g.add_edge(0, 1, 2.0);
+  g.finalize();
+  const UfpInstance inst(std::move(g), {{0, 1, 0.5, 0.1},
+                                        {0, 1, 0.5, 0.2},
+                                        {0, 1, 0.5, 0.3}});
+  BoundedUfpConfig cfg;
+  cfg.run_to_saturation = true;
+  cfg.record_trace = true;
+  const BoundedUfpResult ufp = bounded_ufp(inst, cfg);
+  ASSERT_EQ(ufp.trace.size(), 3u);
+  EXPECT_EQ(ufp.trace[0].request, 2);
+  EXPECT_EQ(ufp.trace[1].request, 1);
+  EXPECT_EQ(ufp.trace[2].request, 0);
+  ASSERT_NE(0.3 + 0.2 + 0.1, 0.1 + 0.2 + 0.3);
+
+  const BkvResult bkv = bkv_ufp(inst, cfg);
+  EXPECT_EQ(bkv.solution.num_selected(), 3);
+  EXPECT_EQ(bkv.tight_upper_bound, bkv.solution.total_value(inst));
+  EXPECT_EQ(bkv.tight_upper_bound, ufp.dual_upper_bound);
+}
+
+TEST(Bkv, TightBoundNeverBelowValue) {
+  // Claim 3.6 with no tolerance, on saturating grids where many runs
+  // route every request.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const UfpInstance inst = make_instance(
+        seed, 1.0 + 0.5 * static_cast<double>(seed % 7),
+        5 + static_cast<int>(seed % 20));
+    BoundedUfpConfig cfg;
+    cfg.run_to_saturation = true;
+    const BkvResult bkv = bkv_ufp(inst, cfg);
+    EXPECT_GE(bkv.tight_upper_bound, bkv.solution.total_value(inst))
+        << "seed " << seed;
   }
 }
 

@@ -309,7 +309,6 @@ TEST(CriticalReplay, EnginePaymentsEqualAColdPerEpochReplay) {
     BoundedUfpConfig cfg = config.solver;
     cfg.epsilon =
         std::min(cfg.epsilon, kMaxSafeExponent / snapshot.min_residual());
-    cfg.export_duals = false;
     cfg.num_threads = 1;
     for (const AdmissionRecord& a : report.allocations) {
       EXPECT_EQ(bits(a.payment),

@@ -350,8 +350,8 @@ TEST(EngineLeases, ResetClearsTheLedgerAndReplaysIdentically) {
 TEST(EngineLeases, AdmissionBehindTheReclaimClockExpiresImmediately) {
   // reclaim_expired() may push the ledger clock past a later run_epoch()
   // batch's close time (both are public API). A finite lease admitted
-  // from such a stale batch must not crash the wheel's no-past check; it
-  // is simply due at the frontier and drains on the next reclaim.
+  // from such a stale batch is not an error: it is due at the frontier
+  // and drains on the next reclaim.
   Graph g = Graph::directed(2);
   g.add_edge(0, 1, 2.0);
   g.finalize();

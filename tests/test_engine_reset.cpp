@@ -94,7 +94,7 @@ void expect_same_run(const std::vector<ReportDigest>& expected,
 TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
   // A churn world: finite leases expire mid-replay, so the state a stale
   // reset would leak — the dirty list, the epoch-start duals and counts,
-  // the ledger wheel — is all genuinely exercised.
+  // the ledger's pending leases and clock — is all genuinely exercised.
   sim::ScaleChurnSpec spec;
   spec.rows = 24;
   spec.cols = 24;

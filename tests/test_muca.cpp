@@ -34,7 +34,38 @@ TEST(BoundedMuca, SelectsEverythingWhenMultiplicityAmple) {
   const BoundedMucaResult result = bounded_muca(inst);
   EXPECT_EQ(result.solution.num_selected(), inst.num_requests());
   EXPECT_TRUE(result.solution.check_feasibility(inst).feasible);
-  EXPECT_DOUBLE_EQ(result.dual_upper_bound, result.solution.total_value(inst));
+  EXPECT_EQ(result.dual_upper_bound, result.solution.total_value(inst));
+}
+
+TEST(BoundedMuca, AllSelectedBoundEqualsValueBitwise) {
+  // Values 0.1, 0.2, 0.3 on one item are selected in order 2, 1, 0, and
+  // 0.3 + 0.2 + 0.1 is one ulp below 0.1 + 0.2 + 0.3: the all-selected
+  // cap must be the value as reported, summed in request order.
+  const MucaInstance inst({10}, {{{0}, 0.1}, {{0}, 0.2}, {{0}, 0.3}});
+  BoundedMucaConfig cfg;
+  cfg.record_trace = true;
+  const BoundedMucaResult result = bounded_muca(inst, cfg);
+  ASSERT_EQ(result.trace.size(), 3u);
+  EXPECT_EQ(result.trace[0].request, 2);
+  EXPECT_EQ(result.trace[1].request, 1);
+  EXPECT_EQ(result.trace[2].request, 0);
+  ASSERT_NE(0.3 + 0.2 + 0.1, 0.1 + 0.2 + 0.3);
+  EXPECT_EQ(result.dual_upper_bound, result.solution.total_value(inst));
+}
+
+TEST(BoundedMuca, DualBoundNeverBelowValue) {
+  // Claim 3.6 with no tolerance, on saturating auctions from scarce to
+  // ample multiplicity (the ample ones select everything).
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const MucaInstance inst = make_random_auction(
+        10, 2 + static_cast<int>(seed % 200), 5 + static_cast<int>(seed % 20),
+        1, 4, 1, 10, seed);
+    BoundedMucaConfig cfg;
+    cfg.run_to_saturation = true;
+    const BoundedMucaResult result = bounded_muca(inst, cfg);
+    EXPECT_GE(result.dual_upper_bound, result.solution.total_value(inst))
+        << "seed " << seed;
+  }
 }
 
 TEST(BoundedMuca, GuardKeepsTightAuctionFeasible) {

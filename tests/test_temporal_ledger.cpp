@@ -1,10 +1,15 @@
 // LeaseLedger (temporal/lease_ledger.hpp): exact capacity return (the
-// snap-on-last-expiry rule), per-edge accounting, permanent leases,
-// deterministic drain order and reset.
+// snap-on-last-expiry rule), per-edge accounting, permanent leases, the
+// deterministic (expiry, id) drain order for any admission order, exact
+// `<=` expiry comparisons, the clock's preconditions and reset.
 #include "tufp/temporal/lease_ledger.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "tufp/util/math.hpp"
@@ -12,6 +17,35 @@
 
 namespace tufp::temporal {
 namespace {
+
+// One roomy edge: enough capacity that the drain order, not the residual
+// arithmetic, is what a test observes.
+struct OneEdge {
+  std::vector<double> capacities{1e9};
+  std::vector<double> residual = capacities;
+  LeaseLedger ledger{1};
+
+  void admit(std::int64_t sequence, double expires_at) {
+    residual[0] -= 0.5;
+    ledger.admit(sequence, 0.5, {0}, 0.0, expires_at);
+  }
+  std::vector<Lease> drain(double now) {
+    std::vector<Lease> out;
+    ledger.reclaim_until(now, capacities, residual, &out);
+    return out;
+  }
+};
+
+// Strictly increasing (expires_at, id) over the whole sequence.
+void expect_drain_order(const std::vector<Lease>& drained) {
+  for (std::size_t i = 1; i < drained.size(); ++i) {
+    const Lease& prev = drained[i - 1];
+    const Lease& cur = drained[i];
+    EXPECT_TRUE(prev.expires_at < cur.expires_at ||
+                (prev.expires_at == cur.expires_at && prev.id < cur.id))
+        << "position " << i;
+  }
+}
 
 TEST(LeaseLedger, ReclaimRestoresResidualExactly) {
   // Demands like 0.1 are not exactly representable: an incremental
@@ -91,6 +125,120 @@ TEST(LeaseLedger, DrainOrderIsExpiryTimeThenLeaseId) {
   EXPECT_EQ(drained[0].sequence, 11);
 }
 
+TEST(LeaseLedger, DrainOrderHoldsForAnyAdmissionOrder) {
+  // The same expiries under three admission orders: each drains every
+  // lease exactly once, in strictly increasing (expires_at, id) order,
+  // with the same expiry sequence whatever layout the heap took.
+  const std::vector<double> expiries = {0.30, 0.10, 0.30, 0.02,
+                                        1.70, 0.10, 0.95, 0.30};
+  std::vector<std::vector<double>> drained_times;
+  for (int variant = 0; variant < 3; ++variant) {
+    std::vector<std::int64_t> order(expiries.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<std::int64_t>(i);
+    }
+    Rng rng(77 + static_cast<std::uint64_t>(variant));
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.next_below(i)]);
+    }
+    OneEdge fx;
+    for (const std::int64_t seq : order) {
+      fx.admit(seq, expiries[static_cast<std::size_t>(seq)]);
+    }
+    const std::vector<Lease> drained = fx.drain(2.0);
+    ASSERT_EQ(drained.size(), expiries.size());
+    expect_drain_order(drained);
+    std::map<std::int64_t, int> seen;
+    std::vector<double> times;
+    for (const Lease& lease : drained) {
+      ++seen[lease.sequence];
+      EXPECT_EQ(lease.expires_at,
+                expiries[static_cast<std::size_t>(lease.sequence)]);
+      times.push_back(lease.expires_at);
+    }
+    EXPECT_EQ(seen.size(), expiries.size());
+    for (const auto& [seq, count] : seen) EXPECT_EQ(count, 1) << seq;
+    drained_times.push_back(times);
+  }
+  EXPECT_EQ(drained_times[0], drained_times[1]);
+  EXPECT_EQ(drained_times[0], drained_times[2]);
+}
+
+TEST(LeaseLedger, ExpiryAtNowIsDueAndALaterOneIsNot) {
+  // Comparisons are exact: an expiry equal to `now` drains (<=), one a
+  // ten-thousandth later waits for a later reclaim.
+  OneEdge fx;
+  fx.admit(1, 0.1200);
+  fx.admit(2, 0.1201);
+  std::vector<Lease> due = fx.drain(0.1200);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].sequence, 1);
+  EXPECT_EQ(fx.ledger.active_count(), 1);
+  due = fx.drain(0.1201);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].sequence, 2);
+  EXPECT_EQ(fx.ledger.active_count(), 0);
+}
+
+TEST(LeaseLedger, FarApartExpiriesDrainOnceInOrder) {
+  // Expiries 0.02 * 2.7^k for k < 40 span fourteen orders of magnitude;
+  // drained in two stages, every lease comes out once, in order.
+  OneEdge fx;
+  std::vector<double> times;
+  for (double t = 0.02; times.size() < 40; t *= 2.7) times.push_back(t);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    fx.admit(static_cast<std::int64_t>(i), times[i]);
+  }
+  std::vector<Lease> drained = fx.drain(times[20]);
+  EXPECT_EQ(drained.size(), 21u);
+  for (Lease& lease : fx.drain(times.back() + 1.0)) {
+    drained.push_back(std::move(lease));
+  }
+  ASSERT_EQ(drained.size(), times.size());
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(drained[i].sequence, static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(fx.ledger.active_count(), 0);
+  EXPECT_EQ(fx.residual[0], fx.capacities[0]);
+}
+
+TEST(LeaseLedger, RejectsBackwardAndNonFiniteClocks) {
+  OneEdge fx;
+  fx.drain(1.0);
+  EXPECT_EQ(fx.ledger.now(), 1.0);
+  EXPECT_THROW(fx.drain(0.5), std::invalid_argument);
+  EXPECT_THROW(fx.drain(kInf), std::invalid_argument);
+  EXPECT_THROW(fx.drain(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(fx.ledger.now(), 1.0);
+}
+
+TEST(LeaseLedger, ManyExpiriesAcrossManyReclaimsDrainOnceInOrder) {
+  // 5000 random expiries drained in 7.3-unit steps: nothing lost, nothing
+  // duplicated, the order monotone across reclaim boundaries too.
+  OneEdge fx;
+  Rng rng(11);
+  const int kLeases = 5000;
+  for (int i = 0; i < kLeases; ++i) fx.admit(i, rng.next_double(0.0, 400.0));
+  std::vector<Lease> drained;
+  for (double now = 7.3; now < 410.0; now += 7.3) {
+    const double until = std::min(now, 401.0);
+    for (Lease& lease : fx.drain(until)) {
+      EXPECT_LE(lease.expires_at, until);
+      drained.push_back(std::move(lease));
+    }
+  }
+  ASSERT_EQ(drained.size(), static_cast<std::size_t>(kLeases));
+  expect_drain_order(drained);
+  std::vector<bool> seen(static_cast<std::size_t>(kLeases), false);
+  for (const Lease& lease : drained) {
+    const auto s = static_cast<std::size_t>(lease.sequence);
+    EXPECT_FALSE(seen[s]) << "sequence " << s << " drained twice";
+    seen[s] = true;
+  }
+  EXPECT_EQ(fx.ledger.active_count(), 0);
+  EXPECT_EQ(fx.ledger.expired_total(), kLeases);
+}
+
 TEST(LeaseLedger, OccupancyTracksDemandTimesPathLength) {
   LeaseLedger ledger(4);
   const std::vector<double> capacities{1.0, 1.0, 1.0, 1.0};
@@ -116,7 +264,10 @@ TEST(LeaseLedger, ClearForgetsEverything) {
   EXPECT_EQ(ledger.expired_total(), 0);
   EXPECT_EQ(ledger.leased_capacity(), 0.0);
   EXPECT_EQ(ledger.active_on_edge(1), 0);
-  // The clock restarts too: scheduling at t = 0 is legal again.
+  // The clock restarts too: reclaiming and admitting at t = 0 is legal
+  // again.
+  EXPECT_EQ(ledger.now(), 0.0);
+  ledger.reclaim_until(0.0, capacities, residual);
   ledger.admit(2, 0.5, {0}, 0.0, 0.5);
   EXPECT_EQ(ledger.active_count(), 1);
 }
@@ -132,6 +283,7 @@ TEST(LeaseLedger, ChurnStressReturnsToBaselineExactly) {
   Rng rng(99);
   double now = 0.0;
   std::int64_t seq = 0;
+  std::vector<Lease> drained;
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 50; ++i) {
       const double demand = rng.next_double(0.01, 0.4);
@@ -153,10 +305,14 @@ TEST(LeaseLedger, ChurnStressReturnsToBaselineExactly) {
                    now + rng.next_double(0.01, 3.0));
     }
     now += 0.25;
-    ledger.reclaim_until(now, capacities, residual);
+    ledger.reclaim_until(now, capacities, residual, &drained);
   }
-  ledger.reclaim_until(now + 10.0, capacities, residual);
+  ledger.reclaim_until(now + 10.0, capacities, residual, &drained);
   EXPECT_EQ(ledger.active_count(), 0);
+  // Admissions interleave with reclaims, yet every lease drains once and
+  // the (expires_at, id) order runs on across reclaim boundaries.
+  EXPECT_EQ(drained.size(), static_cast<std::size_t>(seq));
+  expect_drain_order(drained);
   for (int e = 0; e < kEdges; ++e) {
     EXPECT_EQ(residual[static_cast<std::size_t>(e)],
               capacities[static_cast<std::size_t>(e)])

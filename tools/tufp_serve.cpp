@@ -433,9 +433,9 @@ class ServeSession {
 
   // Numbers off the wire parse whole (cli_util.hpp): `5x` throws, and
   // handle() sheds the line. A clock value must also be finite: the
-  // virtual clock, and the lease wheel behind it, only run on finite
-  // times, so a non-finite value throws like any other malformed number
-  // and handle() sheds the line before the clock moves.
+  // virtual clock, and the lease ledger's reclaim clock behind it, only
+  // run on finite times, so a non-finite value throws like any other
+  // malformed number and handle() sheds the line before the clock moves.
   static double parse_time(const std::string& token) {
     const double t = parse_double(token);
     if (!std::isfinite(t)) throw std::invalid_argument("non-finite time");
