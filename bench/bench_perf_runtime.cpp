@@ -58,21 +58,24 @@ BENCHMARK(BM_DijkstraGrid)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_DijkstraGridKernel(benchmark::State& state) {
   // Heap vs bucket queue on the bounded key range the solver's dual
-  // weights live in early on (ratio ~20 here -> a handful of buckets).
+  // weights live in early on (ratio ~20 here -> a handful of buckets):
+  // a query with no profile runs the heap, one with the scanned profile
+  // the bucket queue.
   const int side = static_cast<int>(state.range(0));
   const bool bucket = state.range(1) != 0;
   Rng rng(11);
   const Graph g = grid_graph(side, side, 4.0, false);
   std::vector<double> weights(static_cast<std::size_t>(g.num_edges()));
   for (auto& w : weights) w = rng.next_double(0.1, 2.0);
-  const WeightProfile profile = WeightProfile::scan(weights);
-  ShortestPathEngine engine(g, bucket ? SpKernel::kBucket : SpKernel::kHeap);
+  const WeightProfile scanned = WeightProfile::scan(weights);
+  const WeightProfile* profile = bucket ? &scanned : nullptr;
+  ShortestPathEngine engine(g);
   const auto s = static_cast<VertexId>(0);
   const auto t = static_cast<VertexId>(g.num_vertices() - 1);
   Path path;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.shortest_path(weights, s, t, &path, {}, &profile));
+        engine.shortest_path(weights, s, t, &path, {}, profile));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(bucket ? "bucket" : "heap");
@@ -82,27 +85,6 @@ BENCHMARK(BM_DijkstraGridKernel)
     ->Args({16, 1})
     ->Args({64, 0})
     ->Args({64, 1});
-
-void BM_BoundedUfpKernel(benchmark::State& state) {
-  // End-to-end Alg. 1 with the shortest-path kernel pinned; kAuto should
-  // track whichever is faster while the key range stays bounded. Note
-  // "bucket" means bucket-while-eligible: late in a saturated run the
-  // spread duals exceed the bucket cap and the engine degrades to the
-  // heap, so this row measures the solver's real mixed regime, not a
-  // pure-bucket microbenchmark (BM_DijkstraGridKernel is that).
-  const int kernel = static_cast<int>(state.range(0));
-  const UfpInstance inst = grid_workload(6, 600, 12.0, 29);
-  BoundedUfpConfig cfg;
-  cfg.epsilon = 0.7;
-  cfg.sp_kernel = kernel == 0   ? SpKernel::kHeap
-                  : kernel == 1 ? SpKernel::kBucket
-                                : SpKernel::kAuto;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bounded_ufp(inst, cfg).iterations);
-  }
-  state.SetLabel(kernel == 0 ? "heap" : kernel == 1 ? "bucket" : "auto");
-}
-BENCHMARK(BM_BoundedUfpKernel)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_BoundedUfp(benchmark::State& state) {
   const int requests = static_cast<int>(state.range(0));

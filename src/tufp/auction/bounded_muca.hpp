@@ -41,10 +41,10 @@ struct BoundedMucaResult {
   MucaSolution solution;
   int iterations = 0;
   double final_dual_sum = 0.0;
-  std::vector<double> y;  // final item duals
+  std::vector<double> y{};  // final item duals
   double dual_upper_bound = 0.0;  // Claim 3.6 specialization
   bool stopped_by_threshold = false;
-  std::vector<MucaIterationRecord> trace;
+  std::vector<MucaIterationRecord> trace{};
 };
 
 BoundedMucaResult bounded_muca(const MucaInstance& instance,

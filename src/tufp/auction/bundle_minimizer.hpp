@@ -72,7 +72,7 @@ struct BundleMinimizerIteration {
 struct BundleMinimizerResult {
   MucaSolution solution;
   int iterations = 0;
-  std::vector<BundleMinimizerIteration> trace;
+  std::vector<BundleMinimizerIteration> trace{};
 };
 
 BundleMinimizerResult reasonable_bundle_minimizer(

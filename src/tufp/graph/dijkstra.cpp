@@ -14,14 +14,7 @@ constexpr int kHeapArity = 4;
 
 WeightProfile WeightProfile::scan(std::span<const double> weights) {
   WeightProfile p;  // defaults are include()'s neutral elements
-  for (const double w : weights) {
-    if (!(w > 0.0)) {
-      p.all_positive = false;
-      continue;
-    }
-    p.min_positive = std::min(p.min_positive, w);
-    p.max_weight = std::max(p.max_weight, w);
-  }
+  for (const double w : weights) p.include(w);
   return p;
 }
 
@@ -34,8 +27,7 @@ void WeightProfile::include(double w) {
   max_weight = std::max(max_weight, w);
 }
 
-ShortestPathEngine::ShortestPathEngine(const Graph& graph, SpKernel kernel)
-    : graph_(&graph), kernel_(kernel) {
+ShortestPathEngine::ShortestPathEngine(const Graph& graph) : graph_(&graph) {
   TUFP_REQUIRE(graph.finalized(), "graph must be finalized");
   const auto n = static_cast<std::size_t>(graph.num_vertices());
   dist_.assign(n, kInf);
@@ -251,17 +243,12 @@ void ShortestPathEngine::run(std::span<const double> weights, VertexId source,
 
   // Resolve the kernel: the bucket queue needs a profile proving every
   // weight positive with a key range that fits the bucket cap.
-  WeightProfile scanned;
-  if (profile == nullptr && kernel_ == SpKernel::kBucket) {
-    scanned = WeightProfile::scan(weights);
-    profile = &scanned;
-  }
   SpKernel use = SpKernel::kHeap;
   double delta = 0.0;
   std::int64_t num_buckets = 0;
-  if (kernel_ != SpKernel::kHeap && profile != nullptr &&
-      profile->all_positive && profile->min_positive > 0.0 &&
-      profile->min_positive < kInf && profile->max_weight < kInf) {
+  if (profile != nullptr && profile->all_positive &&
+      profile->min_positive > 0.0 && profile->min_positive < kInf &&
+      profile->max_weight < kInf) {
     delta = profile->min_positive;
     // Compare the key range in double before any integer cast: the dual
     // weights can spread to e^700-ish ratios, far past int64.

@@ -4,17 +4,20 @@
 // This is the inner loop of every algorithm in the paper: Bounded-UFP
 // computes, each iteration, the shortest s_r -> t_r path for every
 // remaining request under the dual weights y_e (Alg. 1 line 7). Two
-// kernels implement the search (DESIGN.md §6):
+// kernels implement the search (DESIGN.md §6), and the weights alone
+// pick between them:
 //
 //   * kHeap    — 4-ary binary heap with lazy deletion; works for any
-//                non-negative weights. The general-purpose fallback.
+//                non-negative weights. Runs whenever the query supplies
+//                no WeightProfile or the profile rules the bucket out.
 //   * kBucket  — monotone bucket queue (Dial's algorithm) with bucket
-//                width Δ = the smallest positive weight. Eligible when
-//                every weight is strictly positive and the key range
-//                max_w/Δ fits in kMaxBuckets buckets — which is exactly
-//                the regime of the exponential length function y_e =
-//                e^{εB f_e/c_e}/c_e before saturation spreads the
-//                weights. O(1) push/pop, no comparisons.
+//                width Δ = the smallest positive weight. Runs when the
+//                query's WeightProfile proves every weight strictly
+//                positive and the key range max_w/Δ within kMaxBuckets
+//                buckets — which is exactly the regime of the
+//                exponential length function y_e = e^{εB f_e/c_e}/c_e
+//                before saturation spreads the weights. O(1) push/pop,
+//                no comparisons.
 //
 // Both kernels realize the same *canonical* search semantics, so results
 // are byte-identical regardless of kernel (and of any processing order):
@@ -53,15 +56,10 @@
 
 namespace tufp {
 
-// Which queue discipline shortest_path uses. kAuto picks the bucket
-// queue whenever a supplied WeightProfile proves it eligible, the heap
-// otherwise (in particular always when no profile is supplied). kBucket
-// means "bucket whenever eligible": it scans the weights itself when no
-// profile is supplied, but still degrades to the heap on ineligible
-// weights (zero/negative entries or a key range past kMaxBuckets),
-// because the bucket layout cannot represent them — check
-// last_used_kernel() when the distinction matters. kHeap always heaps.
-enum class SpKernel { kAuto, kHeap, kBucket };
+// The queue discipline a query ran, as last_used_kernel() reports it.
+// Nothing selects it: a query runs the bucket queue when its
+// WeightProfile proves the bucket layout eligible and the heap otherwise.
+enum class SpKernel { kHeap, kBucket };
 
 // Cheap summary of a weight vector that decides bucket-queue
 // eligibility. Callers that mutate weights monotonically (Bounded-UFP
@@ -90,14 +88,14 @@ class ShortestPathEngine {
   // for itself and the engine falls back to the heap.
   static constexpr std::int64_t kMaxBuckets = 4096;
 
-  explicit ShortestPathEngine(const Graph& graph,
-                              SpKernel kernel = SpKernel::kAuto);
+  explicit ShortestPathEngine(const Graph& graph);
 
   // Shortest path s->t under `weights` (indexed by EdgeId, all >= 0).
   // Returns +inf and leaves *path untouched when t is unreachable.
   // When `blocked` is non-empty, edges with blocked[e] != 0 are skipped
   // (used by capacity-guarded and residual-feasible searches).
-  // `profile`, when given, enables the bucket kernel under kAuto.
+  // `profile`, when given, must describe `weights`; it runs the bucket
+  // kernel when it proves that eligible. Without one the heap runs.
   double shortest_path(std::span<const double> weights, VertexId source,
                        VertexId target, Path* path = nullptr,
                        std::span<const std::uint8_t> blocked = {},
@@ -120,10 +118,7 @@ class ShortestPathEngine {
                      std::span<const std::uint8_t> blocked = {},
                      const WeightProfile* profile = nullptr);
 
-  void set_kernel(SpKernel kernel) { kernel_ = kernel; }
-  SpKernel kernel() const { return kernel_; }
-
-  // Kernel the most recent query actually ran (kAuto resolved).
+  // Kernel the most recent query ran.
   SpKernel last_used_kernel() const { return last_used_; }
 
   const Graph& graph() const { return *graph_; }
@@ -156,7 +151,6 @@ class ShortestPathEngine {
   bool relax(VertexId u, double du, const Arc& arc, double w);
 
   const Graph* graph_;
-  SpKernel kernel_;
   SpKernel last_used_ = SpKernel::kHeap;
 
   std::vector<double> dist_;

@@ -15,16 +15,6 @@ namespace tufp::lab {
 
 namespace {
 
-// The one definition of "the lab's primal-dual config": identical to the
-// config certified bounds are computed under, so every cell is solved
-// under the same configuration its bound certifies (and the sweep may
-// reuse the certifying run's solution for the `bounded` entry).
-BoundedUfpConfig primal_dual_config(const LabSolveConfig& config) {
-  BoundedUfpConfig cfg = certifying_solver_config(config.epsilon);
-  cfg.sp_kernel = config.sp_kernel;
-  return cfg;
-}
-
 LabSolve from_solution(const UfpSolution& solution,
                        const UfpInstance& instance) {
   LabSolve out;
@@ -34,15 +24,21 @@ LabSolve from_solution(const UfpSolution& solution,
   return out;
 }
 
+// The primal-dual members solve under the very config certified bounds
+// are computed under, so every cell is solved under the configuration its
+// bound certifies (and the sweep may reuse the certifying run's solution
+// for the `bounded` entry).
 LabSolve solve_bounded(const UfpInstance& instance,
                        const LabSolveConfig& config) {
   return from_solution(
-      bounded_ufp(instance, primal_dual_config(config)).solution, instance);
+      bounded_ufp(instance, certifying_solver_config(config.epsilon)).solution,
+      instance);
 }
 
 LabSolve solve_bkv(const UfpInstance& instance, const LabSolveConfig& config) {
-  return from_solution(bkv_ufp(instance, primal_dual_config(config)).solution,
-                       instance);
+  return from_solution(
+      bkv_ufp(instance, certifying_solver_config(config.epsilon)).solution,
+      instance);
 }
 
 LabSolve solve_greedy_value(const UfpInstance& instance,

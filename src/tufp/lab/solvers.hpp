@@ -20,7 +20,6 @@
 #include <span>
 #include <string>
 
-#include "tufp/graph/dijkstra.hpp"
 #include "tufp/ufp/instance.hpp"
 #include "tufp/ufp/solution.hpp"
 
@@ -28,16 +27,13 @@ namespace tufp::lab {
 
 // Every lab solve runs on one thread (the solver default; this config has
 // no thread knob): the sweep fans out across cells instead
-// (SweepConfig::num_threads, util/parallel.hpp).
+// (SweepConfig::num_threads, util/parallel.hpp). Nor does it pick a
+// shortest-path queue: the dual weights do (graph/dijkstra.hpp).
 struct LabSolveConfig {
   // Accuracy parameter for the primal-dual solvers (bounded, bkv) and for
   // the claim36 certifying run, which uses the identical configuration.
   double epsilon = 1.0 / 6.0;
   std::uint64_t rounding_seed = 0xd1ce;
-  // Shortest-path queue for the primal-dual members (bounded, bkv, and
-  // the sweep's certifying run). Kernel choice never changes results —
-  // the thread/kernel-diff oracles pin that — only the wall clock.
-  SpKernel sp_kernel = SpKernel::kAuto;
   // Gates for the enumeration-backed members.
   int exact_max_requests = 14;
   int rounding_max_requests = 14;

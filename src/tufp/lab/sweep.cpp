@@ -78,15 +78,12 @@ std::vector<SweepCell> run_task(
       task.beta / normalized.bound_B() * (1.0 + 1e-12));
 
   // One certifying run per cell: it yields the claim36 bound AND the
-  // `bounded` solver's answer (primal_dual_config == the certifying
-  // config by construction, see lab/solvers.cpp). `providers` holds only
-  // the optional tighteners (packing-lp, gk-dual); claim36 always
-  // answers, so ties keep the earlier provider exactly as before.
-  BoundedUfpConfig certifying_cfg =
-      certifying_solver_config(config.solve.epsilon);
-  certifying_cfg.sp_kernel = config.solve.sp_kernel;
+  // `bounded` solver's answer (lab/solvers.cpp solves `bounded` under the
+  // certifying config). `providers` holds only the optional tighteners
+  // (packing-lp, gk-dual); claim36 always answers, so ties keep the
+  // earlier provider exactly as before.
   const BoundedUfpResult certifying_run =
-      bounded_ufp(instance, certifying_cfg);
+      bounded_ufp(instance, certifying_solver_config(config.solve.epsilon));
   UpperBound bound = best_upper_bound(providers, instance);
   const double claim36 = claim36_upper_bound(instance, certifying_run);
   if (!bound.available || claim36 < bound.value) {

@@ -35,15 +35,15 @@ struct PaymentOptions {
 
 struct UfpMechanismResult {
   UfpSolution allocation;
-  std::vector<double> payments;   // per request; 0 for losers
-  std::vector<double> utilities;  // v_r - payment for winners, else 0
+  std::vector<double> payments{};   // per request; 0 for losers
+  std::vector<double> utilities{};  // v_r - payment for winners, else 0
   long rule_evaluations = 0;      // total allocation-rule re-runs
 };
 
 struct MucaMechanismResult {
   MucaSolution allocation;
-  std::vector<double> payments;
-  std::vector<double> utilities;
+  std::vector<double> payments{};
+  std::vector<double> utilities{};
   long rule_evaluations = 0;
 };
 

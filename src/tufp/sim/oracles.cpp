@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "tufp/engine/epoch_engine.hpp"
+#include "tufp/graph/dijkstra.hpp"
 #include "tufp/mechanism/allocation_rule.hpp"
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
@@ -69,22 +70,18 @@ std::string selection_diff(const UfpSolution& a, const UfpSolution& b) {
 
 // ----------------------------------------------------------- engine runs
 
-// How run_engine replays a world: the pricing rule, the shortest-path
-// kernel, the OpenMP thread count, and whether the world's sampled lease
-// durations are replayed (churn) or every lease is permanent (plain).
+// How run_engine replays a world: the pricing rule, the OpenMP thread
+// count, and whether the world's sampled lease durations are replayed
+// (churn) or every lease is permanent (plain).
 struct Leg {
   PaymentPolicy payments = PaymentPolicy::kDualPrice;
-  SpKernel kernel = SpKernel::kAuto;
   int threads = 1;
   bool churn = false;
 
   friend auto operator<=>(const Leg&, const Leg&) = default;
 
   std::string name() const {
-    const char* k = kernel == SpKernel::kHeap     ? "heap"
-                    : kernel == SpKernel::kBucket ? "bucket"
-                                                  : "auto";
-    return std::string(churn ? "churn " : "plain ") + k + " t" +
+    return std::string(churn ? "churn" : "plain") + " t" +
            std::to_string(threads);
   }
 };
@@ -174,7 +171,6 @@ TemporalRun run_engine(const SimWorld& world, const Leg& leg) {
   config.record_allocations = true;
   config.solver = world.solver;
   config.solver.capacity_guard = true;  // engine precondition
-  config.solver.sp_kernel = leg.kernel;
   config.solver.num_threads = leg.threads;
   CapturingSink sink;
   obs::DecisionTrace trace(&sink);
@@ -492,22 +488,71 @@ std::vector<Violation> oracle_dual_bound(OracleContext& ctx) {
   return out;
 }
 
+// The two shortest-path kernels on the world's graph, under the duals
+// Algorithm 1 walks through: y_e = 1/c_e (line 4), then, request by
+// request, y_e *= e^{eps*B*d_r/c_e} along the request's shortest path
+// (lines 10-12). At each step every source's tree to its requests'
+// targets runs twice, with no profile (the heap) and with the running
+// profile (the bucket queue while the profile allows it); lengths and
+// paths must be equal (lengths are positive or inf, where == is bitwise).
+// Stops once the profile rules the bucket out: both runs are the heap
+// from there on.
 std::vector<Violation> oracle_kernel_diff(OracleContext& ctx) {
-  const SimWorld& world = ctx.world;
+  const UfpInstance& instance = ctx.world.instance;
+  const Graph& g = instance.graph();
+  const std::vector<Request>& requests = instance.requests();
+  const double eps = ctx.world.solver.epsilon;
+  const double B = instance.bound_B();
   std::vector<Violation> out;
-  BoundedUfpConfig heap = world.solver;
-  heap.sp_kernel = SpKernel::kHeap;
-  BoundedUfpConfig bucket = world.solver;
-  bucket.sp_kernel = SpKernel::kBucket;
-  const BoundedUfpResult a = solve(world, heap);
-  const BoundedUfpResult b = solve(world, bucket);
-  const std::string diff = selection_diff(a.solution, b.solution);
-  if (!diff.empty()) {
-    add(&out, "kernel-diff", "heap vs bucket: " + diff);
-  } else if (a.final_dual_sum != b.final_dual_sum ||
-             a.iterations != b.iterations) {
-    add(&out, "kernel-diff",
-        "heap vs bucket agree on allocation but not on dual state");
+
+  std::vector<double> y(static_cast<std::size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    y[static_cast<std::size_t>(e)] = 1.0 / g.capacity(e);
+  }
+  WeightProfile profile = WeightProfile::scan(y);
+  std::map<VertexId, std::vector<std::size_t>> by_source;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    by_source[requests[r].source].push_back(r);
+  }
+  ShortestPathEngine engine(g);
+  std::vector<ShortestPathEngine::TreeTarget> heap;
+  std::vector<ShortestPathEngine::TreeTarget> bucket;
+  std::vector<Path> heap_paths(requests.size());
+  std::vector<Path> bucket_paths(requests.size());
+  for (std::size_t step = 0; step < requests.size(); ++step) {
+    for (const auto& [source, members] : by_source) {
+      heap.clear();
+      bucket.clear();
+      for (const std::size_t r : members) {
+        heap.push_back({requests[r].target, 0.0, &heap_paths[r]});
+        bucket.push_back({requests[r].target, 0.0, &bucket_paths[r]});
+      }
+      engine.shortest_tree(y, source, heap);
+      engine.shortest_tree(y, source, bucket, {}, &profile);
+      if (engine.last_used_kernel() != SpKernel::kBucket) return out;
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const std::size_t r = members[i];
+        if (heap[i].length == bucket[i].length &&
+            (heap[i].length == kInf || heap_paths[r] == bucket_paths[r])) {
+          continue;
+        }
+        add(&out, "kernel-diff",
+            "step " + std::to_string(step) + ", request " +
+                std::to_string(r) + ": heap length " + fmt(heap[i].length) +
+                " vs bucket " + fmt(bucket[i].length) +
+                (heap[i].length == bucket[i].length ? ", different paths"
+                                                    : ""));
+        return out;
+      }
+    }
+    // Reachability is static (no edge is ever blocked), so an unreachable
+    // request keeps an empty path and inflates nothing.
+    const Request& req = requests[step];
+    for (const EdgeId e : heap_paths[step]) {
+      double& w = y[static_cast<std::size_t>(e)];
+      w *= std::exp(eps * B * req.demand / g.capacity(e));
+      profile.include(w);
+    }
   }
   return out;
 }
@@ -981,53 +1026,38 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   return out;
 }
 
-// Every engine leg — auto, heap and bucket kernels at 1 and 4 threads,
-// on the plain replay and on the full admit->expire->re-admit churn
-// replay — against the cold per-epoch reference replay and against the
-// first leg of its replay, byte for byte: reports, payments, solver
-// counters, residual and ledger views, the drained-horizon state and,
-// leg against leg, the det stream of decision records and telemetry. The
-// reference shares no cross-epoch state with the engine, so this is the
-// oracle that licenses the persistent residual store, its dirty-edge
-// list and the solve overlay on its epoch-start state (DESIGN.md §12); the stream diff carries the decision provenance (§14) across
-// kernels and thread counts. On top, the first leg's stream must keep
-// the terminal-decision contract (equality carries it to every other
-// leg).
+// Every engine leg — 1 and 4 threads, on the plain replay and on the
+// full admit->expire->re-admit churn replay — against the cold per-epoch
+// reference replay and against the t1 leg of its replay, byte for byte:
+// reports, payments, solver counters, residual and ledger views, the
+// drained-horizon state and, t4 against t1, the det stream of decision
+// records and telemetry. The reference shares no cross-epoch state with
+// the engine, so this is the oracle that licenses the persistent
+// residual store, its dirty-edge list and the solve overlay on its
+// epoch-start state (DESIGN.md §12); the stream diff carries the
+// decision provenance (§14) across thread counts. On top, the t1 leg's
+// stream must keep the terminal-decision contract (equality carries it
+// to the t4 leg).
 std::vector<Violation> oracle_engine_differential(OracleContext& ctx) {
   std::vector<Violation> out;
+  const auto report = [&out](const std::string& what,
+                             const std::string& diff) {
+    if (!diff.empty()) add(&out, "engine-differential", what + diff);
+  };
   const std::size_t offered = ctx.world.instance.requests().size();
   for (const bool churn : {false, true}) {
     const TemporalRun reference = run_world_reference(ctx.world, churn);
-    const TemporalRun* first = nullptr;
-    std::string first_name;
-    for (const SpKernel kernel :
-         {SpKernel::kAuto, SpKernel::kHeap, SpKernel::kBucket}) {
-      for (const int threads : {1, 4}) {
-        const Leg leg{PaymentPolicy::kDualPrice, kernel, threads, churn};
-        const TemporalRun& run = ctx.run(leg);
-        const std::string name = leg.name();
-        const std::string diff = temporal_run_diff(run, reference);
-        if (!diff.empty()) {
-          add(&out, "engine-differential",
-              name + " vs cold reference replay: " + diff);
-        }
-        if (first == nullptr) {
-          first = &run;
-          first_name = name;
-          const std::string audit =
-              terminal_decision_audit(run.stream, offered);
-          if (!audit.empty()) {
-            add(&out, "engine-differential", name + ": " + audit);
-          }
-          continue;
-        }
-        const std::string legs = temporal_run_diff(run, *first);
-        if (!legs.empty()) {
-          add(&out, "engine-differential",
-              name + " vs " + first_name + ": " + legs);
-        }
-      }
-    }
+    const Leg t1{PaymentPolicy::kDualPrice, 1, churn};
+    const Leg t4{PaymentPolicy::kDualPrice, 4, churn};
+    const TemporalRun& one = ctx.run(t1);
+    const TemporalRun& four = ctx.run(t4);
+    report(t1.name() + " vs cold reference replay: ",
+           temporal_run_diff(one, reference));
+    report(t1.name() + ": ", terminal_decision_audit(one.stream, offered));
+    report(t4.name() + " vs cold reference replay: ",
+           temporal_run_diff(four, reference));
+    report(t4.name() + " vs " + t1.name() + ": ",
+           temporal_run_diff(four, one));
   }
   return out;
 }

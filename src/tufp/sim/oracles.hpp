@@ -3,24 +3,27 @@
 //
 // Differential oracles re-run the same world through two implementations
 // that are promised to agree and diff the outcomes exactly:
-//   * kernel-diff    — bucket-queue vs heap shortest-path kernel
+//   * kernel-diff    — bucket-queue vs heap shortest-path kernel on the
+//                      world's graph, tree by tree, under the duals
+//                      Algorithm 1 walks through (y_e = 1/c_e, then each
+//                      request's path inflated in turn) until the weight
+//                      profile rules the bucket out
 //   * thread-diff    — solver with 1 vs 4 OpenMP threads
 //   * engine-offline — one engine epoch over a fresh network vs the
 //                      paper's one-shot mechanism (allocation + critical
 //                      payments)
 //   * payment-policy — allocation identical under kNone/kDualPrice/
 //                      kCritical (payments must not steer allocation)
-//   * engine-differential — one table of engine legs, {auto, heap,
-//                      bucket} kernels x {1, 4} threads x {plain, churn}
-//                      replays, each diffed byte-for-byte against a cold
-//                      per-epoch reference replay (a fresh GraphSnapshot
-//                      solved as a UfpInstance each epoch, no state
-//                      carried but a residual vector and a lease ledger;
-//                      DESIGN.md §12) and against the first leg of its
-//                      replay, the det stream of DecisionRecords and
-//                      det telemetry included; the first leg's stream
-//                      must hold exactly one terminal decision per
-//                      offered request (DESIGN.md §14).
+//   * engine-differential — four engine legs, {1, 4} threads x {plain,
+//                      churn} replays, each diffed byte-for-byte against
+//                      a cold per-epoch reference replay (a fresh
+//                      GraphSnapshot solved as a UfpInstance each epoch,
+//                      no state carried but a residual vector and a lease
+//                      ledger; DESIGN.md §12), and the t4 leg against the
+//                      t1 leg of its replay, the det stream of
+//                      DecisionRecords and det telemetry included; the t1
+//                      leg's stream must hold exactly one terminal
+//                      decision per offered request (DESIGN.md §14).
 //
 // Metamorphic oracles perturb the world in a direction with a provable
 // consequence and check the consequence:

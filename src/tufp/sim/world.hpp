@@ -77,7 +77,7 @@ struct SimWorld {
   // Epoch batch size the streaming oracles replay the request list under.
   int max_batch = 16;
 
-  // Per-world solver configuration (epsilon, kernel, saturation mode).
+  // Per-world solver configuration (epsilon, saturation mode).
   BoundedUfpConfig solver;
 };
 

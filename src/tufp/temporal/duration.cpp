@@ -77,10 +77,13 @@ double DurationSampler::sample(double arrival_time) {
     }
     case DurationProfile::kFlashCrowd: {
       // Expire at the next window boundary strictly after the arrival:
-      // every admission of a window releases at the same instant.
-      const double next_boundary =
-          (std::floor(arrival_time / config_.period) + 1.0) * config_.period;
-      return next_boundary - arrival_time;
+      // every admission of a window releases at the same instant. When
+      // t/period rounds to just below an integer m, m*period can round
+      // back to t itself (t = 4.3, period 0.1); the boundary after it is
+      // the first one strictly later.
+      double window = std::floor(arrival_time / config_.period) + 1.0;
+      if (!(window * config_.period > arrival_time)) window += 1.0;
+      return window * config_.period - arrival_time;
     }
     case DurationProfile::kAuto:
       break;  // rejected by the constructor

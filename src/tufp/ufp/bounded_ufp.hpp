@@ -57,12 +57,6 @@ struct BoundedUfpConfig {
   // (util/parallel.hpp). Output is identical for any thread count.
   int num_threads = 1;
 
-  // Shortest-path queue discipline. kAuto runs the monotone bucket queue
-  // while the dual weights' key range allows it and falls back to the
-  // heap as saturation spreads them (DESIGN.md §6); kHeap/kBucket force
-  // a kernel (tests, ablation benches).
-  SpKernel sp_kernel = SpKernel::kAuto;
-
   // Record one IterationRecord per selection (tests/benches).
   bool record_trace = false;
 };
@@ -108,7 +102,7 @@ struct BoundedUfpResult {
   // Final dual weights y_e (inputs to dual_certificate / diagnostics).
   // The UfpInstance solve only: the residual-graph solve rolls its duals
   // back, and its caller never reads them.
-  std::vector<double> y;
+  std::vector<double> y{};
 
   // Best (smallest) dual-feasible upper bound on the *fractional* optimum
   // observed during the run: min_i D1(i)/alpha(i) + P(i) (Claim 3.6).
@@ -134,7 +128,7 @@ struct BoundedUfpResult {
   // when no two stale requests ever share a source.
   std::int64_t sp_tree_runs = 0;
 
-  std::vector<IterationRecord> trace;
+  std::vector<IterationRecord> trace{};
 
   // The residual-graph solve only: one record per unselected request in
   // ascending request order, classified from the solver's own
@@ -142,7 +136,7 @@ struct BoundedUfpResult {
   // epoch-start capacities — so records are identical across kernels and
   // thread counts (the engine-differential oracle's contract, DESIGN.md
   // §14). Cost: O(rejected × path length) once per solve.
-  std::vector<RejectionRecord> rejections;
+  std::vector<RejectionRecord> rejections{};
 };
 
 // Preconditions: normalized instance (d_r <= 1), B >= 1, eps in (0,1],

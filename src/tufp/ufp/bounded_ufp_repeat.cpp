@@ -125,7 +125,7 @@ BoundedUfpRepeatResult bounded_ufp_repeat(const UfpInstance& instance,
   TUFP_REQUIRE(instance.is_normalized(),
                "Bounded-UFP-Repeat requires demands in (0,1]");
   const detail::Substrate sub = detail::substrate_of(instance);
-  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads);
   return run_repeat(sub, config, cache);
 }
 

@@ -23,7 +23,6 @@ struct BoundedUfpRepeatConfig {
   bool capacity_guard = true;   // same semantics as BoundedUfpConfig
   bool lazy_shortest_paths = true;
   int num_threads = 1;  // same semantics as BoundedUfpConfig
-  SpKernel sp_kernel = SpKernel::kAuto;  // same semantics as BoundedUfpConfig
   bool record_trace = false;
   // Hard stop on iteration count (defense against tiny d_min blowing up
   // the m*c_max/d_min bound); 0 disables.
@@ -34,7 +33,7 @@ struct BoundedUfpRepeatResult {
   UfpMultiSolution solution;
   std::int64_t iterations = 0;
   double final_dual_sum = 0.0;
-  std::vector<double> y;
+  std::vector<double> y{};
   // min_i D(i)/alpha(i) (Claim 5.2): upper bound on the fractional OPT of
   // Figure 5's relaxation.
   double dual_upper_bound = 0.0;
@@ -42,7 +41,7 @@ struct BoundedUfpRepeatResult {
   bool hit_iteration_cap = false;
   // Dijkstra computations performed (see BoundedUfpResult::sp_computations).
   std::int64_t sp_computations = 0;
-  std::vector<IterationRecord> trace;
+  std::vector<IterationRecord> trace{};
 };
 
 BoundedUfpRepeatResult bounded_ufp_repeat(

@@ -106,20 +106,19 @@ class SpCache {
   // `num_threads` is the solver config's (1 = serial, 0 = runtime
   // default); one engine is built per thread.
   SpCache(const Graph& graph, std::span<const Request> requests,
-          int num_threads, SpKernel kernel = SpKernel::kAuto) {
+          int num_threads) {
     const int pool = effective_num_threads(num_threads);
     engines_.reserve(static_cast<std::size_t>(pool));
     for (int i = 0; i < pool; ++i) {
-      engines_.push_back(std::make_unique<ShortestPathEngine>(graph, kernel));
+      engines_.push_back(std::make_unique<ShortestPathEngine>(graph));
     }
     scratch_targets_.resize(static_cast<std::size_t>(pool));
     group_of_source_.reset(static_cast<std::size_t>(graph.num_vertices()), -1);
     rebind(requests);
   }
 
-  SpCache(const UfpInstance& instance, int num_threads,
-          SpKernel kernel = SpKernel::kAuto)
-      : SpCache(instance.graph(), instance.requests(), num_threads, kernel) {}
+  SpCache(const UfpInstance& instance, int num_threads)
+      : SpCache(instance.graph(), instance.requests(), num_threads) {}
 
   // Points the cache at a new request batch. Per-entry state always
   // resets (paths and fit verdicts were judged under another epoch's
@@ -162,7 +161,7 @@ class SpCache {
   // stamp a solve did not write is below its first `now`). With lazy=false everything recomputes.
   // A non-empty `residual` additionally refreshes Entry::fits against the
   // per-request demand. `profile`, when given, lets per-shard engines use
-  // the bucket kernel (kAuto); it must be current for `y`. A non-empty
+  // the bucket kernel; it must be current for `y`. A non-empty
   // `blocked` mask excludes edges from every search.
   void refresh(std::span<const double> y,
                std::span<const std::int64_t> edge_stamp, std::int64_t now,

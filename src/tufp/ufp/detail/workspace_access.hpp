@@ -29,7 +29,6 @@ struct UfpWorkspace::Impl {
   // with a different configuration rebuilds it.
   const Graph* graph = nullptr;
   int num_threads = 1;
-  SpKernel kernel = SpKernel::kAuto;
 };
 
 namespace detail {
@@ -37,19 +36,17 @@ namespace detail {
 class WorkspaceAccess {
  public:
   // The workspace's SpCache bound to (graph, requests) under the given
-  // thread count and kernel: rebinds the existing cache when compatible,
-  // rebuilds it otherwise.
+  // thread count: rebinds the existing cache when compatible, rebuilds it
+  // otherwise.
   static SpCache& bind_cache(UfpWorkspace& ws, const Graph& graph,
                              std::span<const Request> requests,
-                             int num_threads, SpKernel kernel) {
+                             int num_threads) {
     UfpWorkspace::Impl& state = *ws.impl_;
     if (state.cache == nullptr || state.graph != &graph ||
-        state.num_threads != num_threads || state.kernel != kernel) {
-      state.cache =
-          std::make_unique<SpCache>(graph, requests, num_threads, kernel);
+        state.num_threads != num_threads) {
+      state.cache = std::make_unique<SpCache>(graph, requests, num_threads);
       state.graph = &graph;
       state.num_threads = num_threads;
-      state.kernel = kernel;
     } else {
       state.cache->rebind(requests);
     }

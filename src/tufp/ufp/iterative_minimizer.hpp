@@ -43,7 +43,7 @@ struct MinimizerIteration {
 struct IterativeMinimizerResult {
   UfpSolution solution;
   int iterations = 0;
-  std::vector<MinimizerIteration> trace;
+  std::vector<MinimizerIteration> trace{};
 };
 
 // Throws if some (s,t) pair exceeds max_paths_per_pair (the enumeration-

@@ -77,6 +77,16 @@ JsonObject& JsonObject::raw(std::string_view name, std::string_view json) {
   return *this;
 }
 
-std::string JsonObject::str() const { return "{" + body_.str() + "}"; }
+// Appended into one buffer: GCC 12 reports `"{" + std::string&&` as a
+// -Wrestrict overlap it cannot have.
+std::string JsonObject::str() const {
+  const std::string body = body_.str();
+  std::string out;
+  out.reserve(body.size() + 2);
+  out += '{';
+  out += body;
+  out += '}';
+  return out;
+}
 
 }  // namespace tufp

@@ -126,12 +126,6 @@ void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
       }
       continue;
     }
-    for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-      BoundedUfpConfig forced = cfg;
-      forced.sp_kernel = kernel;
-      EXPECT_EQ(bits(bounded_ufp_critical_value(instance, r, forced)),
-                bits(p));
-    }
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, bid);
     if (seed % 5 == 1) {  // the ~23-solve reference, on a fifth of worlds
@@ -148,7 +142,7 @@ void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
   }
 }
 
-TEST(CriticalReplay, ExactAcrossShapesSeedsKernelsAndEntryPoints) {
+TEST(CriticalReplay, ExactAcrossShapesSeedsAndEntryPoints) {
   for (const Leg& leg : legs()) {
     Tally tally;
     for (const Shape& shape : kShapes) {
@@ -233,12 +227,10 @@ EpochEngineConfig critical_engine_config() {
   return config;
 }
 
-std::vector<std::uint64_t> engine_payment_bits(SpKernel kernel,
-                                               int num_threads) {
+std::vector<std::uint64_t> engine_payment_bits(int num_threads) {
   const StreamingScenario scenario =
       make_streaming_grid_scenario(5, 5, 4.0, ValueModel::kUniform);
   EpochEngineConfig config = critical_engine_config();
-  config.solver.sp_kernel = kernel;
   config.solver.num_threads = num_threads;
   EpochEngine engine(scenario.graph, config);
   PoissonStream stream(scenario.graph, scenario.request_config, 200.0, 160,
@@ -253,21 +245,15 @@ std::vector<std::uint64_t> engine_payment_bits(SpKernel kernel,
   return out;
 }
 
-TEST(CriticalReplay, EnginePaymentsAreBitwiseStableAcrossKernelsAndThreads) {
-  const std::vector<std::uint64_t> reference =
-      engine_payment_bits(SpKernel::kHeap, 1);
+TEST(CriticalReplay, EnginePaymentsAreBitwiseStableAcrossThreads) {
+  const std::vector<std::uint64_t> reference = engine_payment_bits(1);
   ASSERT_FALSE(reference.empty());
   int paying = 0;
   for (std::size_t i = 1; i < reference.size(); i += 2) {
     if (std::bit_cast<double>(reference[i]) > 0.0) ++paying;
   }
   EXPECT_GT(paying, 0);
-  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-    for (const int threads : {1, 4}) {
-      EXPECT_EQ(engine_payment_bits(kernel, threads), reference)
-          << "kernel " << static_cast<int>(kernel) << " threads " << threads;
-    }
-  }
+  EXPECT_EQ(engine_payment_bits(4), reference);
 }
 
 TEST(CriticalReplay, EnginePaymentsEqualAColdPerEpochReplay) {

@@ -14,6 +14,7 @@
 #include "tufp/engine/request_stream.hpp"
 #include "tufp/sim/oracles.hpp"
 #include "tufp/sim/world_gen.hpp"
+#include "tufp/temporal/duration.hpp"
 #include "tufp/util/math.hpp"
 #include "tufp/workload/scenarios.hpp"
 
@@ -148,10 +149,9 @@ TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
   // Acceptance (DESIGN.md §12): the persistent ResidualGraph engine must
   // replay admit → expire → re-admit churn byte-for-byte against the cold
   // per-epoch reference replay (sim/oracles.cpp). The engine-differential
-  // oracle runs the plain and the churn replay under the auto, heap and
-  // bucket kernels at 1 and 4 threads and diffs every per-epoch field
-  // against the reference exactly (==, no tolerance), including the
-  // solver iteration / shortest-path counters.
+  // oracle runs the plain and the churn replay at 1 and 4 threads and
+  // diffs every per-epoch field against the reference exactly (==, no
+  // tolerance), including the solver iteration / shortest-path counters.
   for (const sim::WorldFamily family : sim::kAllFamilies) {
     for (const DurationProfile profile :
          {DurationProfile::kExponential, DurationProfile::kHeavyTailed}) {
@@ -384,6 +384,21 @@ TEST(EngineLeases, MalformedDurationIsShedAsInvalid) {
   const AdmissionReport report = engine.run_epoch(batch);
   EXPECT_EQ(report.invalid_rejected, 3);
   EXPECT_EQ(report.admitted, 1);
+}
+
+// At t = 4.3, 8.1, 8.6 and 9.1 with a 0.1 window, t/0.1 rounds to just
+// below an integer m and m * 0.1 rounds back to t: the window boundary
+// "after" the arrival was the arrival itself, a zero duration the engine
+// sheds as invalid. Each must expire at the first boundary strictly
+// later, one window on.
+TEST(EngineLeases, FlashCrowdExpiresStrictlyAfterTheArrival) {
+  DurationSampler sampler({DurationProfile::kFlashCrowd, 1.0, 0.1}, 1);
+  for (const double t : {4.3, 8.1, 8.6, 9.1}) {
+    const double duration = sampler.sample(t);
+    EXPECT_GT(duration, 0.0) << "t=" << t;
+    EXPECT_GT(t + duration, t) << "t=" << t;
+    EXPECT_NEAR(t + duration, t + 0.1, 1e-9) << "t=" << t;
+  }
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // with the heap kernel wherever it is eligible: same distances, same
 // canonical (lexicographic-min predecessor) paths, for single-pair and
 // multi-target tree queries alike — including on tie-heavy uniform-weight
-// graphs, which is where queue disciplines usually diverge. The solver
-// cross-check at the bottom pins the consequence the engine relies on:
-// Bounded-UFP output is invariant under the kernel choice.
+// graphs, which is where queue disciplines usually diverge. A query with
+// no WeightProfile runs the heap; one with WeightProfile::scan(weights)
+// runs the bucket queue wherever the weights allow it.
 #include "tufp/graph/dijkstra.hpp"
 
 #include <gtest/gtest.h>
@@ -15,10 +15,8 @@
 
 #include "tufp/graph/bellman_ford.hpp"
 #include "tufp/graph/generators.hpp"
-#include "tufp/ufp/bounded_ufp.hpp"
 #include "tufp/util/math.hpp"
 #include "tufp/util/rng.hpp"
-#include "tufp/workload/request_gen.hpp"
 
 namespace tufp {
 namespace {
@@ -40,16 +38,15 @@ TEST_P(KernelCrossCheckTest, SameDistancesAndPathsEverywhere) {
   const WeightProfile profile = WeightProfile::scan(weights);
   ASSERT_TRUE(profile.all_positive);
 
-  ShortestPathEngine heap(g, SpKernel::kHeap);
-  ShortestPathEngine bucket(g, SpKernel::kBucket);
+  ShortestPathEngine heap(g);
+  ShortestPathEngine bucket(g);
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
     const std::vector<double> reference = bellman_ford(g, weights, s);
     for (VertexId t = 0; t < g.num_vertices(); ++t) {
       if (s == t) continue;
       Path heap_path;
       Path bucket_path;
-      const double dh = heap.shortest_path(weights, s, t, &heap_path, {},
-                                           &profile);
+      const double dh = heap.shortest_path(weights, s, t, &heap_path);
       const double db = bucket.shortest_path(weights, s, t, &bucket_path, {},
                                              &profile);
       ASSERT_EQ(bucket.last_used_kernel(), SpKernel::kBucket);
@@ -77,14 +74,14 @@ TEST_P(KernelCrossCheckTest, TieHeavyUniformGridsAgree) {
                                     1.0);
   const WeightProfile profile = WeightProfile::scan(weights);
 
-  ShortestPathEngine heap(g, SpKernel::kHeap);
-  ShortestPathEngine bucket(g, SpKernel::kBucket);
+  ShortestPathEngine heap(g);
+  ShortestPathEngine bucket(g);
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
     for (VertexId t = 0; t < g.num_vertices(); ++t) {
       if (s == t) continue;
       Path hp;
       Path bp;
-      ASSERT_EQ(heap.shortest_path(weights, s, t, &hp, {}, &profile),
+      ASSERT_EQ(heap.shortest_path(weights, s, t, &hp),
                 bucket.shortest_path(weights, s, t, &bp, {}, &profile));
       ASSERT_EQ(hp, bp) << "s=" << s << " t=" << t;
     }
@@ -102,7 +99,7 @@ TEST_P(KernelCrossCheckTest, PathsUseLexMinShortestPredecessors) {
   for (auto& w : weights) w = 0.25 * (1.0 + rng.next_below(8));  // many ties
   const WeightProfile profile = WeightProfile::scan(weights);
 
-  ShortestPathEngine engine(g, SpKernel::kBucket);
+  ShortestPathEngine engine(g);
   const VertexId s = 0;
   // Engine-exact distances from s (bitwise consistent with path checks).
   std::vector<double> dist(static_cast<std::size_t>(n), kInf);
@@ -154,9 +151,11 @@ TEST_P(KernelCrossCheckTest, TreeMatchesSinglePairQueries) {
   for (auto& w : weights) w = rng.next_double(0.5, 2.0);
   const WeightProfile profile = WeightProfile::scan(weights);
 
-  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-    ShortestPathEngine tree_engine(g, kernel);
-    ShortestPathEngine pair_engine(g, kernel);
+  // No profile runs the heap, the scanned profile the bucket queue.
+  const WeightProfile* const kernel_profiles[] = {nullptr, &profile};
+  for (const WeightProfile* kernel_profile : kernel_profiles) {
+    ShortestPathEngine tree_engine(g);
+    ShortestPathEngine pair_engine(g);
     const VertexId s = 0;
     std::vector<ShortestPathEngine::TreeTarget> targets;
     std::vector<Path> tree_paths(static_cast<std::size_t>(n));
@@ -169,12 +168,12 @@ TEST_P(KernelCrossCheckTest, TreeMatchesSinglePairQueries) {
     // Duplicate target: allowed, must answer like the first occurrence.
     Path dup_path;
     targets.push_back({1, 0.0, &dup_path});
-    tree_engine.shortest_tree(weights, s, targets, {}, &profile);
+    tree_engine.shortest_tree(weights, s, targets, {}, kernel_profile);
 
     for (const auto& target : targets) {
       Path pair_path;
-      const double d = pair_engine.shortest_path(weights, s, target.vertex,
-                                                 &pair_path, {}, &profile);
+      const double d = pair_engine.shortest_path(
+          weights, s, target.vertex, &pair_path, {}, kernel_profile);
       ASSERT_EQ(target.length, d) << "t=" << target.vertex;
       if (d < kInf) {
         ASSERT_EQ(*target.path, pair_path) << "t=" << target.vertex;
@@ -186,10 +185,10 @@ TEST_P(KernelCrossCheckTest, TreeMatchesSinglePairQueries) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelCrossCheckTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-TEST(KernelSelection, AutoNeedsProfileAndBoundedRange) {
+TEST(KernelSelection, BucketNeedsProfileAndBoundedRange) {
   Graph g = grid_graph(4, 4, 2.0, false);
   std::vector<double> weights(static_cast<std::size_t>(g.num_edges()), 1.0);
-  ShortestPathEngine engine(g);  // kAuto
+  ShortestPathEngine engine(g);
 
   // No profile: general-weights fallback.
   engine.shortest_path(weights, 0, 15);
@@ -200,10 +199,9 @@ TEST(KernelSelection, AutoNeedsProfileAndBoundedRange) {
   engine.shortest_path(weights, 0, 15, nullptr, {}, &profile);
   EXPECT_EQ(engine.last_used_kernel(), SpKernel::kBucket);
 
-  // Range wider than the bucket cap: heap, even when forced to bucket.
+  // Range wider than the bucket cap: heap.
   weights[0] = 1e9;
   profile = WeightProfile::scan(weights);
-  engine.set_kernel(SpKernel::kBucket);
   engine.shortest_path(weights, 0, 15, nullptr, {}, &profile);
   EXPECT_EQ(engine.last_used_kernel(), SpKernel::kHeap);
 
@@ -231,8 +229,8 @@ TEST(KernelCrossCheck, BlockedEdgesRespectedByBothKernels) {
   Graph g = grid_graph(4, 4, 2.0, false);
   std::vector<double> weights(static_cast<std::size_t>(g.num_edges()), 1.0);
   const WeightProfile profile = WeightProfile::scan(weights);
-  ShortestPathEngine heap(g, SpKernel::kHeap);
-  ShortestPathEngine bucket(g, SpKernel::kBucket);
+  ShortestPathEngine heap(g);
+  ShortestPathEngine bucket(g);
   Rng rng(99);
   for (int round = 0; round < 20; ++round) {
     std::vector<std::uint8_t> blocked(
@@ -240,47 +238,11 @@ TEST(KernelCrossCheck, BlockedEdgesRespectedByBothKernels) {
     for (auto& b : blocked) b = rng.next_below(4) == 0 ? 1 : 0;
     Path hp;
     Path bp;
-    const double dh = heap.shortest_path(weights, 0, 15, &hp, blocked, &profile);
+    const double dh = heap.shortest_path(weights, 0, 15, &hp, blocked);
     const double db =
         bucket.shortest_path(weights, 0, 15, &bp, blocked, &profile);
     ASSERT_EQ(dh, db) << "round=" << round;
     if (dh < kInf) ASSERT_EQ(hp, bp);
-  }
-}
-
-// Kernel choice must not leak into solver output: Bounded-UFP selections,
-// paths and duals are identical under heap, bucket and auto.
-TEST(KernelCrossCheck, BoundedUfpInvariantUnderKernel) {
-  Rng rng(4242);
-  Graph g = grid_graph(5, 5, 6.0, false);
-  RequestGenConfig cfg;
-  cfg.num_requests = 120;
-  std::vector<Request> reqs = generate_requests(g, cfg, rng);
-  const UfpInstance inst(std::move(g), std::move(reqs));
-
-  BoundedUfpConfig base;
-  base.epsilon = 0.5;
-  base.run_to_saturation = true;
-
-  BoundedUfpConfig heap_cfg = base;
-  heap_cfg.sp_kernel = SpKernel::kHeap;
-  BoundedUfpConfig bucket_cfg = base;
-  bucket_cfg.sp_kernel = SpKernel::kBucket;
-  BoundedUfpConfig auto_cfg = base;
-  auto_cfg.sp_kernel = SpKernel::kAuto;
-
-  const BoundedUfpResult a = bounded_ufp(inst, heap_cfg);
-  const BoundedUfpResult b = bounded_ufp(inst, bucket_cfg);
-  const BoundedUfpResult c = bounded_ufp(inst, auto_cfg);
-  ASSERT_GT(a.iterations, 0);
-  EXPECT_EQ(a.solution.selected_requests(), b.solution.selected_requests());
-  EXPECT_EQ(a.solution.selected_requests(), c.solution.selected_requests());
-  EXPECT_EQ(a.final_dual_sum, b.final_dual_sum);
-  EXPECT_EQ(a.final_dual_sum, c.final_dual_sum);
-  for (int r = 0; r < inst.num_requests(); ++r) {
-    if (!a.solution.is_selected(r)) continue;
-    EXPECT_EQ(*a.solution.path_of(r), *b.solution.path_of(r)) << "r=" << r;
-    EXPECT_EQ(*a.solution.path_of(r), *c.solution.path_of(r)) << "r=" << r;
   }
 }
 

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "tufp/graph/dijkstra.hpp"
 #include "tufp/util/parallel.hpp"
 
 namespace tufp::cli {
@@ -76,20 +75,6 @@ auto parse_args(const std::string& tool, Parse parse) {
               << ")\n";
     std::exit(2);
   }
-}
-
-// The shared --sp-kernel vocabulary. Every tool that exposes the flag
-// parses it here so the names — and the rejection text — cannot drift
-// apart between binaries. Unknown names are a usage error: exit 2 with
-// one canonical message.
-inline SpKernel parse_sp_kernel(const std::string& tool,
-                                const std::string& name) {
-  if (name == "auto") return SpKernel::kAuto;
-  if (name == "heap") return SpKernel::kHeap;
-  if (name == "bucket") return SpKernel::kBucket;
-  std::cerr << tool << ": unknown --sp-kernel '" << name
-            << "' (expected auto|heap|bucket)\n";
-  std::exit(2);
 }
 
 // The shared --threads contract: 0 is the runtime default and a positive

@@ -28,7 +28,6 @@
 //                            the engine will not silently serialize an
 //                            explicit thread request
 //   --eps X                  solver accuracy parameter (default 1/6)
-//   --sp-kernel auto|heap|bucket  shortest-path queue  (default auto)
 // Leases (DESIGN.md §10):
 //   --duration-profile none|fixed|exponential|heavy-tailed|diurnal|
 //                      flash-crowd                     (default none =
@@ -53,7 +52,7 @@
 //   --trace PATH|-           per-request decision provenance records
 //                            (DESIGN.md §14): one JSONL line per terminal
 //                            decision, det channel, byte-identical across
-//                            --threads/--sp-kernel. `-` writes to stdout
+//                            --threads. `-` writes to stdout
 //                            (implies --quiet semantics for diffs)
 //   --flame PATH             collapsed-stack phase-span dump (flamegraph.pl
 //                            format) + span summary on stderr; wall-clock,
@@ -113,7 +112,6 @@ struct Options {
   std::string payments = "dual";
   int threads = 0;
   double eps = 1.0 / 6.0;
-  std::string sp_kernel = "auto";
 
   std::string duration_profile = "none";
   double duration_mean = 1.0;
@@ -138,7 +136,6 @@ struct Options {
                "  [--burst-size N] [--burst-period X] [--seed S]\n"
                "  [--epochs N] [--epoch-duration X] [--queue N]\n"
                "  [--payments none|dual|critical] [--threads N] [--eps X]\n"
-               "  [--sp-kernel auto|heap|bucket]\n"
                "  [--duration-profile none|fixed|exponential|heavy-tailed|"
                "diurnal|flash-crowd]\n"
                "  [--duration-mean X] [--duration-period X] [--horizon X]\n"
@@ -175,7 +172,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--payments") opt.payments = value(i);
     else if (a == "--threads") opt.threads = parse_int(value(i));
     else if (a == "--eps") opt.eps = parse_double(value(i));
-    else if (a == "--sp-kernel") opt.sp_kernel = value(i);
     else if (a == "--duration-profile") opt.duration_profile = value(i);
     else if (a == "--duration-mean") opt.duration_mean = parse_double(value(i));
     else if (a == "--duration-period") opt.duration_period = parse_double(value(i));
@@ -307,7 +303,6 @@ int main(int argc, char** argv) {
     config.payments = parse_payments(opt.payments);
     config.solver.epsilon = opt.eps;
     config.solver.num_threads = opt.threads;
-    config.solver.sp_kernel = cli::parse_sp_kernel("tufp_engine", opt.sp_kernel);
 
     EpochEngine engine(scenario.graph, config);
 
@@ -339,8 +334,8 @@ int main(int argc, char** argv) {
     }
 
     // Decision provenance stream (DESIGN.md §14): one det JSONL line per
-    // terminal decision, diffable byte-for-byte across --threads and
-    // --sp-kernel (tufp_trace diff pins it; so does CI).
+    // terminal decision, diffable byte-for-byte across --threads
+    // (tufp_trace diff pins it; so does CI).
     std::ofstream trace_file;
     std::unique_ptr<obs::StreamSink> trace_sink;
     std::unique_ptr<obs::DecisionTrace> trace;

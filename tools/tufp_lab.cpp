@@ -20,8 +20,6 @@
 //   --worlds N          worlds per family (default 3)
 //   --eps X             primal-dual accuracy parameter (default 1/6)
 //   --threads N         OpenMP threads across cells (errors without OpenMP)
-//   --sp-kernel auto|heap|bucket  shortest-path queue for the primal-dual
-//                       members (results identical, wall clock only)
 //   --json PATH         write the full cell/summary artifact ('-' = stdout)
 //   --csv PATH          write the per-cell series as CSV ('-' = stdout)
 //   --list              print solvers, bound providers and families, exit
@@ -51,8 +49,7 @@ using namespace tufp::lab;
 [[noreturn]] void usage() {
   std::cerr << "usage: tufp_lab [--sweep beta] [--seed S] [--families a,b]\n"
                "  [--solvers x,y] [--betas b1,b2,...] [--worlds N] [--eps X]\n"
-               "  [--threads N] [--sp-kernel auto|heap|bucket]\n"
-               "  [--json PATH] [--csv PATH] [--list]\n";
+               "  [--threads N] [--json PATH] [--csv PATH] [--list]\n";
   std::exit(2);
 }
 
@@ -103,9 +100,6 @@ Options parse(int argc, char** argv) {
       opt.config.num_threads = parse_int(value(i));
       tufp::cli::require_threads_supported("tufp_lab",
                                            opt.config.num_threads);
-    } else if (a == "--sp-kernel") {
-      opt.config.solve.sp_kernel =
-          tufp::cli::parse_sp_kernel("tufp_lab", value(i));
     } else if (a == "--json") {
       opt.json_path = value(i);
     } else if (a == "--csv") {

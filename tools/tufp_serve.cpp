@@ -33,7 +33,7 @@
 //                            boundary the clock crosses (default 0 = off)
 //   --queue N                bounded queue capacity (default 65536)
 //   --payments none|dual|critical                     (default dual)
-//   --threads N / --eps X / --sp-kernel auto|heap|bucket
+//   --threads N / --eps X
 //   --horizon X              advance the clock to X (finite) at shutdown
 //                            and reclaim what expired (default 0)
 // Framing:
@@ -84,9 +84,9 @@
 // id makes the line malformed too.
 //
 // Output discipline: the deterministic telemetry channel is byte-
-// identical across --threads and --sp-kernel for the same session (the
-// golden serve tests pin this); wall-clock events are machine-dependent
-// and never mixed into it.
+// identical across --threads for the same session (the golden serve
+// tests pin this); wall-clock events are machine-dependent and never
+// mixed into it.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -142,7 +142,6 @@ struct Options {
   std::string payments = "dual";
   int threads = 0;
   double eps = 1.0 / 6.0;
-  std::string sp_kernel = "auto";
   double horizon = 0.0;
   std::size_t max_line = 65536;
 
@@ -165,8 +164,7 @@ struct Options {
          "  [--vertices N] [--edges N] [--capacity X] [--seed S]\n"
          "  [--max-batch N] [--epoch-duration X] [--queue N]\n"
          "  [--payments none|dual|critical] [--threads N] [--eps X]\n"
-         "  [--sp-kernel auto|heap|bucket] [--horizon X]\n"
-         "  [--max-line BYTES]\n"
+         "  [--horizon X] [--max-line BYTES]\n"
          "  [--telemetry PATH|-] [--det-only] [--hist-every N]\n"
          "  [--trace PATH] [--sanity every-N] [--repro-dir DIR]\n"
          "  [--inject leak-expired-capacity]\n";
@@ -199,7 +197,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--payments") opt.payments = value(i);
     else if (a == "--threads") opt.threads = parse_int(value(i));
     else if (a == "--eps") opt.eps = parse_double(value(i));
-    else if (a == "--sp-kernel") opt.sp_kernel = value(i);
     else if (a == "--horizon") opt.horizon = parse_double(value(i));
     else if (a == "--max-line") opt.max_line = parse_uint64(value(i));
     else if (a == "--telemetry") opt.telemetry = value(i);
@@ -240,7 +237,6 @@ EpochEngineConfig engine_config(const Options& opt) {
   config.payments = parse_payments(opt.payments);
   config.solver.epsilon = opt.eps;
   config.solver.num_threads = opt.threads;
-  config.solver.sp_kernel = cli::parse_sp_kernel("tufp_serve", opt.sp_kernel);
   if (opt.inject == "leak-expired-capacity") {
     config.inject_reclaim_leak = 0.05;
   }
