@@ -378,14 +378,17 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   BoundedUfpConfig solver_cfg = config_.solver;
   solver_cfg.epsilon =
       std::min(solver_cfg.epsilon, kMaxSafeExponent / rgraph_->min_residual());
-  if (config_.payments == PaymentPolicy::kDualPrice) {
-    solver_cfg.record_trace = true;  // admission-time alpha per winner
+  if (config_.payments != PaymentPolicy::kNone) {
+    // The winners in selection order, with the admission-time alpha
+    // kDualPrice reads off.
+    solver_cfg.record_trace = true;
   }
 
   // The solver speaks base edge ids over the residual graph, starts from
   // its epoch-start duals and keeps its engines, shard plan and stamps in
-  // the workspace. The engine-differential oracle pins the output
-  // byte-identical to a cold per-epoch replay.
+  // the workspace; under kCritical it also keeps its checkpoints there,
+  // which the payments replay from. The engine-differential oracle pins
+  // the output byte-identical to a cold per-epoch replay.
   // A fully saturated network (or nothing valid to clear) runs no
   // auction: every valid bid is a solver no_path, which the commit loop
   // refines against the base topology like any other.
@@ -405,6 +408,10 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
       return none;
     }
     TUFP_SPAN("solve");
+    if (config_.payments == PaymentPolicy::kCritical) {
+      return bounded_ufp_checkpointed(*rgraph_, requests, solver_cfg,
+                                      *workspace_);
+    }
     return bounded_ufp(*rgraph_, requests, solver_cfg, *workspace_);
   }();
   report.solver_iterations = run.iterations;
@@ -556,31 +563,25 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       return;
     }
     case PaymentPolicy::kCritical: {
-      // One shadowed replay per winner (bounded_ufp_critical_value):
-      // the exact critical value, read off the epoch re-run without the
-      // winner. Replays start from the epoch-start state the solve saw:
-      // the graph's frozen epoch capacities (the solve's overlay is
-      // rolled back, and commits only land in the loop after this one).
-      // Winners are independent and read only that immutable state, so
-      // they fan out through parallel_for on the solver's thread count
-      // into per-winner slots — byte-identical for any thread count, read
-      // back in arrival order by the allocation loop. Each replay solves
-      // on one thread (identical output): parallelism lives at the winner
-      // level here, and the solver config may carry more threads, which a
-      // replay inside a task would only spend on engine pools a nested
-      // region cannot use.
-      BoundedUfpConfig replay_cfg = solver_cfg;
-      replay_cfg.num_threads = 1;
-      std::vector<int> winners;
-      for (int r = 0; r < static_cast<int>(requests.size()); ++r) {
-        if (run.solution.is_selected(r)) winners.push_back(r);
-      }
-      parallel_for(winners.size(), solver_cfg.num_threads,
-                   [&](std::size_t i, int) {
-                     const int r = winners[i];
+      // The exact critical value of every winner, priced from the
+      // checkpointed solve (winner_critical_value): only the run without
+      // the winner after its selection iteration is replayed, resumed at
+      // the solve's checkpoint there; no iteration before it can set the
+      // price (DESIGN.md §4). Replays read the epoch-start state the
+      // solve saw (its overlay is rolled back, and commits only land in
+      // the loop after this one), each on its worker's lane of the graph
+      // with its worker's cache, so winners are independent: they fan out
+      // through parallel_for on the solver's thread count into per-winner
+      // slots — byte-identical for any thread count, read back in arrival
+      // order by the allocation loop. They are dealt in selection order,
+      // longest replay first. Each replay runs on one thread: parallelism
+      // lives at the winner level here.
+      parallel_for(run.trace.size(), solver_cfg.num_threads,
+                   [&](std::size_t i, int worker) {
+                     const int r = run.trace[i].request;
                      (*payments)[static_cast<std::size_t>(r)] =
-                         bounded_ufp_critical_value(*rgraph_, requests, r,
-                                                    replay_cfg);
+                         winner_critical_value(*rgraph_, requests, solver_cfg,
+                                               *workspace_, r, worker);
                    });
       return;
     }

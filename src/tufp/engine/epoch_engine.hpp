@@ -27,12 +27,12 @@
 // thread counts and runs (the determinism tests pin this).
 //
 // Payments per epoch (DESIGN.md §7):
-//   * kCritical — the paper's critical-value payment, exact: one
-//     shadowed replay of the epoch solve per winner
-//     (bounded_ufp_critical_value) yields the smallest double bid at
-//     which the winner would still have been selected. Truthful
-//     (Thm 2.3); each winner costs one serial re-solve, fanned out across
-//     winners.
+//   * kCritical — the paper's critical-value payment, exact: the
+//     smallest double bid at which the winner would still have been
+//     selected (bounded_ufp_critical_value). Truthful (Thm 2.3). The
+//     epoch solve keeps its checkpoints (bounded_ufp_checkpointed), and
+//     each winner costs one serial replay of the run without it after its
+//     own selection (winner_critical_value), fanned out across winners.
 //   * kDualPrice — posted congestion price frozen at admission time:
 //     pay_r = v_r * min(1, alpha_r) where alpha_r = (d_r/v_r)*|p_r|_y is
 //     the normalized dual length of the winning path at selection. Cheap
@@ -251,7 +251,8 @@ class EpochEngine {
  private:
   AdmissionReport clear_epoch(const std::vector<TimedRequest>& batch,
                               double close_time);
-  // kCritical replays over the epoch's residual view.
+  // Fills `payments` per the policy: kDualPrice reads the solve's trace,
+  // kCritical replays each winner from the checkpointed solve.
   void apply_payments(std::span<const Request> requests,
                       const BoundedUfpResult& run,
                       const BoundedUfpConfig& solver_cfg,

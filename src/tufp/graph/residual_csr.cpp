@@ -35,6 +35,7 @@ ResidualGraph::ResidualGraph(std::shared_ptr<const Graph> base,
   epoch_capacity_.resize(m);
   blocked_.resize(m);
   is_dirty_.assign(m, 0);
+  lanes_.resize(1);
   restore_base();
 }
 
@@ -79,11 +80,10 @@ void ResidualGraph::open_epoch() {
              "open_epoch() while a mutable_residual() write-back is pending: "
              "the writer must call note_reclaimed() on the touched edges "
              "(an empty span when none were) before the next solve");
-  TUFP_CHECK(!overlay_open_, "open_epoch() while a solve overlay is live");
+  TUFP_CHECK(!overlay_open(), "open_epoch() while a solve overlay is live");
   // Every other edge's residual is what it was at the last open, so its
   // epoch-start state is already exact.
   if (dirty_.empty()) return;
-  const bool overlay_built = !duals_.empty();
   for (const EdgeId e : dirty_) {
     const auto i = static_cast<std::size_t>(e);
     is_dirty_[i] = 0;
@@ -93,9 +93,10 @@ void ResidualGraph::open_epoch() {
     epoch_capacity_[i] = r;
     blocked_[i] = r >= floor_ ? 0 : 1;
     if (!blocked_[i]) enter_level(e, r);
-    if (overlay_built) {
-      duals_[i] = epoch_dual(i);
-      solve_residual_[i] = r;
+    for (Lane& lane : lanes_) {
+      if (lane.duals.empty()) continue;  // not built yet
+      lane.duals[i] = epoch_dual(i);
+      lane.residual[i] = r;
     }
   }
   dirty_.clear();
@@ -208,33 +209,53 @@ void ResidualGraph::note_reclaimed(std::span<const EdgeId> edges) {
 }
 
 void ResidualGraph::reset() {
-  TUFP_CHECK(!overlay_open_, "reset() while a solve overlay is live");
+  TUFP_CHECK(!overlay_open(), "reset() while a solve overlay is live");
   reclaim_window_open_ = false;
   restore_base();
-  duals_.clear();  // the next overlay rebuilds them, in their old storage
-  solve_residual_.clear();
+  for (Lane& lane : lanes_) {
+    // The lane's next overlay rebuilds them, in their old storage.
+    lane.duals.clear();
+    lane.residual.clear();
+  }
 }
 
-ResidualGraph::SolveOverlay::SolveOverlay(ResidualGraph& graph)
-    : graph_(graph) {
-  TUFP_CHECK(!graph_.overlay_open_, "one solve overlay at a time");
-  graph_.overlay_open_ = true;
-  if (graph_.duals_.size() == graph_.epoch_capacity_.size()) return;
+bool ResidualGraph::overlay_open() const {
+  return std::any_of(lanes_.begin(), lanes_.end(),
+                     [](const Lane& lane) { return lane.open; });
+}
+
+ResidualGraph::Lane& ResidualGraph::lane(std::size_t index) {
+  TUFP_REQUIRE(index < lanes_.size(),
+               "solve overlay on a lane ensure_lanes() never made");
+  return lanes_[index];
+}
+
+void ResidualGraph::ensure_lanes(std::size_t count) {
+  TUFP_CHECK(!overlay_open(), "ensure_lanes() while a solve overlay is live");
+  if (lanes_.size() < count) lanes_.resize(count);
+}
+
+ResidualGraph::SolveOverlay::SolveOverlay(ResidualGraph& graph,
+                                          std::size_t lane)
+    : graph_(graph), lane_(graph.lane(lane)) {
+  TUFP_CHECK(!lane_.open, "one solve overlay per lane at a time");
+  lane_.open = true;
   const std::size_t m = graph_.epoch_capacity_.size();
-  graph_.duals_.resize(m);
-  for (std::size_t e = 0; e < m; ++e) graph_.duals_[e] = graph_.epoch_dual(e);
-  graph_.solve_residual_.assign(graph_.epoch_capacity_.begin(),
-                                graph_.epoch_capacity_.end());
+  if (lane_.duals.size() == m) return;
+  lane_.duals.resize(m);
+  for (std::size_t e = 0; e < m; ++e) lane_.duals[e] = graph_.epoch_dual(e);
+  lane_.residual.assign(graph_.epoch_capacity_.begin(),
+                        graph_.epoch_capacity_.end());
 }
 
 ResidualGraph::SolveOverlay::~SolveOverlay() {
-  for (const EdgeId e : graph_.written_) {
+  for (const EdgeId e : lane_.written) {
     const auto i = static_cast<std::size_t>(e);
-    graph_.solve_residual_[i] = graph_.epoch_capacity_[i];
-    graph_.duals_[i] = graph_.epoch_dual(i);
+    lane_.residual[i] = graph_.epoch_capacity_[i];
+    lane_.duals[i] = graph_.epoch_dual(i);
   }
-  graph_.written_.clear();
-  graph_.overlay_open_ = false;
+  lane_.written.clear();
+  lane_.open = false;
 }
 
 }  // namespace tufp

@@ -26,18 +26,21 @@
 //
 // The engine's solve writes its dual inflations and residual decrements
 // into a SolveOverlay on the same arrays and rolls them back when it
-// ends, so a solve also starts without an O(m) pass.
+// ends, so a solve also starts without an O(m) pass. The critical-value
+// replays run beside each other over the same epoch, each on its own
+// lane: a second pair of arrays that open_epoch() keeps current the same
+// way.
 //
-// The engine is the only writer. Its Algorithm 1 — bounded_ufp and
-// bounded_ufp_critical_value over a ResidualGraph (ufp/bounded_ufp.hpp) —
-// is the only solver that reads the store: no copies, no edge-id
-// translation (base ids are solver ids). Every other solver takes a
-// UfpInstance. Byte-identity with a cold per-epoch solve over a compiled
-// snapshot holds because the snapshot's arc lists are subsequences of the
-// base arc lists in the same order, so the canonical lexicographic
-// tie-breaks (graph/dijkstra.hpp) coincide — the `engine-differential`
-// sim oracle replays every world that way and enforces this
-// byte-for-byte.
+// The engine is the only writer. Its Algorithm 1 — bounded_ufp and the
+// checkpointed solve with its winner replays over a ResidualGraph
+// (ufp/bounded_ufp.hpp) — is the only solver that reads the store: no
+// copies, no edge-id translation (base ids are solver ids). Every other
+// solver takes a UfpInstance. Byte-identity with a cold per-epoch solve
+// over a compiled snapshot holds because the snapshot's arc lists are
+// subsequences of the base arc lists in the same order, so the canonical
+// lexicographic tie-breaks (graph/dijkstra.hpp) coincide — the
+// `engine-differential` sim oracle replays every world that way and
+// enforces this byte-for-byte.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,8 @@ namespace tufp {
 // back through mutable_residual() + note_reclaimed(). Reads are
 // epoch-consistent between open_epoch() calls.
 class ResidualGraph {
+  struct Lane;  // one overlay's arrays (below)
+
  public:
   // `min_usable_capacity` is the activity floor: edges with residual
   // below it are blocked for the epoch (they cannot fit any normalized
@@ -120,33 +125,51 @@ class ResidualGraph {
   // Restores base capacities and re-opens a fresh epoch (one O(m) pass).
   void reset();
 
-  // One solve's writable view of the epoch-start state: Algorithm 1
-  // inflates duals() (line 4's y_e = 1/c_e on active edges, 0 on blocked
-  // ones) and decrements residual() (a working copy of
+  // One solve's writable view of the epoch-start state, on one lane:
+  // Algorithm 1 inflates duals() (line 4's y_e = 1/c_e on active edges, 0
+  // on blocked ones) and decrements residual() (a working copy of
   // epoch_capacities()) in place, and appends each edge to written() the
   // first time it writes it. The destructor rolls exactly those edges
   // back, so open and close cost O(edges written), and the epoch-start
   // state is exact again before anything else — payments, commits, the
-  // next open_epoch() — reads the graph. The first overlay after
-  // construction or reset() builds the two arrays in one O(m) pass; a
-  // graph that never solves never allocates them. One overlay at a time;
-  // open_epoch() and reset() refuse to run while one is live.
+  // next open_epoch() — reads the graph. A lane's first overlay after
+  // construction or reset() builds its two arrays in one O(m) pass; a
+  // graph that never solves never allocates them. Lanes are independent,
+  // so overlays on distinct lanes may live at once, on distinct threads;
+  // one overlay per lane at a time, and open_epoch() and reset() refuse
+  // to run while any is live.
   class SolveOverlay {
    public:
-    explicit SolveOverlay(ResidualGraph& graph);
+    explicit SolveOverlay(ResidualGraph& graph, std::size_t lane = 0);
     ~SolveOverlay();
     SolveOverlay(const SolveOverlay&) = delete;
     SolveOverlay& operator=(const SolveOverlay&) = delete;
 
-    std::span<double> duals() { return graph_.duals_; }
-    std::span<double> residual() { return graph_.solve_residual_; }
-    std::vector<EdgeId>& written() { return graph_.written_; }
+    std::span<double> duals() { return lane_.duals; }
+    std::span<double> residual() { return lane_.residual; }
+    std::vector<EdgeId>& written() { return lane_.written; }
 
    private:
     ResidualGraph& graph_;
+    Lane& lane_;
   };
 
+  // Makes lanes [0, count) available to SolveOverlay (lane 0 always is).
+  // Serial: call it before overlays open on several lanes at once.
+  void ensure_lanes(std::size_t count);
+
  private:
+  struct Lane {
+    std::vector<double> duals;
+    std::vector<double> residual;
+    std::vector<EdgeId> written;  // the live overlay's undo log
+    bool open = false;
+  };
+
+  Lane& lane(std::size_t index);
+  // True while any lane has a live overlay.
+  bool overlay_open() const;
+
   // An active edge's epoch capacity, as the extremes track it.
   struct Level {
     double capacity;
@@ -172,10 +195,10 @@ class ResidualGraph {
   std::vector<double> residual_;
   std::vector<double> epoch_capacity_;
   std::vector<std::uint8_t> blocked_;
-  // The overlay's arrays: empty until the first solve, then the
-  // epoch-start duals and a copy of epoch_capacity_ outside a solve.
-  std::vector<double> duals_;
-  std::vector<double> solve_residual_;
+  // The overlays' arrays, one lane each: empty until the lane's first
+  // solve, then the epoch-start duals and a copy of epoch_capacity_
+  // outside a solve.
+  std::vector<Lane> lanes_;
   // The extremes of the active epoch capacities. Edges still at their
   // base capacity are counted per distinct base value (one level on a
   // uniform world, so building it is O(1) map work); every other active
@@ -192,9 +215,6 @@ class ResidualGraph {
   // Edges whose residual moved since the last open_epoch(), each once.
   std::vector<EdgeId> dirty_;
   std::vector<std::uint8_t> is_dirty_;
-  // The live overlay's undo log.
-  std::vector<EdgeId> written_;
-  bool overlay_open_ = false;
   // Dirty window of the mutable_residual() contract: opened by handing
   // out the raw span, closed by note_reclaimed(). open_epoch() checks it.
   bool reclaim_window_open_ = false;

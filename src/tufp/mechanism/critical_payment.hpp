@@ -15,10 +15,13 @@
 // bracket, so they never undercharge by more than the bracket width and
 // never exceed the declared value (individual rationality).
 //
-// For Algorithm 1 itself the serving path does not bisect:
-// bounded_ufp_critical_value (ufp/bounded_ufp.hpp) reads the exact value
-// off one replay of the run without the winner. Against it this
-// reference reads b with p <= b <= p + tolerance * max(1, b).
+// For Algorithm 1 itself the serving path does not bisect: the exact
+// value is read off the run without the winner (ufp/bounded_ufp.hpp) —
+// cold, one replay from line 4 (bounded_ufp_critical_value); in the
+// engine, a replay of only the run after the winner's selection,
+// resumed from the epoch solve's checkpoint (winner_critical_value).
+// Against it this reference reads b with p <= b <= p + tolerance *
+// max(1, b).
 #pragma once
 
 #include <vector>

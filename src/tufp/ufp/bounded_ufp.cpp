@@ -1,10 +1,10 @@
 #include "tufp/ufp/bounded_ufp.hpp"
 
 #include "tufp/ufp/detail/bounded_ufp_loop.hpp"
-#include "tufp/ufp/detail/workspace_access.hpp"
 
 namespace tufp {
 
+using detail::LoopForm;
 using detail::run_bounded_ufp;
 using detail::validate_config;
 
@@ -15,7 +15,7 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
   const detail::Substrate sub = detail::substrate_of(instance);
   validate_config(sub, config);
   detail::SpCache cache(instance, config.num_threads);
-  return run_bounded_ufp<false>(sub, config, cache);
+  return run_bounded_ufp<LoopForm::kSolve>(sub, config, cache);
 }
 
 BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
@@ -32,16 +32,11 @@ BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
   // back every edge this solve writes before the caller reads the graph
   // again (payments, commits).
   ResidualGraph::SolveOverlay overlay(rgraph);
-  detail::LoopArrays arrays;
-  arrays.y = overlay.duals();
-  arrays.residual = overlay.residual();
-  arrays.edge_stamp =
-      detail::WorkspaceAccess::edge_stamps(workspace, rgraph.base());
-  arrays.generation = &detail::WorkspaceAccess::generation(workspace);
-  arrays.profile = rgraph.dual_profile();
-  arrays.dual_sum = static_cast<double>(sub.num_active);
-  arrays.written = &overlay.written();
-  return run_bounded_ufp<false>(sub, config, cache, &arrays);
+  detail::LoopArrays arrays = detail::overlay_arrays(
+      overlay, rgraph,
+      detail::WorkspaceAccess::edge_stamps(workspace, rgraph.base()),
+      &detail::WorkspaceAccess::generation(workspace));
+  return run_bounded_ufp<LoopForm::kSolve>(sub, config, cache, &arrays);
 }
 
 }  // namespace tufp

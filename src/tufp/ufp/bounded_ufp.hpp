@@ -165,7 +165,7 @@ BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
 // other declarations fixed; kInf when no bid wins. For a winner it never
 // exceeds the declared value.
 //
-// One replay of Algorithm 1 from the epoch-start state with r shadowed
+// One replay of Algorithm 1 from line 4 with r shadowed
 // (Lehmann–O'Callaghan–Shoham's critical value of a greedy auction, read
 // off the run without the bidder). r's path and guard fit are refreshed
 // every iteration but r is never selected: a bid moves only r's own
@@ -181,14 +181,60 @@ BoundedUfpResult bounded_ufp(ResidualGraph& rgraph,
 //
 // Cost: one solve (the run without r) on config.num_threads threads,
 // against the ~log2(1/tol) re-solves of the rule-agnostic bisection in
-// mechanism/critical_payment.hpp, which stays the reference.
-// Preconditions as bounded_ufp's. The residual-graph overload prices r
-// against the graph's epoch-start capacities, so it may run concurrently
-// with other replays over the same graph but not across a commit.
+// mechanism/critical_payment.hpp, which stays the reference. This is the
+// cold reference of the engine's pricing below: the same loop, resumed
+// from line 4 instead of from r's selection. Preconditions as
+// bounded_ufp's.
 double bounded_ufp_critical_value(const UfpInstance& instance, int r,
                                   const BoundedUfpConfig& config = {});
-double bounded_ufp_critical_value(const ResidualGraph& rgraph,
-                                  std::span<const Request> requests, int r,
-                                  const BoundedUfpConfig& config = {});
+
+// Algorithm 1, resumable (DESIGN.md §4). Checkpoint k of a run is the
+// loop's state just after iteration k's refresh. The engine's kCritical
+// epochs solve with bounded_ufp_checkpointed, then price each winner w
+// with winner_critical_value; bounded_ufp_resume reruns the solve from
+// any checkpoint.
+
+// bounded_ufp over the residual graph, with the same result to the bit,
+// that also keeps its run in `workspace` as deltas: per iteration the
+// cache entries its refresh recomputed and the y and residual of the
+// edges its selection wrote, so O(sum of selected path lengths +
+// recomputations × path length). It also readies one lane of `rgraph`
+// and one replay worker per thread of config.num_threads.
+BoundedUfpResult bounded_ufp_checkpointed(ResidualGraph& rgraph,
+                                          std::span<const Request> requests,
+                                          const BoundedUfpConfig& config,
+                                          UfpWorkspace& workspace);
+
+// bounded_ufp_critical_value of winner w of the last checkpointed solve,
+// over the instance that solve saw, bit for bit, from a replay of only
+// the run after w's selection iteration k_w. Before k_w the run without
+// w is the logged run, and none of its thresholds can price w: at each
+// t < k_w where w fit, w lost at its declared bid v, so its threshold
+// there lies above v, while at k_w, where v wins, it lies at or below v.
+// The minimum is therefore taken over t >= k_w alone: the replay resumes
+// at checkpoint k_w with w shadowed, where the scan picks the runner-up.
+// It runs on lane `worker` of `rgraph` and on the workspace's replay
+// worker `worker` (a one-thread cache and stamps, kept across epochs), so
+// it builds no cache, runs no O(m) pass and refreshes nothing at its
+// checkpoint; calls on distinct workers may run at once. Requires the
+// same graph state (no commit or open_epoch in between), batch and config
+// as the checkpointed solve, and worker in
+// [0, effective_num_threads(config.num_threads)).
+double winner_critical_value(ResidualGraph& rgraph,
+                             std::span<const Request> requests,
+                             const BoundedUfpConfig& config,
+                             UfpWorkspace& workspace, int w, int worker);
+
+// The last checkpointed solve resumed at checkpoint `iteration` (1 up to
+// the iterations it refreshed) on replay worker `worker`: the solve's
+// result bit for bit — the solution, iterations, final_dual_sum,
+// dual_upper_bound and counters — but for the trace and the rejection
+// records, which only the solve keeps. Same requirements as
+// winner_critical_value.
+BoundedUfpResult bounded_ufp_resume(ResidualGraph& rgraph,
+                                    std::span<const Request> requests,
+                                    const BoundedUfpConfig& config,
+                                    UfpWorkspace& workspace, int iteration,
+                                    int worker);
 
 }  // namespace tufp

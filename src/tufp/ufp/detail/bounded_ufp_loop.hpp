@@ -1,15 +1,17 @@
 // Algorithm 1's selection loop (internal header), written once and
-// instantiated twice: the solve (bounded_ufp.cpp) and the shadowed
-// critical-value replay (critical_replay.cpp). Keep the two forms in
-// separate translation units: with both in one unit SpCache::refresh has
-// two call sites there and the compiler stops inlining it into the
-// solve, which measurably slows the dual-price serving path.
+// instantiated in three forms (LoopForm): the solve in bounded_ufp.cpp,
+// and in critical_replay.cpp the checkpointed solve and the replay
+// resumed from one of its checkpoints. Keep the solve alone in its
+// translation unit: with a second form in the same unit SpCache::refresh
+// has two call sites there and the compiler stops inlining it into the
+// solve, which measurably slows the dual-price serving path (DESIGN.md
+// §4).
 //
 // Line 4's state reaches the loop as LoopArrays. Every cold caller — the
-// UfpInstance solve, the critical-value replays — builds it in O(m)
-// (init_duals); the engine's solve passes its residual graph's overlay,
-// kept at the epoch-start values edge by edge, and gets every written
-// edge rolled back when the solve's scope ends.
+// UfpInstance solve, the cold critical-value replay — builds it in O(m)
+// (init_duals); the engine's solves pass a lane of their residual graph's
+// overlay, kept at the epoch-start values edge by edge, and get every
+// written edge rolled back when the overlay's scope ends.
 #pragma once
 
 #include <algorithm>
@@ -19,11 +21,14 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tufp/ufp/bounded_ufp.hpp"
+#include "tufp/ufp/detail/solve_log.hpp"
 #include "tufp/ufp/detail/sp_cache.hpp"
 #include "tufp/ufp/detail/substrate.hpp"
+#include "tufp/ufp/detail/workspace_access.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
@@ -41,9 +46,17 @@ inline void validate_config(const Substrate& sub,
                "run_to_saturation requires the capacity guard");
 }
 
-// The request a shadowed replay tracks but never selects, and the
-// running minimum of the bids at which it would have been selected
-// (bounded_ufp_critical_value).
+// The loop's three forms.
+enum class LoopForm {
+  kSolve,         // Algorithm 1
+  kCheckpointed,  // the same solve, logging its checkpoints (SolveLog)
+  kReplay,        // from line 4 or resumed at a checkpoint, one request
+                  // shadowed
+};
+
+// The request a replay tracks but never selects (-1: none, the run
+// itself resumed), and the running minimum of the bids at which it would
+// have been selected (bounded_ufp_critical_value).
 struct Shadow {
   int request = -1;
   double critical = kInf;
@@ -99,6 +112,25 @@ struct LoopArrays {
   std::vector<EdgeId>* written = nullptr;
 };
 
+// An engine solve's line-4 arrays: a lane of the residual graph's
+// overlay, holding y and the residual at their epoch-start values, with
+// the given stamps and generation, and the epoch-start duals' profile and
+// sum (D1(0) = |active|).
+inline LoopArrays overlay_arrays(ResidualGraph::SolveOverlay& overlay,
+                                 const ResidualGraph& rgraph,
+                                 std::span<std::int64_t> edge_stamp,
+                                 std::int64_t* generation) {
+  LoopArrays arrays;
+  arrays.y = overlay.duals();
+  arrays.residual = overlay.residual();
+  arrays.edge_stamp = edge_stamp;
+  arrays.generation = generation;
+  arrays.profile = rgraph.dual_profile();
+  arrays.dual_sum = static_cast<double>(rgraph.num_active());
+  arrays.written = &overlay.written();
+  return arrays;
+}
+
 // A cold solve's own line-4 arrays: y_e = 1/c_e on active edges,
 // D1(0) = sum c_e y_e = |active|, the residual copied from the
 // capacities and all stamps at generation 0. The profile is kept current
@@ -124,21 +156,38 @@ struct ColdArrays {
   ColdArrays& operator=(const ColdArrays&) = delete;
 };
 
+// Where a replay resumes: checkpoint k of a logged solve, rebuilt on the
+// replay's arrays (their y, residual, stamps, generation, profile and
+// dual_sum hold the state just after iteration k's refresh) and cache
+// (its entries as that refresh left them), plus what the run had
+// produced by then. The loop enters iteration k at its scan.
+struct ResumePoint {
+  std::vector<int> remaining;  // ascending
+  double primal_value = 0.0;
+  BoundedUfpResult result;  // the solution, bounds and counters so far
+  std::int64_t first_stamp = 0;  // the logged solve's first iteration
+};
+
 // Algorithm 1's loop, written once against the substrate. A non-null
-// `arrays` is the engine's solve over the persistent residual graph with
-// its workspace; null builds cold arrays from the substrate.
-// kShadow instantiates the critical-value replay: `shadow->request`
-// stays in `remaining`, so its entry is refreshed every iteration, but
-// the scan skips it; after each scan its winning-bid threshold is folded
-// into `shadow->critical`. A bid moves only its own priority, so this is
-// the run without the shadow, which is also the real run for every bid
-// at which the shadow keeps losing.
-template <bool kShadow>
+// `arrays` is an engine solve over a lane of the persistent residual
+// graph with its workspace; null builds cold arrays from the substrate.
+// kCheckpointed also records the run in `log`. kReplay runs with
+// `shadow->request` shadowed: it stays in `remaining`, so its entry is
+// refreshed every iteration, but the scan skips it; after each scan its
+// winning-bid threshold is folded into `shadow->critical`. A bid moves
+// only its own priority, so this is the run without the shadow, which is
+// also the real run for every bid at which the shadow keeps losing. A
+// replay starts at line 4, or at `resume` when one is given.
+template <LoopForm kForm>
 BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  const BoundedUfpConfig& config,
                                  SpCache& cache,
                                  LoopArrays* arrays = nullptr,
-                                 [[maybe_unused]] Shadow* shadow = nullptr) {
+                                 [[maybe_unused]] SolveLog* log = nullptr,
+                                 [[maybe_unused]] Shadow* shadow = nullptr,
+                                 [[maybe_unused]] ResumePoint* resume = nullptr) {
+  constexpr bool kLogged = kForm == LoopForm::kCheckpointed;
+  constexpr bool kShadow = kForm == LoopForm::kReplay;
   const double B = sub.B;
   const double eps = config.epsilon;
   const int R = static_cast<int>(sub.requests.size());
@@ -155,30 +204,66 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   double dual_sum = arrays->dual_sum;
   WeightProfile profile = arrays->profile;
   std::int64_t& now = *arrays->generation;
-  const std::int64_t first_stamp = now + 1;
+  std::int64_t first_stamp = now + 1;
   const double threshold = std::exp(eps * (B - 1.0));
 
-  std::vector<int> remaining(static_cast<std::size_t>(R));
-  for (int r = 0; r < R; ++r) remaining[static_cast<std::size_t>(r)] = r;
+  std::vector<int> remaining;
+  double primal_value = 0.0;
+  // A resumed replay's first iteration was refreshed by the logged solve.
+  [[maybe_unused]] bool at_scan = false;
+  if constexpr (kShadow) {
+    if (resume != nullptr) {
+      remaining = std::move(resume->remaining);
+      primal_value = resume->primal_value;
+      result = std::move(resume->result);
+      first_stamp = resume->first_stamp;
+      at_scan = true;
+    }
+  }
+  if (!at_scan) {
+    remaining.resize(static_cast<std::size_t>(R));
+    for (int r = 0; r < R; ++r) remaining[static_cast<std::size_t>(r)] = r;
+  }
 
   const std::span<const double> guard_residual =
       config.capacity_guard ? std::span<const double>(residual)
                             : std::span<const double>();
 
-  double primal_value = 0.0;
-
   // Line 5: while (L != empty and sum c_e y_e <= e^{eps(B-1)}).
   while (!remaining.empty()) {
-    if (!config.run_to_saturation && dual_sum > threshold) {
-      result.stopped_by_threshold = true;
-      break;
+    if (!kShadow || !std::exchange(at_scan, false)) {
+      if (!config.run_to_saturation && dual_sum > threshold) {
+        result.stopped_by_threshold = true;
+        break;
+      }
+      ++now;
+      cache.refresh(y, edge_stamp, now, remaining, config.lazy_shortest_paths,
+                    guard_residual, &profile, sub.blocked);
+      result.sp_computations +=
+          static_cast<std::int64_t>(cache.recomputed_last_refresh());
+      result.sp_tree_runs += cache.tree_runs_last_refresh();
+      if constexpr (kLogged) {
+        SolveLog::Iteration& it = log->iterations.emplace_back();
+        it.stamp = now;
+        it.dual_sum = dual_sum;
+        it.profile = profile;
+        it.primal_value = primal_value;
+        it.dual_upper_bound = result.dual_upper_bound;
+        it.sp_computations = result.sp_computations;
+        it.sp_tree_runs = result.sp_tree_runs;
+        cache.for_each_recomputed([&](int r) {
+          const auto& entry = cache.entry(r);
+          const std::size_t begin = log->path_edges.size();
+          log->path_edges.insert(log->path_edges.end(), entry.path.begin(),
+                                 entry.path.end());
+          log->recomputed.push_back({r, entry.length, entry.computed_at,
+                                     entry.reachable, entry.fits, begin,
+                                     log->path_edges.size()});
+        });
+        it.recomputed_end = log->recomputed.size();
+        it.writes_end = log->writes.size();
+      }
     }
-    ++now;
-    cache.refresh(y, edge_stamp, now, remaining, config.lazy_shortest_paths,
-                  guard_residual, &profile, sub.blocked);
-    result.sp_computations +=
-        static_cast<std::int64_t>(cache.recomputed_last_refresh());
-    result.sp_tree_runs += cache.tree_runs_last_refresh();
 
     // Line 9: request minimizing (d_r/v_r)|p_r|; deterministic tie-break on
     // request id. alpha_cert tracks the minimum over *all* remaining
@@ -216,10 +301,12 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                          dual_sum / alpha_cert + primal_value);
     }
 
+    if constexpr (kLogged) log->iterations.back().best = best;
     if constexpr (kShadow) {
       const int w = shadow->request;
-      const auto& entry = cache.entry(w);
-      if (entry.reachable && (!config.capacity_guard || entry.fits)) {
+      const auto* entry = w >= 0 ? &cache.entry(w) : nullptr;
+      if (entry != nullptr && entry->reachable &&
+          (!config.capacity_guard || entry->fits)) {
         if (best < 0) {
           // Alone in fitting: selected here at any bid, so the
           // threshold is 0 (and the run without it ends anyway).
@@ -227,7 +314,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
           break;
         }
         lower_critical(sub.requests[static_cast<std::size_t>(w)].demand,
-                       entry.length, best_priority, w < best,
+                       entry->length, best_priority, w < best,
                        &shadow->critical);
       }
     }
@@ -250,11 +337,17 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
       edge_stamp[ei] = now;
       residual[ei] -= req.demand;
       profile.include(y[ei]);
+      if constexpr (kLogged) log->writes.push_back({e, y[ei], residual[ei]});
     }
     result.solution.assign(best, entry.path);
     primal_value += req.value;
     ++result.iterations;
     remaining.erase(std::find(remaining.begin(), remaining.end(), best));
+    if constexpr (kLogged) {
+      log->iterations.back().writes_end = log->writes.size();
+      log->selected_at[static_cast<std::size_t>(best)] =
+          static_cast<int>(log->iterations.size());
+    }
 
     if (config.record_trace) {
       result.trace.push_back({best, best_priority, dual_before, primal_value});
@@ -273,10 +366,10 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   }
 
   result.final_dual_sum = dual_sum;
-  // The entry point decides what leaves the loop: the shadowed replay
-  // only its threshold, a cold solve its duals (a move), and the engine's
-  // solve over the residual graph its rejection records (its overlay
-  // rolls the duals back).
+  // The entry point decides what leaves the loop: a replay its threshold
+  // and its run, a cold solve its duals (a move), and the engine's solves
+  // over the residual graph their rejection records (the overlay rolls
+  // the duals back).
   if (kShadow) return result;
   if (cold) {
     result.y = std::move(cold->y);

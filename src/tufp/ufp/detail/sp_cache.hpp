@@ -237,6 +237,20 @@ class SpCache {
     return entries_[static_cast<std::size_t>(r)];
   }
 
+  // Calls f(r) for every entry the last refresh recomputed (the
+  // checkpointed solve logs them, detail/solve_log.hpp).
+  template <class F>
+  void for_each_recomputed(F&& f) const {
+    for (const int g : touched_groups_) {
+      for (const int r : groups_[static_cast<std::size_t>(g)].stale) f(r);
+    }
+  }
+
+  // Entry r for overwriting with a state an earlier refresh logged: how a
+  // replay rebuilds a checkpoint's cache (ufp/critical_replay.cpp).
+  // Nothing else writes an entry outside refresh().
+  Entry& restore_entry(int r) { return entries_[static_cast<std::size_t>(r)]; }
+
   // Entries recomputed by the last refresh (the algorithmic
   // shortest-path count the solvers report).
   std::size_t recomputed_last_refresh() const { return stale_count_; }

@@ -1,8 +1,17 @@
-// bounded_ufp_critical_value: exact critical payments read off one
-// shadowed replay of Algorithm 1. Every payment is checked against the
+// Exact critical payments read off a shadowed replay of Algorithm 1: the
+// cold bounded_ufp_critical_value from line 4, and the engine's pricing,
+// which replays each winner's run from the checkpointed solve's
+// checkpoint at its selection. Every payment is checked against the
 // allocation rule itself (the two-probe ulp check: the rule admits at p
-// and rejects one double below) and against the rule-agnostic bisection
-// of mechanism/critical_payment (p <= b <= p + tol * max(1, b)).
+// and rejects one double below), against the rule-agnostic bisection of
+// mechanism/critical_payment (p <= b <= p + tol * max(1, b)), and the
+// engine's against the cold one bit for bit. Resuming the solve from
+// every checkpoint must reproduce the run.
+//
+// Mutations of the engine's pricing these tests catch: resuming a winner
+// at checkpoint k_w + 1; reversing the replay fold's id tie-break;
+// rebuilding a checkpoint without iteration k's recomputations; running a
+// refresh at the resumed checkpoint.
 #include "tufp/ufp/bounded_ufp.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "tufp/engine/epoch_engine.hpp"
@@ -21,6 +31,7 @@
 #include "tufp/mechanism/allocation_rule.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
 #include "tufp/sim/snapshot.hpp"
+#include "tufp/temporal/duration.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/request_gen.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -81,8 +92,13 @@ struct Tally {
 // the residual graph carries a blocked mask and the instance is the
 // compiled epoch snapshot — the engine's lowering and the cold
 // reference's.
-void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
-                 Tally* tally) {
+struct World {
+  std::vector<Request> requests;
+  std::unique_ptr<ResidualGraph> rg;
+  std::optional<UfpInstance> instance;
+};
+
+World make_world(const Shape& shape, const Leg& leg, std::uint64_t seed) {
   const int m = shape.rows * (shape.cols - 1) + shape.cols * (shape.rows - 1);
   const double capacity =
       leg.faithful ? std::ceil(1.5 + std::log(static_cast<double>(m)))
@@ -92,23 +108,34 @@ void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
   Rng rng(seed);
   RequestGenConfig gen;
   gen.num_requests = leg.faithful ? 2 * shape.requests : shape.requests;
-  const std::vector<Request> requests = generate_requests(*base, gen, rng);
-
-  ResidualGraph rg(base, 1.0);
+  World world;
+  world.requests = generate_requests(*base, gen, rng);
+  world.rg = std::make_unique<ResidualGraph>(base, 1.0);
   for (EdgeId e = static_cast<EdgeId>(seed % 3); e < base->num_edges();
        e += 11) {
     const std::vector<EdgeId> edge{e};
-    rg.commit_admission(edge, capacity - 0.5);
+    world.rg->commit_admission(edge, capacity - 0.5);
   }
-  rg.open_epoch();
-  ASSERT_GT(rg.num_active(), 0);
+  world.rg->open_epoch();
   const GraphSnapshot snapshot =
-      GraphSnapshot::compile(base, rg.residual(), 1.0);
-  const UfpInstance instance(snapshot.graph(), requests);
+      GraphSnapshot::compile(base, world.rg->residual(), 1.0);
+  world.instance.emplace(snapshot.graph(), world.requests);
+  return world;
+}
+
+void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
+                 Tally* tally) {
+  const World world = make_world(shape, leg, seed);
+  ASSERT_GT(world.rg->num_active(), 0);
+  const UfpInstance& instance = *world.instance;
 
   const BoundedUfpConfig& cfg = leg.config;
   const UfpRule rule = make_bounded_ufp_rule(cfg);
   const UfpSolution allocation = rule(instance);
+  // The engine's lowering: one checkpointed solve prices every winner.
+  UfpWorkspace workspace;
+  const BoundedUfpResult logged =
+      bounded_ufp_checkpointed(*world.rg, world.requests, cfg, workspace);
   const PaymentOptions reference;
   for (int r = 0; r < instance.num_requests(); ++r) {
     SCOPED_TRACE(::testing::Message()
@@ -116,8 +143,7 @@ void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
                  << " seed " << seed << " request " << r);
     const double bid = instance.request(r).value;
     const double p = bounded_ufp_critical_value(instance, r, cfg);
-    EXPECT_EQ(bits(bounded_ufp_critical_value(rg, requests, r, cfg)),
-              bits(p));
+    ASSERT_EQ(logged.solution.is_selected(r), allocation.is_selected(r));
     if (!allocation.is_selected(r)) {
       EXPECT_GT(p, bid);
       if (r % 4 == 0 && p < kInf) {
@@ -126,6 +152,9 @@ void check_world(const Shape& shape, const Leg& leg, std::uint64_t seed,
       }
       continue;
     }
+    EXPECT_EQ(bits(winner_critical_value(*world.rg, world.requests, cfg,
+                                         workspace, r, /*worker=*/0)),
+              bits(p));
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, bid);
     if (seed % 5 == 1) {  // the ~23-solve reference, on a fifth of worlds
@@ -154,6 +183,75 @@ TEST(CriticalReplay, ExactAcrossShapesSeedsAndEntryPoints) {
     EXPECT_GT(tally.positive, 0) << leg.name;
     EXPECT_GT(tally.zero, 0) << leg.name;
     EXPECT_GT(tally.losers_priced, 0) << leg.name;
+  }
+}
+
+void expect_same_run(const BoundedUfpResult& expected,
+                     const BoundedUfpResult& actual) {
+  ASSERT_EQ(actual.solution.num_requests(), expected.solution.num_requests());
+  for (int r = 0; r < expected.solution.num_requests(); ++r) {
+    ASSERT_EQ(actual.solution.is_selected(r), expected.solution.is_selected(r))
+        << "request " << r;
+    if (expected.solution.is_selected(r)) {
+      EXPECT_EQ(*actual.solution.path_of(r), *expected.solution.path_of(r))
+          << "request " << r;
+    }
+  }
+  EXPECT_EQ(actual.iterations, expected.iterations);
+  EXPECT_EQ(bits(actual.final_dual_sum), bits(expected.final_dual_sum));
+  EXPECT_EQ(bits(actual.dual_upper_bound), bits(expected.dual_upper_bound));
+  EXPECT_EQ(actual.stopped_by_threshold, expected.stopped_by_threshold);
+  // Equal counters mean the rebuilt stamps and entries went stale exactly
+  // where the solve's did, not only that they led to the same paths.
+  EXPECT_EQ(actual.sp_computations, expected.sp_computations);
+  EXPECT_EQ(actual.sp_tree_runs, expected.sp_tree_runs);
+}
+
+TEST(CriticalReplay, ResumingFromEveryCheckpointReproducesTheRun) {
+  for (const Leg& leg : legs()) {
+    int resumed = 0;
+    for (const Shape& shape : kShapes) {
+      for (int seed = 1; seed <= kSeeds; ++seed) {
+        SCOPED_TRACE(::testing::Message() << leg.name << " " << shape.rows
+                                          << "x" << shape.cols << " seed "
+                                          << seed);
+        const World world =
+            make_world(shape, leg, static_cast<std::uint64_t>(seed));
+        UfpWorkspace plain;
+        UfpWorkspace workspace;
+        const BoundedUfpResult solve =
+            bounded_ufp(*world.rg, world.requests, leg.config, plain);
+        const BoundedUfpResult logged = bounded_ufp_checkpointed(
+            *world.rg, world.requests, leg.config, workspace);
+        expect_same_run(solve, logged);
+        ASSERT_EQ(logged.rejections.size(), solve.rejections.size());
+        for (std::size_t i = 0; i < solve.rejections.size(); ++i) {
+          const RejectionRecord& a = logged.rejections[i];
+          const RejectionRecord& b = solve.rejections[i];
+          EXPECT_EQ(a.request, b.request);
+          EXPECT_EQ(a.reason, b.reason);
+          EXPECT_EQ(bits(a.density), bits(b.density));
+          EXPECT_EQ(a.bottleneck, b.bottleneck);
+          EXPECT_EQ(a.path, b.path);
+        }
+        // Latest checkpoint first, with a winner's replay in between, so
+        // each resume starts from whatever the last replay left behind.
+        for (int k = solve.iterations; k >= 1; --k) {
+          SCOPED_TRACE(::testing::Message() << "checkpoint " << k);
+          expect_same_run(solve,
+                          bounded_ufp_resume(*world.rg, world.requests,
+                                             leg.config, workspace, k, 0));
+          ++resumed;
+          const int winner = (k * 7) % static_cast<int>(world.requests.size());
+          if (solve.solution.is_selected(winner)) {
+            winner_critical_value(*world.rg, world.requests, leg.config,
+                                  workspace, winner, 0);
+          }
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(resumed, 0) << leg.name;
   }
 }
 
@@ -218,25 +316,55 @@ TEST(CriticalReplay, UncontestedWinnerPaysExactlyZero) {
   EXPECT_EQ(bits(bounded_ufp_critical_value(both, 1, cfg)), bits(0.0));
 }
 
-// Engine kCritical payments on a binding multi-epoch grid, per sequence.
-EpochEngineConfig critical_engine_config() {
+// Engine kCritical payments on binding multi-epoch grids, per sequence:
+// the 5x5 grid with permanent leases, and the benchmark's 12x12 shape at
+// capacity 8 with exponential leases churning between epochs.
+struct EngineStream {
+  const char* name;
+  int rows;
+  int cols;
+  double capacity;
+  double rate;
+  int requests;
+  int max_batch;
+  DurationConfig durations;
+};
+
+const EngineStream kEngineStreams[] = {
+    {"grid5-permanent", 5, 5, 4.0, 200.0, 160, 40, {}},
+    {"grid12-exponential", 12, 12, 8.0, 9000.0, 640, 32,
+     {.profile = DurationProfile::kExponential, .mean = 0.08}},
+};
+
+EpochEngineConfig critical_engine_config(const EngineStream& s) {
   EpochEngineConfig config;
-  config.max_batch = 40;
+  config.max_batch = s.max_batch;
   config.payments = PaymentPolicy::kCritical;
   config.record_allocations = true;
   return config;
 }
 
-std::vector<std::uint64_t> engine_payment_bits(int num_threads) {
-  const StreamingScenario scenario =
-      make_streaming_grid_scenario(5, 5, 4.0, ValueModel::kUniform);
-  EpochEngineConfig config = critical_engine_config();
+struct EngineWorld {
+  StreamingScenario scenario;
+  PoissonStream stream;
+};
+
+EngineWorld engine_world(const EngineStream& s) {
+  StreamingScenario scenario = make_streaming_grid_scenario(
+      s.rows, s.cols, s.capacity, ValueModel::kUniform);
+  PoissonStream stream(scenario.graph, scenario.request_config, s.rate,
+                       s.requests, 3, s.durations);
+  return {std::move(scenario), std::move(stream)};
+}
+
+std::vector<std::uint64_t> engine_payment_bits(const EngineStream& s,
+                                               int num_threads) {
+  EngineWorld world = engine_world(s);
+  EpochEngineConfig config = critical_engine_config(s);
   config.solver.num_threads = num_threads;
-  EpochEngine engine(scenario.graph, config);
-  PoissonStream stream(scenario.graph, scenario.request_config, 200.0, 160,
-                       3);
+  EpochEngine engine(world.scenario.graph, config);
   std::vector<std::uint64_t> out;
-  engine.run(stream, [&](const AdmissionReport& report) {
+  engine.run(world.stream, [&](const AdmissionReport& report) {
     for (const AdmissionRecord& a : report.allocations) {
       out.push_back(static_cast<std::uint64_t>(a.sequence));
       out.push_back(bits(a.payment));
@@ -246,67 +374,74 @@ std::vector<std::uint64_t> engine_payment_bits(int num_threads) {
 }
 
 TEST(CriticalReplay, EnginePaymentsAreBitwiseStableAcrossThreads) {
-  const std::vector<std::uint64_t> reference = engine_payment_bits(1);
-  ASSERT_FALSE(reference.empty());
-  int paying = 0;
-  for (std::size_t i = 1; i < reference.size(); i += 2) {
-    if (std::bit_cast<double>(reference[i]) > 0.0) ++paying;
+  for (const EngineStream& s : kEngineStreams) {
+    SCOPED_TRACE(s.name);
+    const std::vector<std::uint64_t> reference = engine_payment_bits(s, 1);
+    ASSERT_FALSE(reference.empty());
+    int paying = 0;
+    for (std::size_t i = 1; i < reference.size(); i += 2) {
+      if (std::bit_cast<double>(reference[i]) > 0.0) ++paying;
+    }
+    EXPECT_GT(paying, 0);
+    EXPECT_EQ(engine_payment_bits(s, 4), reference);
   }
-  EXPECT_GT(paying, 0);
-  EXPECT_EQ(engine_payment_bits(4), reference);
 }
 
 TEST(CriticalReplay, EnginePaymentsEqualAColdPerEpochReplay) {
-  // Same stream as above, cleared epoch by epoch. Before each epoch the
-  // engine's residual is compiled into a fresh GraphSnapshot and every
-  // winner is re-priced through the instance overload under the engine's
-  // epoch config: the persistent store, its blocked mask and the warm
-  // workspace must not move a payment by one bit.
-  const StreamingScenario scenario =
-      make_streaming_grid_scenario(5, 5, 4.0, ValueModel::kUniform);
-  const EpochEngineConfig config = critical_engine_config();
-  EpochEngine engine(scenario.graph, config);
-  PoissonStream stream(scenario.graph, scenario.request_config, 200.0, 160,
-                       3);
-  int epochs = 0;
-  int winners = 0;
-  int paying = 0;
-  std::vector<TimedRequest> batch;
-  TimedRequest t;
-  bool more = true;
-  while (more) {
-    batch.clear();
-    while (static_cast<int>(batch.size()) < config.max_batch &&
-           (more = stream.next(&t))) {
-      batch.push_back(t);
+  // The streams above, cleared epoch by epoch. Before each epoch the
+  // engine drains the leases expired by its close, then its residual is
+  // compiled into a fresh GraphSnapshot and every winner is re-priced
+  // through the instance overload under the engine's epoch config: the
+  // persistent store, its blocked mask, the warm workspace and the
+  // checkpoints must not move a payment by one bit.
+  for (const EngineStream& s : kEngineStreams) {
+    SCOPED_TRACE(s.name);
+    EngineWorld world = engine_world(s);
+    const EpochEngineConfig config = critical_engine_config(s);
+    EpochEngine engine(world.scenario.graph, config);
+    int epochs = 0;
+    int winners = 0;
+    int paying = 0;
+    std::vector<TimedRequest> batch;
+    TimedRequest t;
+    bool more = true;
+    while (more) {
+      batch.clear();
+      while (static_cast<int>(batch.size()) < config.max_batch &&
+             (more = world.stream.next(&t))) {
+        batch.push_back(t);
+      }
+      if (batch.empty()) break;
+      engine.reclaim_expired(batch.back().arrival_time);
+      const GraphSnapshot snapshot = GraphSnapshot::compile(
+          world.scenario.graph, engine.residual(), config.min_usable_capacity);
+      const AdmissionReport report = engine.run_epoch(batch);
+      ++epochs;
+      if (snapshot.num_active_edges() == 0) {
+        EXPECT_EQ(report.admitted, 0);
+        continue;
+      }
+      std::vector<Request> requests;
+      for (const TimedRequest& timed : batch) {
+        requests.push_back(timed.request);
+      }
+      const UfpInstance instance(snapshot.graph(), std::move(requests));
+      BoundedUfpConfig cfg = config.solver;
+      cfg.epsilon =
+          std::min(cfg.epsilon, kMaxSafeExponent / snapshot.min_residual());
+      cfg.num_threads = 1;
+      for (const AdmissionRecord& a : report.allocations) {
+        EXPECT_EQ(bits(a.payment),
+                  bits(bounded_ufp_critical_value(instance, a.request, cfg)))
+            << "epoch " << report.epoch << " sequence " << a.sequence;
+        ++winners;
+        if (a.payment > 0.0) ++paying;
+      }
     }
-    if (batch.empty()) break;
-    const GraphSnapshot snapshot = GraphSnapshot::compile(
-        scenario.graph, engine.residual(), config.min_usable_capacity);
-    const AdmissionReport report = engine.run_epoch(batch);
-    ++epochs;
-    if (snapshot.num_active_edges() == 0) {
-      EXPECT_EQ(report.admitted, 0);
-      continue;
-    }
-    std::vector<Request> requests;
-    for (const TimedRequest& timed : batch) requests.push_back(timed.request);
-    const UfpInstance instance(snapshot.graph(), std::move(requests));
-    BoundedUfpConfig cfg = config.solver;
-    cfg.epsilon =
-        std::min(cfg.epsilon, kMaxSafeExponent / snapshot.min_residual());
-    cfg.num_threads = 1;
-    for (const AdmissionRecord& a : report.allocations) {
-      EXPECT_EQ(bits(a.payment),
-                bits(bounded_ufp_critical_value(instance, a.request, cfg)))
-          << "epoch " << report.epoch << " sequence " << a.sequence;
-      ++winners;
-      if (a.payment > 0.0) ++paying;
-    }
+    EXPECT_EQ(epochs, s.requests / s.max_batch);
+    EXPECT_GT(winners, 0);
+    EXPECT_GT(paying, 0);
   }
-  EXPECT_EQ(epochs, 4);
-  EXPECT_GT(winners, 0);
-  EXPECT_GT(paying, 0);
 }
 
 }  // namespace

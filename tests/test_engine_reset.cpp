@@ -1,8 +1,9 @@
 // EpochEngine::reset() vs persistent state (DESIGN.md §12): after a full
 // churn replay — reclaims fired, the residual graph's dirty list and
-// overlay arrays, the workspace's stamp generation and the ledger clocks
-// advanced — reset() must return the engine to a state
-// byte-indistinguishable from freshly constructed.
+// overlay lanes, the workspace's stamp generation, solve log and replay
+// workers and the ledger clocks advanced — reset() must return the engine
+// to a state byte-indistinguishable from freshly constructed, under dual
+// prices and under critical payments.
 // Pinned by replaying the same churn world twice through one engine
 // (reset between) and comparing every deterministic report field, the
 // final residual and the lifetime counters against a fresh engine's
@@ -91,25 +92,8 @@ void expect_same_run(const std::vector<ReportDigest>& expected,
   }
 }
 
-TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
-  // A churn world: finite leases expire mid-replay, so the state a stale
-  // reset would leak — the dirty list, the epoch-start duals and counts,
-  // the ledger's pending leases and clock — is all genuinely exercised.
-  sim::ScaleChurnSpec spec;
-  spec.rows = 24;
-  spec.cols = 24;
-  spec.num_requests = 600;
-  spec.source_pool = 10;
-  spec.target_radius = 5;
-  spec.seed = 29;
-  const sim::SimWorld world = sim::make_scale_churn_world(spec);
-  ASSERT_FALSE(world.durations.empty());
-
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-
+void expect_reset_matches_fresh(const sim::SimWorld& world,
+                                const EpochEngineConfig& config) {
   EpochEngine warm(world.instance.shared_graph(), config);
   const std::vector<ReportDigest> first = replay(world, warm);
   ASSERT_FALSE(first.empty());
@@ -141,6 +125,42 @@ TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
             fresh.metrics().counters().leases_expired);
   EXPECT_EQ(warm.metrics().counters().sp_tree_runs,
             fresh.metrics().counters().sp_tree_runs);
+  EXPECT_EQ(warm.metrics().counters().revenue,
+            fresh.metrics().counters().revenue);
+}
+
+TEST(EngineReset, ResetThenReplayIsByteIdenticalToAFreshEngine) {
+  // A churn world: finite leases expire mid-replay, so the state a stale
+  // reset would leak — the dirty list, the epoch-start duals and counts,
+  // the ledger's pending leases and clock — is all genuinely exercised.
+  sim::ScaleChurnSpec spec;
+  spec.rows = 24;
+  spec.cols = 24;
+  spec.num_requests = 600;
+  spec.source_pool = 10;
+  spec.target_radius = 5;
+  spec.seed = 29;
+  // Under critical payments the same world at capacity 2 and ten times
+  // the arrival rate, so the auction binds (half the bids win) and the
+  // winner replays price something.
+  sim::ScaleChurnSpec binding = spec;
+  binding.capacity = 2.0;
+  binding.arrival_rate = 4000.0;
+
+  for (const PaymentPolicy payments :
+       {PaymentPolicy::kDualPrice, PaymentPolicy::kCritical}) {
+    const bool critical = payments == PaymentPolicy::kCritical;
+    SCOPED_TRACE(critical ? "critical" : "dual");
+    const sim::SimWorld world =
+        sim::make_scale_churn_world(critical ? binding : spec);
+    ASSERT_FALSE(world.durations.empty());
+    EpochEngineConfig config;
+    config.max_batch = world.max_batch;
+    config.payments = payments;
+    config.solver = world.solver;
+    config.solver.capacity_guard = true;
+    expect_reset_matches_fresh(world, config);
+  }
 }
 
 }  // namespace

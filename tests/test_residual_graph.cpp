@@ -1,7 +1,7 @@
 // Unit coverage for the persistent serving core (DESIGN.md §12): the
 // ResidualGraph CSR store's epoch cycle (open/commit/reclaim/reset, the
 // dirty-edge list against a from-scratch rescan, the solve overlay's
-// rollback), the GenerationMap the solver's shard plan is built on, and
+// rollback on every lane), the GenerationMap the solver's shard plan is built on, and
 // the engine-side accessors that expose the persistent state to
 // telemetry.
 #include <gtest/gtest.h>
@@ -35,8 +35,8 @@ std::shared_ptr<const Graph> make_diamond() {
 }
 
 // The epoch-start duals, read through a solve overlay that writes nothing.
-std::vector<double> duals_of(ResidualGraph& rg) {
-  ResidualGraph::SolveOverlay overlay(rg);
+std::vector<double> duals_of(ResidualGraph& rg, std::size_t lane = 0) {
+  ResidualGraph::SolveOverlay overlay(rg, lane);
   return {overlay.duals().begin(), overlay.duals().end()};
 }
 
@@ -225,13 +225,18 @@ void expect_matches_rescan(ResidualGraph& rg) {
   EXPECT_EQ(profile.all_positive, fold.all_positive);
 }
 
-// A solve's worth of overlay writes, then the rollback: the duals and the
-// working residual must read the epoch-start state again, bitwise.
+// The lanes the churn test spreads its overlays over.
+constexpr std::size_t kLanes = 3;
+
+// A solve's worth of overlay writes on one lane, then the rollback: the
+// duals and the working residual of every lane must read the epoch-start
+// state again, bitwise — the lanes built at an earlier epoch because
+// open_epoch() kept them current.
 void write_and_roll_back(ResidualGraph& rg, Rng& rng) {
   const std::vector<double> duals = duals_of(rg);
   const auto m = rg.base().num_edges();
   {
-    ResidualGraph::SolveOverlay overlay(rg);
+    ResidualGraph::SolveOverlay overlay(rg, rng.next_below(kLanes));
     std::vector<std::uint8_t> logged(static_cast<std::size_t>(m), 0);
     for (int k = 0; k < 8; ++k) {
       const auto e = static_cast<EdgeId>(rng.next_below(m));
@@ -245,11 +250,14 @@ void write_and_roll_back(ResidualGraph& rg, Rng& rng) {
       overlay.residual()[i] -= 0.5;
     }
   }
-  ResidualGraph::SolveOverlay overlay(rg);
-  for (std::size_t e = 0; e < duals.size(); ++e) {
-    ASSERT_EQ(bits(overlay.duals()[e]), bits(duals[e])) << "edge " << e;
-    ASSERT_EQ(bits(overlay.residual()[e]), bits(rg.epoch_capacities()[e]))
-        << "edge " << e;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    ResidualGraph::SolveOverlay overlay(rg, lane);
+    for (std::size_t e = 0; e < duals.size(); ++e) {
+      ASSERT_EQ(bits(overlay.duals()[e]), bits(duals[e]))
+          << "lane " << lane << " edge " << e;
+      ASSERT_EQ(bits(overlay.residual()[e]), bits(rg.epoch_capacities()[e]))
+          << "lane " << lane << " edge " << e;
+    }
   }
 }
 
@@ -260,6 +268,7 @@ TEST(ResidualGraph, DirtyListMatchesAFullRescanUnderRandomChurn) {
     const std::shared_ptr<const Graph> base = make_mixed(rng);
     const auto m = base->num_edges();
     ResidualGraph rg(base, 1.0);
+    rg.ensure_lanes(kLanes);
     expect_matches_rescan(rg);
     // Long enough that the extremes' stale heap entries get compacted.
     for (int step = 0; step < 8000; ++step) {
@@ -303,10 +312,23 @@ TEST(ResidualGraph, DirtyListMatchesAFullRescanUnderRandomChurn) {
 
 TEST(ResidualGraph, OverlayAndOpenAreExclusive) {
   ResidualGraph rg(make_diamond(), 1.0);
-  ResidualGraph::SolveOverlay overlay(rg);
+  EXPECT_THROW(ResidualGraph::SolveOverlay beyond(rg, 1), std::invalid_argument);
+  rg.ensure_lanes(2);
+  {
+    ResidualGraph::SolveOverlay overlay(rg);
+    EXPECT_THROW(rg.open_epoch(), std::logic_error);
+    EXPECT_THROW(rg.reset(), std::logic_error);
+    EXPECT_THROW(ResidualGraph::SolveOverlay second(rg), std::logic_error);
+    // Another lane opens beside it, writes its own arrays, and rolls back.
+    ResidualGraph::SolveOverlay side(rg, 1);
+    side.written().push_back(0);
+    side.duals()[0] *= 2.0;
+    EXPECT_EQ(overlay.duals()[0], 0.25);
+  }
+  EXPECT_EQ(duals_of(rg, 1)[0], 0.25);
+  ResidualGraph::SolveOverlay lane1(rg, 1);
   EXPECT_THROW(rg.open_epoch(), std::logic_error);
-  EXPECT_THROW(rg.reset(), std::logic_error);
-  EXPECT_THROW(ResidualGraph::SolveOverlay second(rg), std::logic_error);
+  EXPECT_THROW(rg.ensure_lanes(3), std::logic_error);
 }
 
 TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {

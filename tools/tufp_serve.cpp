@@ -553,6 +553,7 @@ class ServeSession {
     }
     if (batch.empty()) return;
     AdmissionReport report = engine_.run_epoch(batch, close_time);
+    unswept_ = true;
     report.queue_depth = static_cast<std::int64_t>(queue_.size());
     telemetry_.on_epoch(report, engine_.metrics());
     clock_ = std::max(clock_, close_time);
@@ -566,6 +567,7 @@ class ServeSession {
     advance_clock(t);
     if (violated_) return;
     const int reclaimed = engine_.reclaim_expired(clock_);
+    unswept_ = true;
     JsonObject obj;
     obj.field("event", "drain")
         .field("chan", "det")
@@ -580,6 +582,7 @@ class ServeSession {
   }
 
   void run_sanity() {
+    unswept_ = false;
     const std::vector<obs::SanityViolation> violations =
         obs::run_sanity_checks(engine_);
     const int checks = obs::sanity_check_count(engine_);
@@ -647,7 +650,9 @@ class ServeSession {
     if (violated_) return;
     if (opt_.horizon > 0.0) drain(opt_.horizon);
     if (violated_) return;
-    if (opt_.sanity_every > 0) {
+    // A last sweep, unless nothing ran since the last one: a horizon or
+    // protocol drain just before the end has already swept.
+    if (opt_.sanity_every > 0 && unswept_) {
       run_sanity();
       if (violated_) return;
     }
@@ -688,6 +693,8 @@ class ServeSession {
   double window_end_ = kInf;  // next virtual-clock window boundary
   std::int64_t next_sequence_ = 0;
   bool violated_ = false;
+  // An epoch or a reclaim ran since the last sanity sweep.
+  bool unswept_ = false;
 };
 
 }  // namespace
