@@ -3,9 +3,8 @@
 // Theorem 3.1: at most |R| iterations, each costing at most |R| shortest
 // path computations. Theorem 5.1: the repeat variant's time is polynomial
 // in m and c_max/d_min. On top of the paper claims this suite measures the
-// implementation levers DESIGN.md §6 calls out: lazy shortest-path
-// invalidation, the bucket-queue vs heap Dijkstra kernels, and the
-// OpenMP-parallel per-source tree refresh.
+// implementation levers DESIGN.md §6 calls out: the bucket-queue vs heap
+// Dijkstra kernels and the OpenMP-parallel per-source tree refresh.
 //
 // Usage: bench_perf_runtime [--json PATH] [google-benchmark flags]
 //   --json PATH is shorthand for --benchmark_out=PATH
@@ -88,23 +87,14 @@ BENCHMARK(BM_DijkstraGridKernel)
 
 void BM_BoundedUfp(benchmark::State& state) {
   const int requests = static_cast<int>(state.range(0));
-  const bool lazy = state.range(1) != 0;
   const UfpInstance inst = grid_workload(4, requests, 8.0, 23);
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
-  cfg.lazy_shortest_paths = lazy;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bounded_ufp(inst, cfg).iterations);
   }
-  state.SetLabel(lazy ? "lazy-sp" : "eager-sp");
 }
-BENCHMARK(BM_BoundedUfp)
-    ->Args({32, 1})
-    ->Args({32, 0})
-    ->Args({128, 1})
-    ->Args({128, 0})
-    ->Args({512, 1})
-    ->Args({512, 0});
+BENCHMARK(BM_BoundedUfp)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_BoundedUfpParallel(benchmark::State& state) {
   const bool parallel = state.range(0) != 0;

@@ -60,8 +60,7 @@ BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
       break;
     }
     ++now;
-    cache.refresh(y, edge_stamp, now, all, config.lazy_shortest_paths,
-                  guard_residual, &profile);
+    cache.refresh(y, edge_stamp, now, all, guard_residual, &profile);
 
     int best = -1;
     double best_priority = kInf;

@@ -425,8 +425,11 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   std::vector<double> payments(requests.size(), 0.0);
   {
     TUFP_SPAN("payments");
-    apply_payments(requests, run, solver_cfg, &payments);
+    report.payment_sp_computations =
+        apply_payments(requests, run, solver_cfg, &payments);
   }
+  metrics_.counters().payment_sp_computations +=
+      report.payment_sp_computations;
 
   TUFP_SPAN("commit");
   // run.rejections is ascending by request index, matching this loop:
@@ -544,13 +547,13 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   return report;
 }
 
-void EpochEngine::apply_payments(std::span<const Request> requests,
-                                 const BoundedUfpResult& run,
-                                 const BoundedUfpConfig& solver_cfg,
-                                 std::vector<double>* payments) {
+std::int64_t EpochEngine::apply_payments(std::span<const Request> requests,
+                                         const BoundedUfpResult& run,
+                                         const BoundedUfpConfig& solver_cfg,
+                                         std::vector<double>* payments) {
   switch (config_.payments) {
     case PaymentPolicy::kNone:
-      return;
+      return 0;
     case PaymentPolicy::kDualPrice: {
       // alpha_r = (d_r/v_r)*|p_r|_y at selection time, recorded in the
       // trace. pay = v * min(1, alpha): the congestion price of the
@@ -560,7 +563,7 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
         (*payments)[static_cast<std::size_t>(it.request)] =
             bid * std::min(1.0, it.alpha);
       }
-      return;
+      return 0;
     }
     case PaymentPolicy::kCritical: {
       // The exact critical value of every winner, priced from the
@@ -575,17 +578,23 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // slots — byte-identical for any thread count, read back in arrival
       // order by the allocation loop. They are dealt in selection order,
       // longest replay first. Each replay runs on one thread: parallelism
-      // lives at the winner level here.
+      // lives at the winner level here. Their search counts land in
+      // per-winner slots too, summed in selection order.
+      std::vector<std::int64_t> searches(run.trace.size(), 0);
       parallel_for(run.trace.size(), solver_cfg.num_threads,
                    [&](std::size_t i, int worker) {
                      const int r = run.trace[i].request;
                      (*payments)[static_cast<std::size_t>(r)] =
                          winner_critical_value(*rgraph_, requests, solver_cfg,
-                                               *workspace_, r, worker);
+                                               *workspace_, r, worker,
+                                               &searches[i]);
                    });
-      return;
+      std::int64_t total = 0;
+      for (const std::int64_t n : searches) total += n;
+      return total;
     }
   }
+  return 0;
 }
 
 }  // namespace tufp

@@ -149,6 +149,10 @@ struct AdmissionReport {
   int solver_iterations = 0;
   std::int64_t sp_computations = 0;
   std::int64_t sp_tree_runs = 0;  // Dijkstra tree searches (source shards)
+  // kCritical: shortest paths the winner replays recomputed, one search
+  // each, summed in selection order (0 under the other policies). Kept
+  // off the det telemetry and the text summary.
+  std::int64_t payment_sp_computations = 0;
   // Lease churn at this epoch boundary (deterministic): expiries drained
   // before the epoch's residual view opened, the active lease count and the
   // occupancy (leased capacity / total base capacity) after the clear.
@@ -252,11 +256,12 @@ class EpochEngine {
   AdmissionReport clear_epoch(const std::vector<TimedRequest>& batch,
                               double close_time);
   // Fills `payments` per the policy: kDualPrice reads the solve's trace,
-  // kCritical replays each winner from the checkpointed solve.
-  void apply_payments(std::span<const Request> requests,
-                      const BoundedUfpResult& run,
-                      const BoundedUfpConfig& solver_cfg,
-                      std::vector<double>* payments);
+  // kCritical replays each winner from the checkpointed solve. Returns
+  // the shortest paths those replays recomputed.
+  std::int64_t apply_payments(std::span<const Request> requests,
+                              const BoundedUfpResult& run,
+                              const BoundedUfpConfig& solver_cfg,
+                              std::vector<double>* payments);
   void refresh_lease_gauges();
 
   // no_path -> capacity_blocked refinement (DESIGN.md §14). The solver's

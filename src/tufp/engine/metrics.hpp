@@ -82,6 +82,9 @@ struct EngineCounters {
   std::int64_t solver_iterations = 0;
   std::int64_t sp_computations = 0;
   std::int64_t sp_tree_runs = 0;  // Dijkstra trees behind sp_computations
+  // The kCritical winner replays' recomputed shortest paths
+  // (AdmissionReport::payment_sp_computations); not in summary().
+  std::int64_t payment_sp_computations = 0;
 
   // Temporal lease churn (DESIGN.md §10). finite_leases counts admissions
   // with a finite duration; leases_expired counts reclamations. Both stay

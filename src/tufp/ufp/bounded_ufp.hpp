@@ -39,11 +39,6 @@ struct BoundedUfpConfig {
   // preserves monotonicity and exactness (DESIGN.md §6).
   bool capacity_guard = true;
 
-  // Reuse cached shortest paths whose edges were untouched since their
-  // computation (provably equivalent; see detail/sp_cache.hpp). Off only
-  // for the equivalence tests / ablation bench.
-  bool lazy_shortest_paths = true;
-
   // Ignore the e^{eps(B-1)} stopping threshold and keep selecting while
   // anything fits. Off-paper convenience for out-of-regime instances
   // (where the faithful threshold can be below the initial dual value m
@@ -213,17 +208,22 @@ BoundedUfpResult bounded_ufp_checkpointed(ResidualGraph& rgraph,
 // there lies above v, while at k_w, where v wins, it lies at or below v.
 // The minimum is therefore taken over t >= k_w alone: the replay resumes
 // at checkpoint k_w with w shadowed, where the scan picks the runner-up.
-// It runs on lane `worker` of `rgraph` and on the workspace's replay
-// worker `worker` (a one-thread cache and stamps, kept across epochs), so
-// it builds no cache, runs no O(m) pass and refreshes nothing at its
-// checkpoint; calls on distinct workers may run at once. Requires the
-// same graph state (no commit or open_epoch in between), batch and config
-// as the checkpointed solve, and worker in
-// [0, effective_num_threads(config.num_threads)).
+// The replay scans lazily: it recomputes a stale shortest path only when
+// its cached length, a lower bound, could still decide the scan or w's
+// threshold, and picks the eager replay's winner at every iteration
+// (DESIGN.md §4). It runs on lane `worker` of `rgraph` and on the
+// workspace's replay worker `worker` (a one-thread cache and stamps, kept
+// across epochs), so it builds no cache, runs no O(m) pass and refreshes
+// nothing at its checkpoint; calls on distinct workers may run at once.
+// A non-null `sp_computations` receives the shortest paths the replay
+// recomputed, one search each. Requires the same graph state (no commit
+// or open_epoch in between), batch and config as the checkpointed solve,
+// and worker in [0, effective_num_threads(config.num_threads)).
 double winner_critical_value(ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
-                             UfpWorkspace& workspace, int w, int worker);
+                             UfpWorkspace& workspace, int w, int worker,
+                             std::int64_t* sp_computations = nullptr);
 
 // The last checkpointed solve resumed at checkpoint `iteration` (1 up to
 // the iterations it refreshed) on replay worker `worker`: the solve's

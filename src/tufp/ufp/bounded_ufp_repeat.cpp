@@ -57,8 +57,7 @@ BoundedUfpRepeatResult run_repeat(const detail::Substrate& sub,
       break;
     }
     ++now;
-    cache.refresh(y, edge_stamp, now, live, config.lazy_shortest_paths,
-                  guard_residual, &profile);
+    cache.refresh(y, edge_stamp, now, live, guard_residual, &profile);
     result.sp_computations +=
         static_cast<std::int64_t>(cache.recomputed_last_refresh());
 

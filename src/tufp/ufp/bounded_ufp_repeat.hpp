@@ -21,7 +21,6 @@ namespace tufp {
 struct BoundedUfpRepeatConfig {
   double epsilon = 1.0 / 6.0;
   bool capacity_guard = true;   // same semantics as BoundedUfpConfig
-  bool lazy_shortest_paths = true;
   int num_threads = 1;  // same semantics as BoundedUfpConfig
   bool record_trace = false;
   // Hard stop on iteration count (defense against tiny d_min blowing up

@@ -1,8 +1,9 @@
 // Algorithm 1 resumed (ufp/bounded_ufp.hpp, DESIGN.md §4): the
-// checkpointed solve, the replays resumed at its checkpoints that price
-// its winners, and the cold critical value of one request. Both forms of
-// the loop are instantiated here, apart from the solve's (see
-// detail/bounded_ufp_loop.hpp).
+// checkpointed solve, the replays resumed at its checkpoints, and the
+// cold critical value of one request. The winners are priced by the lazy
+// form of the replay (kPricing); the solve resumed and the cold
+// reference run the eager one (kReplay). Every form of the loop but the
+// solve's is instantiated here (see detail/bounded_ufp_loop.hpp).
 #include "tufp/ufp/bounded_ufp.hpp"
 
 #include "tufp/ufp/detail/bounded_ufp_loop.hpp"
@@ -78,9 +79,11 @@ detail::ResumePoint seek(const detail::SolveLog& log, int k,
   return resume;
 }
 
-// The last checkpointed solve resumed at checkpoint k on replay worker
-// `worker`: its lane of the residual graph, its cache and its stamps.
-// Everything the replay writes there is rolled back before it returns.
+// The last checkpointed solve resumed at checkpoint k in form kForm on
+// replay worker `worker`: its lane of the residual graph, its cache and
+// its stamps. Everything the replay writes there is rolled back before it
+// returns.
+template <LoopForm kForm>
 BoundedUfpResult replay_from(ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
@@ -108,8 +111,8 @@ BoundedUfpResult replay_from(ResidualGraph& rgraph,
   detail::ResumePoint resume = seek(log, k, sub, *rw.cache, arrays);
   BoundedUfpConfig replay = config;
   replay.record_trace = false;
-  return run_bounded_ufp<LoopForm::kReplay>(sub, replay, *rw.cache, &arrays,
-                                            nullptr, shadow, &resume);
+  return run_bounded_ufp<kForm>(sub, replay, *rw.cache, &arrays, nullptr,
+                                shadow, &resume);
 }
 
 }  // namespace
@@ -144,8 +147,8 @@ BoundedUfpResult bounded_ufp_resume(ResidualGraph& rgraph,
                                     UfpWorkspace& workspace, int iteration,
                                     int worker) {
   detail::Shadow none;
-  BoundedUfpResult result = replay_from(rgraph, requests, config, workspace,
-                                        iteration, worker, &none);
+  BoundedUfpResult result = replay_from<LoopForm::kReplay>(
+      rgraph, requests, config, workspace, iteration, worker, &none);
   // The selections before the checkpoint, each along its logged path.
   const detail::SolveLog& log = WorkspaceAccess::log(workspace);
   std::size_t write = 0;
@@ -164,15 +167,23 @@ BoundedUfpResult bounded_ufp_resume(ResidualGraph& rgraph,
 double winner_critical_value(ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
-                             UfpWorkspace& workspace, int w, int worker) {
+                             UfpWorkspace& workspace, int w, int worker,
+                             std::int64_t* sp_computations) {
   const detail::SolveLog& log = WorkspaceAccess::log(workspace);
   TUFP_REQUIRE(w >= 0 && static_cast<std::size_t>(w) < log.selected_at.size() &&
                    log.selected_at[static_cast<std::size_t>(w)] > 0,
                "critical value of a request the checkpointed solve did not "
                "select");
+  const int k = log.selected_at[static_cast<std::size_t>(w)];
   detail::Shadow shadow{w};
-  replay_from(rgraph, requests, config, workspace,
-              log.selected_at[static_cast<std::size_t>(w)], worker, &shadow);
+  const BoundedUfpResult replayed = replay_from<LoopForm::kPricing>(
+      rgraph, requests, config, workspace, k, worker, &shadow);
+  if (sp_computations != nullptr) {
+    // The counters resume at the checkpoint's.
+    *sp_computations =
+        replayed.sp_computations -
+        log.iterations[static_cast<std::size_t>(k - 1)].sp_computations;
+  }
   return shadow.critical;
 }
 

@@ -1,11 +1,10 @@
 // Algorithm 1's selection loop (internal header), written once and
-// instantiated in three forms (LoopForm): the solve in bounded_ufp.cpp,
-// and in critical_replay.cpp the checkpointed solve and the replay
-// resumed from one of its checkpoints. Keep the solve alone in its
-// translation unit: with a second form in the same unit SpCache::refresh
-// has two call sites there and the compiler stops inlining it into the
-// solve, which measurably slows the dual-price serving path (DESIGN.md
-// §4).
+// instantiated in four forms (LoopForm): the solve in bounded_ufp.cpp,
+// and in critical_replay.cpp the checkpointed solve, the eager replay
+// and the pricing replay. Keep the solve alone in its translation unit:
+// with a second form in the same unit SpCache::refresh has two call
+// sites there and the compiler stops inlining it into the solve, which
+// measurably slows the dual-price serving path (DESIGN.md §4).
 //
 // Line 4's state reaches the loop as LoopArrays. Every cold caller — the
 // UfpInstance solve, the cold critical-value replay — builds it in O(m)
@@ -46,12 +45,14 @@ inline void validate_config(const Substrate& sub,
                "run_to_saturation requires the capacity guard");
 }
 
-// The loop's three forms.
+// The loop's four forms.
 enum class LoopForm {
   kSolve,         // Algorithm 1
   kCheckpointed,  // the same solve, logging its checkpoints (SolveLog)
   kReplay,        // from line 4 or resumed at a checkpoint, one request
                   // shadowed
+  kPricing,       // kReplay resumed at the shadow's selection, with a lazy
+                  // scan in place of the refresh (winner_critical_value)
 };
 
 // The request a replay tracks but never selects (-1: none, the run
@@ -62,27 +63,43 @@ struct Shadow {
   double critical = kInf;
 };
 
-// Lowers `*critical` to the smallest positive double bid v <= *critical
-// at which the shadowed request (demand d, current path length L) wins
+// Whether the shadowed request (demand d, path length L) at bid v wins
 // one selection scan against the best other candidate, of priority
-// `alpha`; `wins_ties` is whether the shadow's id is the lower one. The
-// predicate is the scan's own comparison in the same floating point, and
-// d/v*L is non-increasing in v, so bisecting the ordered bit patterns of
-// the positive doubles finds the exact boundary in at most 64 probes.
+// `alpha`; `wins_ties` is whether the shadow's id is the lower one. This
+// is the scan's own comparison in the same floating point. d/v*L is
+// non-increasing in v and non-decreasing in L.
+inline bool shadow_wins(double demand, double length, double v, double alpha,
+                        bool wins_ties) {
+  const double priority = demand / v * length;
+  return priority < alpha || (priority == alpha && wins_ties);
+}
+
+// lower_critical's first probe: whether the shadow wins at the running
+// minimum `critical` (the largest double while that is infinite), that
+// is, whether lower_critical lowers it at all.
+inline bool can_lower_critical(double demand, double length, double alpha,
+                               bool wins_ties, double critical) {
+  return shadow_wins(demand, length,
+                     std::min(critical, std::numeric_limits<double>::max()),
+                     alpha, wins_ties);
+}
+
+// Lowers `*critical` to the smallest positive double bid v <= *critical
+// at which the shadow wins the scan. shadow_wins is monotone in v, so
+// bisecting the ordered bit patterns of the positive doubles finds the
+// exact boundary in at most 64 probes.
 inline void lower_critical(double demand, double length, double alpha,
                            bool wins_ties, double* critical) {
-  const auto wins = [&](double v) {
-    const double priority = demand / v * length;
-    return priority < alpha || (priority == alpha && wins_ties);
-  };
-  const double top =
-      std::min(*critical, std::numeric_limits<double>::max());
-  if (!wins(top)) return;
+  if (!can_lower_critical(demand, length, alpha, wins_ties, *critical)) {
+    return;
+  }
   std::uint64_t lo = 0;  // +0.0: not a bid
-  std::uint64_t hi = std::bit_cast<std::uint64_t>(top);
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(
+      std::min(*critical, std::numeric_limits<double>::max()));
   while (hi - lo > 1) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (wins(std::bit_cast<double>(mid))) {
+    if (shadow_wins(demand, length, std::bit_cast<double>(mid), alpha,
+                    wins_ties)) {
       hi = mid;
     } else {
       lo = mid;
@@ -178,6 +195,20 @@ struct ResumePoint {
 // only its own priority, so this is the run without the shadow, which is
 // also the real run for every bid at which the shadow keeps losing. A
 // replay starts at line 4, or at `resume` when one is given.
+//
+// kPricing is kReplay resumed, with no refresh: each scan recomputes only
+// the stale entries that can still decide it (Minoux's lazy greedy).
+// y only grows, so a stale entry's cached priority is a lower bound on
+// its eager one, and a current entry's is exact (sp_cache.hpp). The scan
+// takes the (priority, id) minimum over the others, a stale entry at its
+// cached length whatever its last fit verdict, a current one only if it
+// fits; a stale minimum is recomputed and the scan runs again, until the
+// minimum is current. That minimum is the eager scan's winner, at the
+// same priority. The shadow is recomputed only when its cached length
+// wins lower_critical's first probe, or when nothing else fits. The
+// entries recomputed are counted in the result's sp counters, one search
+// each. Winners, thresholds and the shadow's critical value equal
+// kReplay's to the bit; dual_upper_bound is not tracked.
 template <LoopForm kForm>
 BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  const BoundedUfpConfig& config,
@@ -187,7 +218,8 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  [[maybe_unused]] Shadow* shadow = nullptr,
                                  [[maybe_unused]] ResumePoint* resume = nullptr) {
   constexpr bool kLogged = kForm == LoopForm::kCheckpointed;
-  constexpr bool kShadow = kForm == LoopForm::kReplay;
+  constexpr bool kLazy = kForm == LoopForm::kPricing;
+  constexpr bool kShadow = kForm == LoopForm::kReplay || kLazy;
   const double B = sub.B;
   const double eps = config.epsilon;
   const int R = static_cast<int>(sub.requests.size());
@@ -228,6 +260,13 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   const std::span<const double> guard_residual =
       config.capacity_guard ? std::span<const double>(residual)
                             : std::span<const double>();
+  // kPricing's one-entry recomputation, through the refresh.
+  [[maybe_unused]] const auto recompute = [&](int r) {
+    cache.refresh(y, edge_stamp, now, std::span<const int>(&r, 1),
+                  guard_residual, &profile, sub.blocked);
+    ++result.sp_computations;
+    ++result.sp_tree_runs;
+  };
 
   // Line 5: while (L != empty and sum c_e y_e <= e^{eps(B-1)}).
   while (!remaining.empty()) {
@@ -237,11 +276,13 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         break;
       }
       ++now;
-      cache.refresh(y, edge_stamp, now, remaining, config.lazy_shortest_paths,
-                    guard_residual, &profile, sub.blocked);
-      result.sp_computations +=
-          static_cast<std::int64_t>(cache.recomputed_last_refresh());
-      result.sp_tree_runs += cache.tree_runs_last_refresh();
+      if constexpr (!kLazy) {
+        cache.refresh(y, edge_stamp, now, remaining, guard_residual, &profile,
+                      sub.blocked);
+        result.sp_computations +=
+            static_cast<std::int64_t>(cache.recomputed_last_refresh());
+        result.sp_tree_runs += cache.tree_runs_last_refresh();
+      }
       if constexpr (kLogged) {
         SolveLog::Iteration& it = log->iterations.emplace_back();
         it.stamp = now;
@@ -271,51 +312,90 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     // which requests the guard filters).
     int best = -1;
     double best_priority = kInf;
-    double alpha_cert = kInf;
-    for (int r : remaining) {
-      if constexpr (kShadow) {
-        if (r == shadow->request) continue;
+    if constexpr (kLazy) {
+      for (;;) {
+        for (int r : remaining) {
+          if (r == shadow->request) continue;
+          const auto& entry = cache.entry(r);
+          if (!entry.reachable) continue;
+          const Request& req = sub.requests[static_cast<std::size_t>(r)];
+          const double priority = req.demand / req.value * entry.length;
+          if (!(priority < best_priority)) continue;
+          // A stale "does not fit" may fit on its recomputed path.
+          if (config.capacity_guard && !entry.fits &&
+              cache.current(r, edge_stamp)) {
+            continue;
+          }
+          best_priority = priority;
+          best = r;
+        }
+        if (best < 0 || cache.current(best, edge_stamp)) break;
+        recompute(best);
+        best = -1;
+        best_priority = kInf;
       }
-      const auto& entry = cache.entry(r);
-      if (!entry.reachable) continue;
-      const Request& req = sub.requests[static_cast<std::size_t>(r)];
-      const double priority = req.demand / req.value * entry.length;
-      alpha_cert = std::min(alpha_cert, priority);
-      // Guard status is cached in the entry (sp_cache.hpp): it can only
-      // change when the entry itself goes stale, so no per-iteration
-      // path rescan. Sound here because this loop's residual is monotone
-      // non-increasing and every decrement stamps its edge; a driver that
-      // ever *returns* capacity mid-run (lease reclaim) must stamp the
-      // reclaimed edges too, or this read serves stale negative verdicts.
-      if (config.capacity_guard && !entry.fits) continue;
-      if (priority < best_priority) {
-        best_priority = priority;
-        best = r;
+    } else {
+      double alpha_cert = kInf;
+      for (int r : remaining) {
+        if constexpr (kShadow) {
+          if (r == shadow->request) continue;
+        }
+        const auto& entry = cache.entry(r);
+        if (!entry.reachable) continue;
+        const Request& req = sub.requests[static_cast<std::size_t>(r)];
+        const double priority = req.demand / req.value * entry.length;
+        alpha_cert = std::min(alpha_cert, priority);
+        // Guard status is cached in the entry (sp_cache.hpp): it can only
+        // change when the entry itself goes stale, so no per-iteration
+        // path rescan. Sound here because this loop's residual is
+        // monotone non-increasing and every decrement stamps its edge; a
+        // driver that ever *returns* capacity mid-run (lease reclaim)
+        // must stamp the reclaimed edges too, or this read serves stale
+        // negative verdicts.
+        if (config.capacity_guard && !entry.fits) continue;
+        if (priority < best_priority) {
+          best_priority = priority;
+          best = r;
+        }
       }
-    }
 
-    if (alpha_cert < kInf && alpha_cert > 0.0) {
-      // Claim 3.6 machinery: (y/alpha, z) with z_r = v_r for selected
-      // requests is dual feasible, so its value bounds the fractional OPT.
-      result.dual_upper_bound = std::min(result.dual_upper_bound,
-                                         dual_sum / alpha_cert + primal_value);
+      if (alpha_cert < kInf && alpha_cert > 0.0) {
+        // Claim 3.6 machinery: (y/alpha, z) with z_r = v_r for selected
+        // requests is dual feasible, so its value bounds the fractional
+        // OPT.
+        result.dual_upper_bound = std::min(
+            result.dual_upper_bound, dual_sum / alpha_cert + primal_value);
+      }
     }
 
     if constexpr (kLogged) log->iterations.back().best = best;
     if constexpr (kShadow) {
       const int w = shadow->request;
-      const auto* entry = w >= 0 ? &cache.entry(w) : nullptr;
-      if (entry != nullptr && entry->reachable &&
-          (!config.capacity_guard || entry->fits)) {
-        if (best < 0) {
-          // Alone in fitting: selected here at any bid, so the
-          // threshold is 0 (and the run without it ends anyway).
-          shadow->critical = 0.0;
-          break;
+      if (w >= 0) {
+        const double demand = sub.requests[static_cast<std::size_t>(w)].demand;
+        const bool wins_ties = w < best;
+        if constexpr (kLazy) {
+          // A stale shadow that loses the first probe at its cached length
+          // loses it at today's too: lower_critical would change nothing.
+          const auto& cached = cache.entry(w);
+          if (cached.reachable && !cache.current(w, edge_stamp) &&
+              (best < 0 || can_lower_critical(demand, cached.length,
+                                              best_priority, wins_ties,
+                                              shadow->critical))) {
+            recompute(w);
+          }
         }
-        lower_critical(sub.requests[static_cast<std::size_t>(w)].demand,
-                       entry->length, best_priority, w < best,
-                       &shadow->critical);
+        const auto& entry = cache.entry(w);
+        if (entry.reachable && (!config.capacity_guard || entry.fits)) {
+          if (best < 0) {
+            // Alone in fitting: selected here at any bid, so the
+            // threshold is 0 (and the run without it ends anyway).
+            shadow->critical = 0.0;
+            break;
+          }
+          lower_critical(demand, entry.length, best_priority, wins_ties,
+                         &shadow->critical);
+        }
       }
     }
 

@@ -158,14 +158,15 @@ class SpCache {
   // Ensures entries for `active` are shortest paths under `y`, where
   // edge_stamp[e] is the iteration at which e's weight last changed and
   // `now` the current iteration (both on the solve's generation: every
-  // stamp a solve did not write is below its first `now`). With lazy=false everything recomputes.
+  // stamp a solve did not write is below its first `now`). Recomputes
+  // exactly the reachable entries that are not current().
   // A non-empty `residual` additionally refreshes Entry::fits against the
   // per-request demand. `profile`, when given, lets per-shard engines use
   // the bucket kernel; it must be current for `y`. A non-empty
   // `blocked` mask excludes edges from every search.
   void refresh(std::span<const double> y,
                std::span<const std::int64_t> edge_stamp, std::int64_t now,
-               std::span<const int> active, bool lazy,
+               std::span<const int> active,
                std::span<const double> residual = {},
                const WeightProfile* profile = nullptr,
                std::span<const std::uint8_t> blocked = {}) {
@@ -177,9 +178,7 @@ class SpCache {
     for (const int r : active) {
       Entry& entry = entries_[static_cast<std::size_t>(r)];
       if (!entry.reachable) continue;  // blocked set is static within a solve
-      if (lazy && entry.computed_at >= 0 && is_current(entry, edge_stamp)) {
-        continue;
-      }
+      if (is_current(entry, edge_stamp)) continue;
       Group& g = groups_[static_cast<std::size_t>(
           group_of_request_[static_cast<std::size_t>(r)])];
       if (g.stale.empty()) {
@@ -235,6 +234,17 @@ class SpCache {
 
   const Entry& entry(int r) const {
     return entries_[static_cast<std::size_t>(r)];
+  }
+
+  // Whether entry r needs no recomputation under `edge_stamp`: it was
+  // computed, and no edge of its path was stamped since. refresh()
+  // recomputes exactly the reachable entries for which this is false. A
+  // current entry is bit for bit what a fresh search under today's y
+  // returns, and a stale one's length is a lower bound on today's, since
+  // y only grows (DESIGN.md §4); the pricing replay's lazy scan reads
+  // both (detail/bounded_ufp_loop.hpp).
+  bool current(int r, std::span<const std::int64_t> edge_stamp) const {
+    return is_current(entries_[static_cast<std::size_t>(r)], edge_stamp);
   }
 
   // Calls f(r) for every entry the last refresh recomputed (the
@@ -293,6 +303,7 @@ class SpCache {
 
   static bool is_current(const Entry& entry,
                          std::span<const std::int64_t> edge_stamp) {
+    if (entry.computed_at < 0) return false;  // never computed
     for (EdgeId e : entry.path) {
       // An edge stamped *at* the entry's epoch was updated after that
       // refresh ran (refresh happens at the top of an iteration, the

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "tufp/graph/generators.hpp"
 #include "tufp/util/math.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/request_gen.hpp"
 #include "tufp/workload/scenarios.hpp"
+
+#include "recompute_all_reference.hpp"
 
 namespace tufp {
 namespace {
@@ -197,30 +201,37 @@ TEST(BoundedUfp, GuardNeverFiresInRegime) {
   }
 }
 
-TEST(BoundedUfp, LazyAndEagerShortestPathsAgree) {
-  // Jittered capacities keep shortest paths unique: with ties, eager
-  // recomputation may legitimately pick a different equal-length path.
+TEST(BoundedUfp, LazyShortestPathsMatchARecomputeAllReference) {
+  // The reference asks a fresh query per remaining request every round;
+  // canonical searches make the two runs equal to the bit, ties and all.
+  // The uniform grid is tie-heavy; the random digraph has jittered
+  // capacities and unreachable pairs.
   for (std::uint64_t seed = 90; seed < 102; ++seed) {
     Rng rng(seed);
-    Graph g = random_graph(10, 26, 3.0, 5.0, /*directed=*/true, rng);
+    Graph g = seed % 2 == 0
+                  ? random_graph(10, 26, 3.0, 5.0, /*directed=*/true, rng)
+                  : grid_graph(3, 4, 3.0, /*directed=*/false);
     RequestGenConfig cfg;
     cfg.num_requests = 25;
     std::vector<Request> reqs = generate_requests(g, cfg, rng);
     UfpInstance inst(std::move(g), std::move(reqs));
-    BoundedUfpConfig lazy;
-    lazy.record_trace = true;
-    lazy.run_to_saturation = true;
-    BoundedUfpConfig eager = lazy;
-    eager.lazy_shortest_paths = false;
-    const auto a = bounded_ufp(inst, lazy);
-    const auto b = bounded_ufp(inst, eager);
-    ASSERT_GT(a.iterations, 0) << "seed " << seed;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-      EXPECT_EQ(a.trace[i].request, b.trace[i].request);
-      EXPECT_DOUBLE_EQ(a.trace[i].alpha, b.trace[i].alpha);
+    BoundedUfpConfig config;
+    config.record_trace = true;
+    config.run_to_saturation = true;
+    const BoundedUfpResult lazy = bounded_ufp(inst, config);
+    const RecomputeAllRun reference = recompute_all_bounded_ufp(inst, config);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ASSERT_EQ(lazy.trace.size(), reference.trace.size());
+    for (std::size_t i = 0; i < lazy.trace.size(); ++i) {
+      EXPECT_EQ(lazy.trace[i].request, reference.trace[i].request);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.trace[i].alpha),
+                std::bit_cast<std::uint64_t>(reference.trace[i].alpha));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.trace[i].dual_sum),
+                std::bit_cast<std::uint64_t>(reference.trace[i].dual_sum));
     }
-    EXPECT_DOUBLE_EQ(a.final_dual_sum, b.final_dual_sum);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.final_dual_sum),
+              std::bit_cast<std::uint64_t>(reference.final_dual_sum));
+    EXPECT_GT(lazy.iterations, 0);
   }
 }
 

@@ -1,17 +1,21 @@
 // Exact critical payments read off a shadowed replay of Algorithm 1: the
-// cold bounded_ufp_critical_value from line 4, and the engine's pricing,
-// which replays each winner's run from the checkpointed solve's
-// checkpoint at its selection. Every payment is checked against the
+// cold bounded_ufp_critical_value from line 4, which refreshes every
+// stale entry each iteration, and the engine's pricing, which replays
+// each winner's run from the checkpointed solve's checkpoint at its
+// selection and scans lazily. Every payment is checked against the
 // allocation rule itself (the two-probe ulp check: the rule admits at p
 // and rejects one double below), against the rule-agnostic bisection of
 // mechanism/critical_payment (p <= b <= p + tol * max(1, b)), and the
-// engine's against the cold one bit for bit. Resuming the solve from
-// every checkpoint must reproduce the run.
+// engine's lazy pricing against the eager cold one bit for bit. Resuming
+// the solve from every checkpoint must reproduce the run.
 //
 // Mutations of the engine's pricing these tests catch: resuming a winner
 // at checkpoint k_w + 1; reversing the replay fold's id tie-break;
 // rebuilding a checkpoint without iteration k's recomputations; running a
-// refresh at the resumed checkpoint.
+// refresh at the resumed checkpoint; in the lazy scan, taking a
+// recomputed candidate as the winner without scanning again, or skipping
+// a stale entry whose last verdict was "does not fit"; dropping the id
+// tie from the shadow's win predicate (ShadowWinPredicateAtExactTies).
 #include "tufp/ufp/bounded_ufp.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +36,7 @@
 #include "tufp/mechanism/critical_payment.hpp"
 #include "tufp/sim/snapshot.hpp"
 #include "tufp/temporal/duration.hpp"
+#include "tufp/ufp/detail/bounded_ufp_loop.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/request_gen.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -316,6 +321,34 @@ TEST(CriticalReplay, UncontestedWinnerPaysExactlyZero) {
   EXPECT_EQ(bits(bounded_ufp_critical_value(both, 1, cfg)), bits(0.0));
 }
 
+TEST(CriticalReplay, ShadowWinPredicateAtExactTies) {
+  // d/v*L == alpha exactly: 0.5 / 0.25 * 3.0 == 6.0. The tie goes to the
+  // lower id, whichever side it is on, and the lazy scan's skip test
+  // (can_lower_critical) reads the same predicate at the running minimum.
+  using detail::can_lower_critical;
+  using detail::shadow_wins;
+  EXPECT_TRUE(shadow_wins(0.5, 3.0, 0.25, 6.0, /*wins_ties=*/true));
+  EXPECT_FALSE(shadow_wins(0.5, 3.0, 0.25, 6.0, /*wins_ties=*/false));
+  EXPECT_TRUE(shadow_wins(0.5, 3.0, 0.25, std::nextafter(6.0, kInf), false));
+  EXPECT_FALSE(shadow_wins(0.5, 3.0, 0.25, std::nextafter(6.0, 0.0), true));
+  EXPECT_TRUE(can_lower_critical(0.5, 3.0, 6.0, true, 0.25));
+  EXPECT_FALSE(can_lower_critical(0.5, 3.0, 6.0, false, 0.25));
+  EXPECT_TRUE(can_lower_critical(0.5, 3.0, 6.0, false, kInf));
+
+  // The bisection lands on the tie when the shadow wins it, one double
+  // above it when it does not.
+  double with_tie = kInf;
+  detail::lower_critical(0.5, 3.0, 6.0, true, &with_tie);
+  EXPECT_EQ(bits(with_tie), bits(0.25));
+  double without_tie = kInf;
+  detail::lower_critical(0.5, 3.0, 6.0, false, &without_tie);
+  EXPECT_EQ(bits(without_tie), bits(std::nextafter(0.25, kInf)));
+  // At a running minimum the shadow cannot beat, nothing moves.
+  double floor = 0.25;
+  detail::lower_critical(0.5, 3.0, 6.0, false, &floor);
+  EXPECT_EQ(bits(floor), bits(0.25));
+}
+
 // Engine kCritical payments on binding multi-epoch grids, per sequence:
 // the 5x5 grid with permanent leases, and the benchmark's 12x12 shape at
 // capacity 8 with exponential leases churning between epochs.
@@ -357,33 +390,65 @@ EngineWorld engine_world(const EngineStream& s) {
   return {std::move(scenario), std::move(stream)};
 }
 
-std::vector<std::uint64_t> engine_payment_bits(const EngineStream& s,
-                                               int num_threads) {
+// One run of an engine stream: each allocation's sequence and payment
+// bits, and per epoch the shortest paths the winner replays recomputed.
+struct EngineRun {
+  std::vector<std::uint64_t> payments;
+  std::vector<std::int64_t> searches;
+};
+
+EngineRun run_engine(const EngineStream& s, PaymentPolicy payments,
+                     int num_threads) {
   EngineWorld world = engine_world(s);
   EpochEngineConfig config = critical_engine_config(s);
+  config.payments = payments;
   config.solver.num_threads = num_threads;
   EpochEngine engine(world.scenario.graph, config);
-  std::vector<std::uint64_t> out;
+  EngineRun out;
+  std::int64_t searches = 0;
   engine.run(world.stream, [&](const AdmissionReport& report) {
     for (const AdmissionRecord& a : report.allocations) {
-      out.push_back(static_cast<std::uint64_t>(a.sequence));
-      out.push_back(bits(a.payment));
+      out.payments.push_back(static_cast<std::uint64_t>(a.sequence));
+      out.payments.push_back(bits(a.payment));
     }
+    out.searches.push_back(report.payment_sp_computations);
+    searches += report.payment_sp_computations;
   });
+  EXPECT_EQ(engine.metrics().counters().payment_sp_computations, searches);
   return out;
 }
 
 TEST(CriticalReplay, EnginePaymentsAreBitwiseStableAcrossThreads) {
+  // Payments and the replays' search counts alike.
   for (const EngineStream& s : kEngineStreams) {
     SCOPED_TRACE(s.name);
-    const std::vector<std::uint64_t> reference = engine_payment_bits(s, 1);
-    ASSERT_FALSE(reference.empty());
+    const EngineRun reference = run_engine(s, PaymentPolicy::kCritical, 1);
+    ASSERT_FALSE(reference.payments.empty());
     int paying = 0;
-    for (std::size_t i = 1; i < reference.size(); i += 2) {
-      if (std::bit_cast<double>(reference[i]) > 0.0) ++paying;
+    for (std::size_t i = 1; i < reference.payments.size(); i += 2) {
+      if (std::bit_cast<double>(reference.payments[i]) > 0.0) ++paying;
     }
     EXPECT_GT(paying, 0);
-    EXPECT_EQ(engine_payment_bits(s, 4), reference);
+    std::int64_t searches = 0;
+    for (const std::int64_t n : reference.searches) searches += n;
+    EXPECT_GT(searches, 0);
+    for (const int threads : {2, 4}) {
+      const EngineRun run = run_engine(s, PaymentPolicy::kCritical, threads);
+      EXPECT_EQ(run.payments, reference.payments) << threads << " threads";
+      EXPECT_EQ(run.searches, reference.searches) << threads << " threads";
+    }
+  }
+}
+
+TEST(CriticalReplay, OnlyCriticalPaymentsCountReplaySearches) {
+  for (const EngineStream& s : kEngineStreams) {
+    SCOPED_TRACE(s.name);
+    for (const PaymentPolicy policy :
+         {PaymentPolicy::kDualPrice, PaymentPolicy::kNone}) {
+      for (const std::int64_t n : run_engine(s, policy, 1).searches) {
+        EXPECT_EQ(n, 0);
+      }
+    }
   }
 }
 

@@ -1,14 +1,18 @@
 // Direct tests of the lazy shortest-path cache behind Bounded-UFP and
-// Bounded-UFP-Repeat (detail/sp_cache.hpp): stale detection, permanent
-// unreachability caching, and deterministic parallel refresh.
+// Bounded-UFP-Repeat (detail/sp_cache.hpp): stale detection and the
+// staleness query, permanent unreachability caching, one-request
+// refreshes, and deterministic parallel refresh.
 #include "tufp/ufp/detail/sp_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "tufp/ufp/bounded_ufp.hpp"
 
@@ -16,6 +20,8 @@
 #include "tufp/util/math.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/request_gen.hpp"
+
+#include "recompute_all_reference.hpp"
 
 namespace tufp {
 namespace {
@@ -38,7 +44,7 @@ TEST(SpCache, ComputesShortestPathsOnFirstRefresh) {
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1, 2};
-  cache.refresh(y, stamps, 1, active, /*lazy=*/true);
+  cache.refresh(y, stamps, 1, active);
   EXPECT_DOUBLE_EQ(cache.entry(0).length, 2.0);
   EXPECT_EQ(cache.entry(0).path, (Path{0, 1}));
   EXPECT_FALSE(cache.entry(2).reachable);  // 1 -> 0 has no arc
@@ -51,20 +57,20 @@ TEST(SpCache, UntouchedPathsAreNotRecomputed) {
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1};
-  cache.refresh(y, stamps, 1, active, true);
+  cache.refresh(y, stamps, 1, active);
   ASSERT_EQ(cache.recomputed_last_refresh(), 2u);
 
   // Update an edge OFF the cached paths: nothing becomes stale.
   y[2] = 3.0;
   stamps[2] = 2;
-  cache.refresh(y, stamps, 2, active, true);
+  cache.refresh(y, stamps, 2, active);
   EXPECT_EQ(cache.recomputed_last_refresh(), 0u);
 
   // Update an edge ON the cached path: both requests go stale and the
   // recomputed paths switch to the alternative route (y = 3.0 + 2.0).
   y[0] = 10.0;
   stamps[0] = 3;
-  cache.refresh(y, stamps, 3, active, true);
+  cache.refresh(y, stamps, 3, active);
   EXPECT_EQ(cache.recomputed_last_refresh(), 2u);
   EXPECT_EQ(cache.entry(0).path, (Path{2, 3}));
   EXPECT_DOUBLE_EQ(cache.entry(0).length, 5.0);
@@ -76,24 +82,13 @@ TEST(SpCache, UnreachableIsCachedForever) {
   std::vector<double> y{1.0, 1.0, 1.0, 1.0};
   std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{2};
-  cache.refresh(y, stamps, 1, active, true);
+  cache.refresh(y, stamps, 1, active);
   EXPECT_EQ(cache.recomputed_last_refresh(), 1u);
   // Even with every edge stamped dirty, the unreachable entry stays put.
   for (auto& s : stamps) s = 2;
-  cache.refresh(y, stamps, 2, active, true);
+  cache.refresh(y, stamps, 2, active);
   EXPECT_EQ(cache.recomputed_last_refresh(), 0u);
   EXPECT_FALSE(cache.entry(2).reachable);
-}
-
-TEST(SpCache, EagerModeAlwaysRecomputes) {
-  const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, 1);
-  const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
-  const std::vector<std::int64_t> stamps(4, 0);
-  const std::vector<int> active{0, 1};
-  cache.refresh(y, stamps, 1, active, /*lazy=*/false);
-  cache.refresh(y, stamps, 2, active, /*lazy=*/false);
-  EXPECT_EQ(cache.recomputed_last_refresh(), 2u);
 }
 
 TEST(SpCache, ParallelAndSerialProduceIdenticalEntries) {
@@ -112,8 +107,8 @@ TEST(SpCache, ParallelAndSerialProduceIdenticalEntries) {
 
   detail::SpCache serial(inst, 1);
   detail::SpCache parallel(inst, 4);  // a team on any machine
-  serial.refresh(y, stamps, 1, active, true);
-  parallel.refresh(y, stamps, 1, active, true);
+  serial.refresh(y, stamps, 1, active);
+  parallel.refresh(y, stamps, 1, active);
   for (int r = 0; r < inst.num_requests(); ++r) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.entry(r).length),
               std::bit_cast<std::uint64_t>(parallel.entry(r).length));
@@ -140,7 +135,7 @@ TEST(SpCache, WorkerExceptionReachesTheCaller) {
   for (const int threads : {1, 4}) {
     detail::SpCache cache(g, requests, threads);
     try {
-      cache.refresh(y, stamps, 1, active, true);
+      cache.refresh(y, stamps, 1, active);
       ADD_FAILURE() << "refresh did not throw at " << threads << " threads";
     } catch (const std::invalid_argument& e) {
       messages[threads == 1 ? 0 : 1] = e.what();
@@ -157,7 +152,7 @@ TEST(SpCache, FitStatusTracksCapacityGuardCrossings) {
   std::vector<std::int64_t> stamps(4, 0);
   std::vector<double> residual{5.0, 5.0, 5.0, 5.0};
   const std::vector<int> active{0, 1};
-  cache.refresh(y, stamps, 1, active, true, residual);
+  cache.refresh(y, stamps, 1, active, residual);
   EXPECT_TRUE(cache.entry(0).fits);
   EXPECT_TRUE(cache.entry(1).fits);
 
@@ -167,14 +162,14 @@ TEST(SpCache, FitStatusTracksCapacityGuardCrossings) {
   // their guard status flips on the recomputation.
   residual[0] = 0.5;
   stamps[0] = 1;
-  cache.refresh(y, stamps, 2, active, true, residual);
+  cache.refresh(y, stamps, 2, active, residual);
   EXPECT_EQ(cache.recomputed_last_refresh(), 2u);
   EXPECT_EQ(cache.entry(0).path, (Path{0, 1}));  // still shortest under y
   EXPECT_FALSE(cache.entry(0).fits);
   EXPECT_FALSE(cache.entry(1).fits);
 
   // No further stamps: the guard verdict stays cached, nothing recomputes.
-  cache.refresh(y, stamps, 3, active, true, residual);
+  cache.refresh(y, stamps, 3, active, residual);
   EXPECT_EQ(cache.recomputed_last_refresh(), 0u);
   EXPECT_FALSE(cache.entry(0).fits);
 }
@@ -190,7 +185,7 @@ TEST(SpCache, FitStatusIsPerRequestDemand) {
   std::vector<std::int64_t> stamps{0};
   std::vector<double> residual{0.5};
   const std::vector<int> active{0, 1};
-  cache.refresh(y, stamps, 1, active, true, residual);
+  cache.refresh(y, stamps, 1, active, residual);
   EXPECT_FALSE(cache.entry(0).fits);  // demand 1.0 > residual 0.5
   EXPECT_TRUE(cache.entry(1).fits);   // demand 0.25 fits
 }
@@ -213,21 +208,21 @@ TEST(SpCache, ReclaimedCapacityNeedsAStampToUnstickNegativeFits) {
   // Admission saturates edge 0 (stamped, per the solver invariant).
   residual[0] = 0.0;
   stamps[0] = 1;
-  cache.refresh(y, stamps, 2, active, true, residual);
+  cache.refresh(y, stamps, 2, active, residual);
   ASSERT_FALSE(cache.entry(0).fits);
 
   // A lease expiry restores the capacity. Without a stamp the cache has
   // no way to know: the stale negative verdict persists — this assertion
   // documents the hazard the invariant exists to prevent.
   residual[0] = 5.0;
-  cache.refresh(y, stamps, 3, active, true, residual);
+  cache.refresh(y, stamps, 3, active, residual);
   EXPECT_EQ(cache.recomputed_last_refresh(), 0u);
   EXPECT_FALSE(cache.entry(0).fits);  // stale: the path actually fits now
 
   // The reclaim bumps the invalidation stamp of the touched edge; the
   // entry recomputes and the request is admittable again.
   stamps[0] = 3;
-  cache.refresh(y, stamps, 4, active, true, residual);
+  cache.refresh(y, stamps, 4, active, residual);
   EXPECT_EQ(cache.recomputed_last_refresh(), 1u);
   EXPECT_TRUE(cache.entry(0).fits);
 }
@@ -237,7 +232,7 @@ TEST(SpCache, WithoutResidualEveryEntryFits) {
   detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
-  cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);
+  cache.refresh(y, stamps, 1, std::vector<int>{0, 1});
   EXPECT_TRUE(cache.entry(0).fits);
   EXPECT_TRUE(cache.entry(1).fits);
 }
@@ -249,7 +244,7 @@ TEST(SpCache, SharedSourcesRefreshFromOneTree) {
   detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
-  cache.refresh(y, stamps, 1, std::vector<int>{0, 1, 2}, true);
+  cache.refresh(y, stamps, 1, std::vector<int>{0, 1, 2});
   EXPECT_EQ(cache.recomputed_last_refresh(), 3u);
   EXPECT_EQ(cache.tree_runs_last_refresh(), 2);  // sources {0, 1}
 }
@@ -297,19 +292,17 @@ TEST(SpCache, RebindResetsEntriesEvenWhenThePlanIsReused) {
   detail::SpCache cache(inst.graph(), inst.requests(), 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
-  cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);
+  cache.refresh(y, stamps, 1, std::vector<int>{0, 1});
   ASSERT_GE(cache.entry(0).computed_at, 0);
 
   cache.rebind(inst.requests());
   EXPECT_EQ(cache.plan_reuses(), 1);
   EXPECT_EQ(cache.entry(0).computed_at, -1);  // stale by construction
-  cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);
+  cache.refresh(y, stamps, 1, std::vector<int>{0, 1});
   EXPECT_EQ(cache.recomputed_last_refresh(), 2u);
 }
 
 TEST(SpCache, SolverCountersShowLazySavings) {
-  // Jittered capacities keep shortest paths unique (lazy and eager runs
-  // are provably identical only up to shortest-path ties).
   Rng rng(654);
   Graph g = random_graph(12, 30, 5.0, 8.0, /*directed=*/true, rng);
   RequestGenConfig cfg;
@@ -317,19 +310,170 @@ TEST(SpCache, SolverCountersShowLazySavings) {
   std::vector<Request> reqs = generate_requests(g, cfg, rng);
   const UfpInstance inst(std::move(g), std::move(reqs));
 
-  BoundedUfpConfig lazy;
-  lazy.epsilon = 0.6;
-  lazy.run_to_saturation = true;
-  BoundedUfpConfig eager = lazy;
-  eager.lazy_shortest_paths = false;
-  const auto a = bounded_ufp(inst, lazy);
-  const auto b = bounded_ufp(inst, eager);
-  ASSERT_GT(a.iterations, 0);
-  // Identical outcomes, strictly fewer Dijkstra runs.
-  EXPECT_EQ(a.solution.selected_requests(), b.solution.selected_requests());
-  EXPECT_GT(b.sp_computations, a.sp_computations);
-  // Eager does |remaining| recomputes per iteration.
-  EXPECT_GE(b.sp_computations, static_cast<std::int64_t>(b.iterations));
+  BoundedUfpConfig config;
+  config.epsilon = 0.6;
+  config.run_to_saturation = true;
+  config.record_trace = true;
+  const BoundedUfpResult lazy = bounded_ufp(inst, config);
+  const RecomputeAllRun reference = recompute_all_bounded_ufp(inst, config);
+  ASSERT_GT(lazy.iterations, 0);
+  // The same selections, from far fewer shortest-path computations than
+  // the reference's one query per remaining request per round.
+  ASSERT_EQ(lazy.trace.size(), reference.trace.size());
+  for (std::size_t i = 0; i < lazy.trace.size(); ++i) {
+    EXPECT_EQ(lazy.trace[i].request, reference.trace[i].request);
+  }
+  EXPECT_LT(2 * lazy.sp_computations, reference.queries);
+  EXPECT_GE(reference.queries, static_cast<std::int64_t>(lazy.iterations));
+}
+
+// A random digraph (some pairs unreachable) with random duals, and the
+// request batch's entries as a refresh leaves them.
+struct StampWorld {
+  UfpInstance instance;
+  std::vector<double> y;
+  std::vector<std::int64_t> stamps;
+  std::vector<int> active;
+};
+
+StampWorld stamp_world(std::uint64_t seed) {
+  Rng rng(seed);
+  Graph g = random_graph(14, 36, 2.0, 6.0, /*directed=*/true, rng);
+  RequestGenConfig cfg;
+  cfg.num_requests = 30;
+  std::vector<Request> reqs = generate_requests(g, cfg, rng);
+  StampWorld world{UfpInstance(std::move(g), std::move(reqs)), {}, {}, {}};
+  const auto m = static_cast<std::size_t>(world.instance.graph().num_edges());
+  world.y.resize(m);
+  for (double& w : world.y) w = rng.next_double(0.5, 2.0);
+  world.stamps.assign(m, 0);
+  for (int r = 0; r < world.instance.num_requests(); ++r) {
+    world.active.push_back(r);
+  }
+  return world;
+}
+
+// Stale by the rule written out here, apart from the cache: never
+// computed, or some edge of the path stamped at or after the computation.
+bool stale_by_definition(const detail::SpCache::Entry& entry,
+                         const std::vector<std::int64_t>& stamps) {
+  if (entry.computed_at < 0) return true;
+  for (const EdgeId e : entry.path) {
+    if (stamps[static_cast<std::size_t>(e)] >= entry.computed_at) return true;
+  }
+  return false;
+}
+
+TEST(SpCache, CurrentIsFalseForExactlyTheEntriesTheNextRefreshRecomputes) {
+  int stamped_at_own_computation = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    StampWorld world = stamp_world(seed);
+    Rng rng(seed * 31 + 7);
+    detail::SpCache cache(world.instance, 1);
+    const int R = world.instance.num_requests();
+    for (std::int64_t now = 1; now <= 10; ++now) {
+      std::vector<bool> expect_stale(static_cast<std::size_t>(R), false);
+      for (int r = 0; r < R; ++r) {
+        const detail::SpCache::Entry& entry = cache.entry(r);
+        if (entry.reachable) {
+          expect_stale[static_cast<std::size_t>(r)] =
+              stale_by_definition(entry, world.stamps);
+        }
+        EXPECT_EQ(cache.current(r, world.stamps),
+                  !expect_stale[static_cast<std::size_t>(r)])
+            << "request " << r << " before refresh " << now;
+        // The verdict that hinges on >= rather than >: the newest stamp
+        // on the path is the entry's own computation stamp.
+        if (entry.reachable && entry.computed_at >= 0 && !entry.path.empty()) {
+          std::int64_t newest = -1;
+          for (const EdgeId e : entry.path) {
+            newest = std::max(newest, world.stamps[static_cast<std::size_t>(e)]);
+          }
+          if (newest == entry.computed_at) ++stamped_at_own_computation;
+        }
+      }
+      cache.refresh(world.y, world.stamps, now, world.active);
+      std::vector<bool> recomputed(static_cast<std::size_t>(R), false);
+      cache.for_each_recomputed(
+          [&](int r) { recomputed[static_cast<std::size_t>(r)] = true; });
+      EXPECT_EQ(recomputed, expect_stale) << "refresh " << now;
+      for (int r = 0; r < R; ++r) {
+        EXPECT_TRUE(cache.current(r, world.stamps));
+      }
+
+      // The iteration's writes, stamped `now`: a selection's path (the
+      // entries just computed carry the same stamp) and a stray edge; y
+      // only grows.
+      const int selected = static_cast<int>(rng.next_below(R));
+      std::vector<EdgeId> written = cache.entry(selected).path;
+      written.push_back(static_cast<EdgeId>(rng.next_below(world.y.size())));
+      for (const EdgeId e : written) {
+        world.y[static_cast<std::size_t>(e)] *= rng.next_double(1.0, 3.0);
+        world.stamps[static_cast<std::size_t>(e)] = now;
+      }
+    }
+  }
+  EXPECT_GT(stamped_at_own_computation, 0);
+}
+
+TEST(SpCache, RefreshOfOneRequestRecomputesItAndNothingElse) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    StampWorld world = stamp_world(seed);
+    std::vector<double> residual(world.y.size(), 4.0);
+    detail::SpCache cache(world.instance, 1);
+    cache.refresh(world.y, world.stamps, 1, world.active, residual);
+    // Two selections' worth of writes leave several entries stale.
+    Rng rng(seed);
+    for (int i = 0; i < 2; ++i) {
+      const int r = static_cast<int>(rng.next_below(world.active.size()));
+      for (const EdgeId e : cache.entry(r).path) {
+        world.y[static_cast<std::size_t>(e)] *= 2.0;
+        world.stamps[static_cast<std::size_t>(e)] = 1;
+        residual[static_cast<std::size_t>(e)] -= 1.0;
+      }
+    }
+    std::vector<int> stale;
+    for (const int r : world.active) {
+      if (!cache.current(r, world.stamps)) stale.push_back(r);
+    }
+    ASSERT_GE(stale.size(), 2u);
+    const int target = stale[stale.size() / 2];
+
+    std::vector<detail::SpCache::Entry> before;
+    for (const int r : world.active) before.push_back(cache.entry(r));
+    cache.refresh(world.y, world.stamps, 2, std::span<const int>(&target, 1),
+                  residual);
+    EXPECT_EQ(cache.recomputed_last_refresh(), 1u);
+    EXPECT_TRUE(cache.current(target, world.stamps));
+
+    // The recomputed entry is a fresh search's answer under today's y.
+    const Request& req = world.instance.request(target);
+    ShortestPathEngine engine(world.instance.graph());
+    Path path;
+    const double length =
+        engine.shortest_path(world.y, req.source, req.target, &path);
+    const detail::SpCache::Entry& fresh = cache.entry(target);
+    EXPECT_EQ(fresh.computed_at, 2);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh.length),
+              std::bit_cast<std::uint64_t>(length));
+    EXPECT_EQ(fresh.path, path);
+    EXPECT_EQ(fresh.fits, detail::path_fits(path, residual, req.demand));
+
+    for (const int r : world.active) {
+      if (r == target) continue;
+      const detail::SpCache::Entry& entry = cache.entry(r);
+      const detail::SpCache::Entry& was = before[static_cast<std::size_t>(r)];
+      EXPECT_EQ(entry.path, was.path) << "request " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(entry.length),
+                std::bit_cast<std::uint64_t>(was.length))
+          << "request " << r;
+      EXPECT_EQ(entry.computed_at, was.computed_at) << "request " << r;
+      EXPECT_EQ(entry.reachable, was.reachable) << "request " << r;
+      EXPECT_EQ(entry.fits, was.fits) << "request " << r;
+    }
+  }
 }
 
 }  // namespace

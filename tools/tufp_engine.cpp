@@ -454,7 +454,8 @@ int main(int argc, char** argv) {
     }
 
     // Wall-clock channel (machine-dependent; kept off stdout so the
-    // deterministic output diffs clean across thread counts).
+    // deterministic output diffs clean across thread counts), then the
+    // critical-payment replays' search count, which no golden carries.
     std::cerr << "wall: requests_per_sec="
               << Table::format_double(summary.requests_per_second, 1)
               << " wall_seconds="
@@ -462,7 +463,9 @@ int main(int argc, char** argv) {
               << " solve_p99="
               << Table::format_double(
                      engine.metrics().solve_seconds().percentile(0.99), 4)
-              << "\n";
+              << "\n"
+              << "payment_sp_computations="
+              << engine.metrics().counters().payment_sp_computations << "\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "tufp_engine: " << e.what() << "\n";
