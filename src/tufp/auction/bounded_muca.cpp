@@ -89,9 +89,7 @@ BoundedMucaResult bounded_muca(const MucaInstance& instance,
     primal_value += req.value;
     ++result.iterations;
     remaining.erase(std::find(remaining.begin(), remaining.end(), best));
-    if (config.record_trace) {
-      result.trace.push_back({best, best_priority, dual_before, primal_value});
-    }
+    result.trace.push_back({best, best_priority, dual_before, primal_value});
   }
 
   // Everything selected: the value itself is a tight bound. Summed in

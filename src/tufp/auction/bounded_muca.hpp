@@ -27,7 +27,6 @@ struct BoundedMucaConfig {
   // Ignore the stopping threshold and run until nothing fits (requires the
   // guard; see BoundedUfpConfig::run_to_saturation).
   bool run_to_saturation = false;
-  bool record_trace = false;
 };
 
 struct MucaIterationRecord {

@@ -101,7 +101,7 @@ BundleMinimizerResult reasonable_bundle_minimizer(
     result.solution.select(best);
     ++result.iterations;
     remaining.erase(std::find(remaining.begin(), remaining.end(), best));
-    if (config.record_trace) result.trace.push_back({best, best_score});
+    result.trace.push_back({best, best_score});
   }
 
   return result;

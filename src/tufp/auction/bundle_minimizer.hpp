@@ -61,7 +61,6 @@ using BundleTieScore = std::function<double(int request)>;
 struct BundleMinimizerConfig {
   const ReasonableBundleFunction* function = nullptr;  // required
   BundleTieScore tie_score;  // lower preferred on exact priority ties
-  bool record_trace = false;
 };
 
 struct BundleMinimizerIteration {

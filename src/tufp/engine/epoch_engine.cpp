@@ -41,15 +41,11 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
   TUFP_REQUIRE(base_->num_edges() >= 1, "engine requires a non-empty graph");
   TUFP_REQUIRE(config_.max_batch >= 1, "max_batch must be positive");
   TUFP_REQUIRE(config_.epoch_duration >= 0.0, "negative epoch duration");
-  TUFP_REQUIRE(config_.min_usable_capacity >= 1.0,
-               "min_usable_capacity must cover the maximum normalized demand "
-               "(>= 1), or epochs can violate bounded_ufp's B >= 1 precondition");
   TUFP_REQUIRE(config_.solver.capacity_guard,
                "the engine requires the capacity guard: residual carry-over "
                "is unsound on infeasible epoch outputs");
   for (const double c : base_->capacities()) total_capacity_ += c;
-  rgraph_ =
-      std::make_unique<ResidualGraph>(base_, config_.min_usable_capacity);
+  rgraph_ = std::make_unique<ResidualGraph>(base_);
   workspace_ = std::make_unique<UfpWorkspace>();
   ledger_ = std::make_unique<temporal::LeaseLedger>(base_->num_edges());
 }
@@ -115,7 +111,7 @@ EpochEngine::BaseRouteProbe EpochEngine::probe_base_route(VertexId source,
   const std::span<const double> res = residual();
   for (VertexId v = target; v != source;) {
     const EdgeId e = tree.parent_edge[static_cast<std::size_t>(v)];
-    if (res[static_cast<std::size_t>(e)] < config_.min_usable_capacity) {
+    if (res[static_cast<std::size_t>(e)] < kResidualFloor) {
       probe.bottleneck = e;
     }
     const auto [a, b] = base_->endpoints(e);
@@ -378,11 +374,6 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   BoundedUfpConfig solver_cfg = config_.solver;
   solver_cfg.epsilon =
       std::min(solver_cfg.epsilon, kMaxSafeExponent / rgraph_->min_residual());
-  if (config_.payments != PaymentPolicy::kNone) {
-    // The winners in selection order, with the admission-time alpha
-    // kDualPrice reads off.
-    solver_cfg.record_trace = true;
-  }
 
   // The solver speaks base edge ids over the residual graph, starts from
   // its epoch-start duals and keeps its engines, shard plan and stamps in

@@ -6,11 +6,13 @@
 // epochs and clears each epoch as a Bounded-UFP auction on the *residual*
 // network: the base topology minus the capacity held by every currently
 // *leased* request, kept in one in-place ResidualGraph for the life of the
-// world (graph/residual_csr.hpp, DESIGN.md §12). Every admission is a
-// lease in the engine's ledger (temporal/lease_ledger.hpp): requests carry
-// a duration, infinite by default — hold-forever semantics — and finite
-// otherwise, in which case the lease's capacity returns to the residual
-// when it expires. Expiries are drained at every epoch boundary, before
+// world (graph/residual_csr.hpp, DESIGN.md §12). An epoch's auction runs
+// over the edges whose residual is at least kResidualFloor, the largest
+// normalized demand, so every epoch keeps Algorithm 1's B >= 1. Every
+// admission is a lease in the engine's ledger
+// (temporal/lease_ledger.hpp): requests carry a duration, infinite by
+// default — hold-forever semantics — and finite otherwise, in which case
+// the lease's capacity returns to the residual when it expires. Expiries are drained at every epoch boundary, before
 // the epoch's residual view is opened, in deterministic (expiry time,
 // lease id) order off the ledger's expiry heap, so the per-epoch reclaim
 // cost is O(log n) per expiry and the admission history stays
@@ -73,12 +75,6 @@ struct EpochEngineConfig {
   // In count-based mode the effective capacity is at least max_batch
   // (nothing is shed when there is no time pressure).
   std::size_t queue_capacity = 1 << 16;
-
-  // Residual floor below which an edge leaves the epoch's active
-  // subgraph. Must be >= 1
-  // (the maximum normalized demand) so every epoch keeps B >= 1; the
-  // constructor rejects smaller values.
-  double min_usable_capacity = 1.0;
 
   PaymentPolicy payments = PaymentPolicy::kDualPrice;
 

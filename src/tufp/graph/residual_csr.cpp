@@ -25,12 +25,10 @@ constexpr std::size_t kStaleSlack = 1024;
 
 }  // namespace
 
-ResidualGraph::ResidualGraph(std::shared_ptr<const Graph> base,
-                             double min_usable_capacity)
-    : base_(std::move(base)), floor_(min_usable_capacity) {
+ResidualGraph::ResidualGraph(std::shared_ptr<const Graph> base)
+    : base_(std::move(base)) {
   TUFP_REQUIRE(base_ != nullptr, "residual graph needs a base graph");
   TUFP_REQUIRE(base_->finalized(), "base graph must be finalized");
-  TUFP_REQUIRE(floor_ > 0.0, "min usable capacity must be positive");
   const auto m = static_cast<std::size_t>(base_->num_edges());
   epoch_capacity_.resize(m);
   blocked_.resize(m);
@@ -54,7 +52,7 @@ void ResidualGraph::restore_base() {
   for (std::size_t e = 0; e < base.size(); ++e) {
     const double r = base[e];
     epoch_capacity_[e] = r;
-    blocked_[e] = r >= floor_ ? 0 : 1;
+    blocked_[e] = r >= kResidualFloor ? 0 : 1;
     if (blocked_[e]) continue;
     if (run > 0 && r != run_level) {
       base_levels_[run_level] += run;
@@ -91,7 +89,7 @@ void ResidualGraph::open_epoch() {
     if (r == epoch_capacity_[i]) continue;  // moved and came back
     if (!blocked_[i]) leave_level(e);
     epoch_capacity_[i] = r;
-    blocked_[i] = r >= floor_ ? 0 : 1;
+    blocked_[i] = r >= kResidualFloor ? 0 : 1;
     if (!blocked_[i]) enter_level(e, r);
     for (Lane& lane : lanes_) {
       if (lane.duals.empty()) continue;  // not built yet

@@ -9,7 +9,7 @@
 //   residual_[e]  live residual capacity, decremented by admissions
 //                 (clamped at 0, the engine's commit rule) and restored by
 //                 lease reclaims writing through mutable_residual();
-//   blocked_[e]   per-epoch activity mask (residual < min_usable floor) —
+//   blocked_[e]   per-epoch activity mask (residual < kResidualFloor) —
 //                 a compiled snapshot's edge filter (sim/snapshot.hpp), as
 //                 a mask instead of a rebuild;
 //   duals_[e]     Algorithm 1's line-4 duals y_e = 1/c_e over the
@@ -55,6 +55,12 @@
 
 namespace tufp {
 
+// The activity floor: an edge whose residual is below it is blocked for
+// the epoch. It is the largest normalized demand, so an active edge fits
+// any request and every epoch keeps B >= 1 (Algorithm 1's precondition).
+// The engine's cold reference (sim/snapshot.hpp) drops the same edges.
+constexpr double kResidualFloor = 1.0;
+
 // The persistent per-world edge store. Owns the residual/blocked/dual
 // arrays for the lifetime of a world; the engine opens an epoch, solves
 // against it, commits winners, and lets the lease ledger write reclaims
@@ -64,11 +70,8 @@ class ResidualGraph {
   struct Lane;  // one overlay's arrays (below)
 
  public:
-  // `min_usable_capacity` is the activity floor: edges with residual
-  // below it are blocked for the epoch (they cannot fit any normalized
-  // demand d <= 1 <= floor). Opens the first epoch immediately.
-  explicit ResidualGraph(std::shared_ptr<const Graph> base,
-                         double min_usable_capacity = 1.0);
+  // Opens the first epoch immediately.
+  explicit ResidualGraph(std::shared_ptr<const Graph> base);
 
   const Graph& base() const { return *base_; }
 
@@ -120,7 +123,6 @@ class ResidualGraph {
   int num_saturated() const { return base_->num_edges() - num_active_; }
   // B = min residual over active edges; kInf when no edge is active.
   double min_residual() const { return min_residual_; }
-  double min_usable_capacity() const { return floor_; }
 
   // Restores base capacities and re-opens a fresh epoch (one O(m) pass).
   void reset();
@@ -190,7 +192,6 @@ class ResidualGraph {
   void settle_extremes();
 
   std::shared_ptr<const Graph> base_;
-  double floor_;
 
   std::vector<double> residual_;
   std::vector<double> epoch_capacity_;

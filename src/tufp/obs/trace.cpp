@@ -49,16 +49,11 @@ std::string DecisionRecord::to_json() const {
   return obj.str();
 }
 
-DecisionTrace::DecisionTrace(TelemetrySink* sink, Config config)
-    : sink_(sink), config_(config) {
-  TUFP_REQUIRE(config_.ring_capacity >= 1, "trace ring needs capacity >= 1");
-}
-
 void DecisionTrace::record(const DecisionRecord& record) {
   std::string line = record.to_json();
   if (sink_ != nullptr) sink_->emit(Channel::kDeterministic, line);
   ring_.push_back(std::move(line));
-  while (ring_.size() > config_.ring_capacity) ring_.pop_front();
+  if (ring_.size() > kRingLines) ring_.pop_front();
   ++records_;
 }
 

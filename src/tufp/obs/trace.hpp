@@ -85,21 +85,14 @@ struct DecisionRecord {
 };
 
 // Renders decision records onto a telemetry sink's det channel and keeps
-// the last `ring_capacity` rendered lines in a bounded ring so a serving
+// the last kRingLines rendered lines in a bounded ring so a serving
 // daemon can dump recent history on a sanity violation (tufp_serve
 // --trace). Sink may be null: ring-only capture.
 class DecisionTrace {
  public:
-  struct Config {
-    std::size_t ring_capacity = 256;
-  };
+  static constexpr std::size_t kRingLines = 256;
 
-  // Two overloads instead of a `Config config = {}` default argument:
-  // GCC rejects brace-init defaults naming a nested aggregate before the
-  // enclosing class is complete.
-  explicit DecisionTrace(TelemetrySink* sink)
-      : DecisionTrace(sink, Config{}) {}
-  DecisionTrace(TelemetrySink* sink, Config config);
+  explicit DecisionTrace(TelemetrySink* sink) : sink_(sink) {}
 
   void record(const DecisionRecord& record);
 
@@ -109,7 +102,6 @@ class DecisionTrace {
 
  private:
   TelemetrySink* sink_;
-  Config config_;
   std::deque<std::string> ring_;
   std::int64_t records_ = 0;
 };

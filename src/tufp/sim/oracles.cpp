@@ -232,7 +232,6 @@ TemporalRun run_engine(const SimWorld& world, const Leg& leg) {
 TemporalRun run_world_reference(const SimWorld& world, bool churn) {
   const std::shared_ptr<const Graph>& base = world.instance.shared_graph();
   const Graph& g = *base;
-  const double floor = EpochEngineConfig{}.min_usable_capacity;
   std::vector<double> residual(g.capacities().begin(), g.capacities().end());
   temporal::LeaseLedger ledger(g.num_edges());
   double total_capacity = 0.0;
@@ -267,14 +266,13 @@ TemporalRun run_world_reference(const SimWorld& world, bool churn) {
         sequence.push_back(i);
       }
     }
-    const GraphSnapshot snap = GraphSnapshot::compile(base, residual, floor);
+    const GraphSnapshot snap = GraphSnapshot::compile(base, residual);
     if (!offered.empty() && snap.num_active_edges() > 0) {
       const UfpInstance instance(snap.graph(), std::move(offered));
       BoundedUfpConfig cfg = world.solver;
       cfg.capacity_guard = true;
       cfg.epsilon =
           std::min(cfg.epsilon, kMaxSafeExponent / snap.min_residual());
-      cfg.record_trace = true;  // admission-time alpha per winner
       const BoundedUfpResult solved = bounded_ufp(instance, cfg);
       report.solver_iterations = solved.iterations;
       report.sp_computations = solved.sp_computations;
@@ -1187,18 +1185,14 @@ SimWorld wrap_instance(UfpInstance instance, const BoundedUfpConfig& solver,
 SimPricing sim_price(const UfpInstance& instance,
                      const BoundedUfpConfig& solver,
                      const OracleOptions& options) {
-  BoundedUfpConfig cfg = solver;
-  cfg.record_trace = true;
-  const BoundedUfpResult run = bounded_ufp(instance, cfg);
+  const BoundedUfpResult run = bounded_ufp(instance, solver);
 
   SimPricing pricing{run.solution,
                      std::vector<double>(
                          static_cast<std::size_t>(instance.num_requests()),
                          0.0)};
   if (instance.num_requests() <= options.critical_cap) {
-    BoundedUfpConfig probe = cfg;
-    probe.record_trace = false;
-    const UfpRule rule = make_bounded_ufp_rule(probe);
+    const UfpRule rule = make_bounded_ufp_rule(solver);
     for (int r = 0; r < instance.num_requests(); ++r) {
       if (!run.solution.is_selected(r)) continue;
       const double critical = ufp_critical_value(instance, rule, r);

@@ -9,14 +9,11 @@
 namespace tufp {
 
 GraphSnapshot GraphSnapshot::compile(std::shared_ptr<const Graph> base,
-                                     std::span<const double> residual,
-                                     double min_usable_capacity) {
+                                     std::span<const double> residual) {
   TUFP_REQUIRE(base != nullptr && base->finalized(),
                "snapshot requires a finalized base graph");
   TUFP_REQUIRE(static_cast<int>(residual.size()) == base->num_edges(),
                "residual vector size must match base edge count");
-  TUFP_REQUIRE(min_usable_capacity > 0.0,
-               "min_usable_capacity must be positive");
 
   GraphSnapshot snap;
   snap.base_ = std::move(base);
@@ -30,7 +27,7 @@ GraphSnapshot GraphSnapshot::compile(std::shared_ptr<const Graph> base,
     const double r = residual[static_cast<std::size_t>(e)];
     TUFP_REQUIRE(r <= b.capacity(e) + 1e-9,
                  "residual exceeds base capacity");
-    if (r < min_usable_capacity) {
+    if (r < kResidualFloor) {
       ++snap.num_saturated_;
       continue;
     }

@@ -8,10 +8,10 @@
 // headroom — and solves Bounded-UFP on it as a plain UfpInstance. Solving
 // on the snapshot is therefore solving the residual instance, and the
 // paper's preconditions hold by construction: demands are normalized to
-// (0,1] and every snapshot edge has capacity >= min_usable_capacity
-// (default 1.0, the normalized maximum demand), so B >= 1 (DESIGN.md §7).
-// The engine itself never compiles snapshots; it keeps one in-place
-// ResidualGraph (graph/residual_csr.hpp) with the same active-edge rule.
+// (0,1] and every snapshot edge has capacity >= kResidualFloor (1.0, the
+// normalized maximum demand), so B >= 1 (DESIGN.md §7). The engine itself
+// never compiles snapshots; it keeps one in-place ResidualGraph
+// (graph/residual_csr.hpp) with the same active-edge rule.
 //
 // Edges whose residual drops below the floor are *saturated*: they leave
 // the snapshot entirely rather than shipping a tiny capacity that would
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "tufp/graph/graph.hpp"
+#include "tufp/graph/residual_csr.hpp"
 
 namespace tufp {
 
@@ -36,10 +37,9 @@ class GraphSnapshot {
   // Compiles the residual view. `residual` is indexed by base EdgeId and
   // must match base->num_edges(); entries must not exceed the base
   // capacities. The snapshot keeps base edges with
-  // residual >= min_usable_capacity.
+  // residual >= kResidualFloor.
   static GraphSnapshot compile(std::shared_ptr<const Graph> base,
-                               std::span<const double> residual,
-                               double min_usable_capacity = 1.0);
+                               std::span<const double> residual);
 
   // The compiled residual graph. Finalized; may have zero edges when the
   // network is fully saturated (then it cannot back a UfpInstance and the

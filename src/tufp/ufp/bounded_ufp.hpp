@@ -51,9 +51,6 @@ struct BoundedUfpConfig {
   // serially, 0 takes the OpenMP runtime default, n > 1 forks a team of n
   // (util/parallel.hpp). Output is identical for any thread count.
   int num_threads = 1;
-
-  // Record one IterationRecord per selection (tests/benches).
-  bool record_trace = false;
 };
 
 struct IterationRecord {
@@ -123,6 +120,9 @@ struct BoundedUfpResult {
   // when no two stale requests ever share a source.
   std::int64_t sp_tree_runs = 0;
 
+  // One record per selection, in selection order: every solve fills it
+  // (kDualPrice reads each winner's alpha off it, kCritical its winners
+  // in selection order); a replay never does.
   std::vector<IterationRecord> trace{};
 
   // The residual-graph solve only: one record per unselected request in
@@ -228,9 +228,9 @@ double winner_critical_value(ResidualGraph& rgraph,
 // The last checkpointed solve resumed at checkpoint `iteration` (1 up to
 // the iterations it refreshed) on replay worker `worker`: the solve's
 // result bit for bit — the solution, iterations, final_dual_sum,
-// dual_upper_bound and counters — but for the trace and the rejection
-// records, which only the solve keeps. Same requirements as
-// winner_critical_value.
+// dual_upper_bound and counters — but for the trace, which it leaves
+// empty, and the rejection records, which only the solve keeps. Same
+// requirements as winner_critical_value.
 BoundedUfpResult bounded_ufp_resume(ResidualGraph& rgraph,
                                     std::span<const Request> requests,
                                     const BoundedUfpConfig& config,

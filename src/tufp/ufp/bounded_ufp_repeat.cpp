@@ -106,9 +106,7 @@ BoundedUfpRepeatResult run_repeat(const detail::Substrate& sub,
     result.solution.add(best, entry.path);
     primal_value += req.value;
     ++result.iterations;
-    if (config.record_trace) {
-      result.trace.push_back({best, best_priority, dual_before, primal_value});
-    }
+    result.trace.push_back({best, best_priority, dual_before, primal_value});
   }
 
   result.stopped_by_threshold = dual_sum > threshold;

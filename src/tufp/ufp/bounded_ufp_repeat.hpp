@@ -22,7 +22,6 @@ struct BoundedUfpRepeatConfig {
   double epsilon = 1.0 / 6.0;
   bool capacity_guard = true;   // same semantics as BoundedUfpConfig
   int num_threads = 1;  // same semantics as BoundedUfpConfig
-  bool record_trace = false;
   // Hard stop on iteration count (defense against tiny d_min blowing up
   // the m*c_max/d_min bound); 0 disables.
   std::int64_t max_iterations = 0;

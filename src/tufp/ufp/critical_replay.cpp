@@ -109,9 +109,7 @@ BoundedUfpResult replay_from(ResidualGraph& rgraph,
   detail::LoopArrays arrays =
       detail::overlay_arrays(overlay, rgraph, rw.edge_stamp, &now);
   detail::ResumePoint resume = seek(log, k, sub, *rw.cache, arrays);
-  BoundedUfpConfig replay = config;
-  replay.record_trace = false;
-  return run_bounded_ufp<kForm>(sub, replay, *rw.cache, &arrays, nullptr,
+  return run_bounded_ufp<kForm>(sub, config, *rw.cache, &arrays, nullptr,
                                 shadow, &resume);
 }
 
@@ -196,10 +194,8 @@ double bounded_ufp_critical_value(const UfpInstance& instance, int r,
   const detail::Substrate sub = detail::substrate_of(instance);
   validate_config(sub, config);
   detail::SpCache cache(instance, config.num_threads);
-  BoundedUfpConfig replay = config;
-  replay.record_trace = false;
   detail::Shadow shadow{r};
-  run_bounded_ufp<LoopForm::kReplay>(sub, replay, cache, /*arrays=*/nullptr,
+  run_bounded_ufp<LoopForm::kReplay>(sub, config, cache, /*arrays=*/nullptr,
                                      nullptr, &shadow);
   return shadow.critical;
 }

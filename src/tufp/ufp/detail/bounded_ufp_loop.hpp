@@ -194,7 +194,9 @@ struct ResumePoint {
 // winning-bid threshold is folded into `shadow->critical`. A bid moves
 // only its own priority, so this is the run without the shadow, which is
 // also the real run for every bid at which the shadow keeps losing. A
-// replay starts at line 4, or at `resume` when one is given.
+// replay starts at line 4, or at `resume` when one is given. The two
+// solves fill result.trace, one record per selection; the replays leave
+// it empty.
 //
 // kPricing is kReplay resumed, with no refresh: each scan recomputes only
 // the stale entries that can still decide it (Minoux's lazy greedy).
@@ -429,7 +431,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
           static_cast<int>(log->iterations.size());
     }
 
-    if (config.record_trace) {
+    if constexpr (!kShadow) {
       result.trace.push_back({best, best_priority, dual_before, primal_value});
     }
   }

@@ -88,9 +88,7 @@ DualCertificate best_dual_bound(const UfpInstance& instance,
 
 double claim36_upper_bound(const UfpInstance& instance,
                            const BoundedUfpConfig& config) {
-  BoundedUfpConfig run_config = config;
-  run_config.record_trace = false;
-  return claim36_upper_bound(instance, bounded_ufp(instance, run_config));
+  return claim36_upper_bound(instance, bounded_ufp(instance, config));
 }
 
 double claim36_upper_bound(const UfpInstance& instance,

@@ -103,9 +103,7 @@ IterativeMinimizerResult reasonable_iterative_minimizer(
     ++result.iterations;
     remaining.erase(
         std::find(remaining.begin(), remaining.end(), best_request));
-    if (config.record_trace) {
-      result.trace.push_back({best_request, best_score});
-    }
+    result.trace.push_back({best_request, best_score});
   }
 
   return result;

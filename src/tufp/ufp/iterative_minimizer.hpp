@@ -32,7 +32,6 @@ struct IterativeMinimizerConfig {
   TieScore tie_score;                            // optional
   std::size_t max_paths_per_pair = 200000;
   int max_hops = -1;  // -1: all simple paths
-  bool record_trace = false;
 };
 
 struct MinimizerIteration {

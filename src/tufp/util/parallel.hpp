@@ -14,38 +14,21 @@
 // and the exception of the lowest-index task that threw reaches the
 // caller after the join — never std::terminate from inside a worker.
 //
-// This header is the only code that uses OpenMP. The library degrades
-// to (identical-output) serial loops when OpenMP is absent, but tools
-// must be able to *report* that honestly: silently serializing a
-// --threads request would misrepresent a benchmark run.
+// This header is the only code that uses OpenMP, which the build
+// requires.
 #pragma once
 
 #include <cstddef>
 #include <exception>
 
-#if defined(TUFP_HAVE_OPENMP)
 #include <omp.h>
-#endif
 
 namespace tufp {
 
-inline bool openmp_available() {
-#if defined(TUFP_HAVE_OPENMP)
-  return true;
-#else
-  return false;
-#endif
-}
-
 // Threads a parallel region would use for the given request (0 = runtime
-// default). Always 1 without OpenMP.
+// default).
 inline int effective_num_threads(int requested) {
-#if defined(TUFP_HAVE_OPENMP)
   return requested > 0 ? requested : omp_get_max_threads();
-#else
-  (void)requested;
-  return 1;
-#endif
 }
 
 // Runs body(i, worker) once for every i in [0, count). The team is
@@ -67,20 +50,16 @@ void parallel_for(std::size_t count, int num_threads, Body&& body) {
     try {
       body(i, worker);
     } catch (...) {
-#if defined(TUFP_HAVE_OPENMP)
 #pragma omp critical(tufp_parallel_for_error)
-#endif
       if (i < error_index) {
         error_index = i;
         error = std::current_exception();
       }
     }
   };
-  if (team > 1 && count > 1) {  // never without OpenMP: the team is then 1
-#if defined(TUFP_HAVE_OPENMP)
+  if (team > 1 && count > 1) {
 #pragma omp parallel for schedule(dynamic, 1) num_threads(team)
     for (std::size_t i = 0; i < count; ++i) task(i, omp_get_thread_num());
-#endif
   } else {
     for (std::size_t i = 0; i < count; ++i) task(i, 0);
   }

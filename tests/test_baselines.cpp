@@ -112,7 +112,6 @@ TEST(Bkv, AllRoutedTightBoundEqualsValueBitwise) {
                                         {0, 1, 0.5, 0.3}});
   BoundedUfpConfig cfg;
   cfg.run_to_saturation = true;
-  cfg.record_trace = true;
   const BoundedUfpResult ufp = bounded_ufp(inst, cfg);
   ASSERT_EQ(ufp.trace.size(), 3u);
   EXPECT_EQ(ufp.trace[0].request, 2);

@@ -50,12 +50,13 @@ TEST(BoundedUfp, AllRoutedBoundEqualsValueBitwise) {
   g.finalize();
   const UfpInstance inst(
       std::move(g), {{0, 1, 1.0, 0.1}, {0, 1, 1.0, 0.2}, {0, 1, 1.0, 0.3}});
-  BoundedUfpConfig cfg;
-  cfg.record_trace = true;
-  const BoundedUfpResult result = bounded_ufp(inst, cfg);
+  // The default config fills the trace: one record per selection, in
+  // selection order.
+  const BoundedUfpResult result = bounded_ufp(inst);
   ASSERT_EQ(result.solution.num_selected(), 3);
   ASSERT_EQ(result.trace.size(), 3u);
   EXPECT_EQ(result.trace[0].request, 2);
+  EXPECT_EQ(result.trace[1].request, 1);
   EXPECT_EQ(result.trace[2].request, 0);
   ASSERT_NE((0.3 + 0.2) + 0.1, (0.1 + 0.2) + 0.3);
   EXPECT_EQ(result.dual_upper_bound, result.solution.total_value(inst));
@@ -189,7 +190,6 @@ TEST(BoundedUfp, GuardNeverFiresInRegime) {
     UfpInstance inst(std::move(scaled), std::move(reqs));
     BoundedUfpConfig guarded;
     guarded.epsilon = eps;
-    guarded.record_trace = true;
     BoundedUfpConfig faithful = guarded;
     faithful.capacity_guard = false;
     const auto a = bounded_ufp(inst, guarded);
@@ -216,7 +216,6 @@ TEST(BoundedUfp, LazyShortestPathsMatchARecomputeAllReference) {
     std::vector<Request> reqs = generate_requests(g, cfg, rng);
     UfpInstance inst(std::move(g), std::move(reqs));
     BoundedUfpConfig config;
-    config.record_trace = true;
     config.run_to_saturation = true;
     const BoundedUfpResult lazy = bounded_ufp(inst, config);
     const RecomputeAllRun reference = recompute_all_bounded_ufp(inst, config);
@@ -240,7 +239,6 @@ TEST(BoundedUfp, ParallelAndSerialAgree) {
   BoundedUfpConfig serial;
   serial.run_to_saturation = true;  // B=4 sits below the faithful threshold
   serial.num_threads = 1;
-  serial.record_trace = true;
   BoundedUfpConfig parallel = serial;
   parallel.num_threads = 4;  // a team on any machine
   const auto a = bounded_ufp(inst, serial);
@@ -255,9 +253,7 @@ TEST(BoundedUfp, ParallelAndSerialAgree) {
 
 TEST(BoundedUfp, TraceInvariants) {
   const UfpInstance inst = ample_instance(11, 12, 40.0);
-  BoundedUfpConfig cfg;
-  cfg.record_trace = true;
-  const BoundedUfpResult result = bounded_ufp(inst, cfg);
+  const BoundedUfpResult result = bounded_ufp(inst);
   ASSERT_EQ(static_cast<int>(result.trace.size()), result.iterations);
   double last_alpha = 0.0;
   double last_primal = 0.0;

@@ -115,7 +115,7 @@ World make_world(const Shape& shape, const Leg& leg, std::uint64_t seed) {
   gen.num_requests = leg.faithful ? 2 * shape.requests : shape.requests;
   World world;
   world.requests = generate_requests(*base, gen, rng);
-  world.rg = std::make_unique<ResidualGraph>(base, 1.0);
+  world.rg = std::make_unique<ResidualGraph>(base);
   for (EdgeId e = static_cast<EdgeId>(seed % 3); e < base->num_edges();
        e += 11) {
     const std::vector<EdgeId> edge{e};
@@ -123,7 +123,7 @@ World make_world(const Shape& shape, const Leg& leg, std::uint64_t seed) {
   }
   world.rg->open_epoch();
   const GraphSnapshot snapshot =
-      GraphSnapshot::compile(base, world.rg->residual(), 1.0);
+      GraphSnapshot::compile(base, world.rg->residual());
   world.instance.emplace(snapshot.graph(), world.requests);
   return world;
 }
@@ -239,13 +239,22 @@ TEST(CriticalReplay, ResumingFromEveryCheckpointReproducesTheRun) {
           EXPECT_EQ(a.bottleneck, b.bottleneck);
           EXPECT_EQ(a.path, b.path);
         }
+        // Both solves fill the trace, one record per selection in
+        // selection order; a resumed run never does.
+        ASSERT_EQ(static_cast<int>(solve.trace.size()), solve.iterations);
+        ASSERT_EQ(logged.trace.size(), solve.trace.size());
+        for (std::size_t i = 0; i < solve.trace.size(); ++i) {
+          EXPECT_EQ(logged.trace[i].request, solve.trace[i].request);
+          EXPECT_EQ(bits(logged.trace[i].alpha), bits(solve.trace[i].alpha));
+        }
         // Latest checkpoint first, with a winner's replay in between, so
         // each resume starts from whatever the last replay left behind.
         for (int k = solve.iterations; k >= 1; --k) {
           SCOPED_TRACE(::testing::Message() << "checkpoint " << k);
-          expect_same_run(solve,
-                          bounded_ufp_resume(*world.rg, world.requests,
-                                             leg.config, workspace, k, 0));
+          const BoundedUfpResult run = bounded_ufp_resume(
+              *world.rg, world.requests, leg.config, workspace, k, 0);
+          expect_same_run(solve, run);
+          EXPECT_TRUE(run.trace.empty());
           ++resumed;
           const int winner = (k * 7) % static_cast<int>(world.requests.size());
           if (solve.solution.is_selected(winner)) {
@@ -478,8 +487,8 @@ TEST(CriticalReplay, EnginePaymentsEqualAColdPerEpochReplay) {
       }
       if (batch.empty()) break;
       engine.reclaim_expired(batch.back().arrival_time);
-      const GraphSnapshot snapshot = GraphSnapshot::compile(
-          world.scenario.graph, engine.residual(), config.min_usable_capacity);
+      const GraphSnapshot snapshot =
+          GraphSnapshot::compile(world.scenario.graph, engine.residual());
       const AdmissionReport report = engine.run_epoch(batch);
       ++epochs;
       if (snapshot.num_active_edges() == 0) {

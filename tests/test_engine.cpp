@@ -294,16 +294,6 @@ TEST(EpochEngine, RequiresCapacityGuard) {
   EXPECT_THROW(EpochEngine(scenario.graph, config), std::invalid_argument);
 }
 
-TEST(EpochEngine, RequiresFloorCoveringTheMaximumDemand) {
-  // A floor below 1 would let epoch bounds drop under bounded_ufp's B >= 1
-  // precondition mid-run; the constructor rejects it up front.
-  const StreamingScenario scenario =
-      make_streaming_grid_scenario(3, 3, 2.0, ValueModel::kUniform);
-  EpochEngineConfig config;
-  config.min_usable_capacity = 0.5;
-  EXPECT_THROW(EpochEngine(scenario.graph, config), std::invalid_argument);
-}
-
 TEST(EpochEngine, CountBasedModeNeverShedsToAQueueSmallerThanABatch) {
   const StreamingScenario scenario =
       make_streaming_grid_scenario(4, 4, 5.0, ValueModel::kUniform);

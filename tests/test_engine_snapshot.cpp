@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -36,7 +37,7 @@ TEST(GraphSnapshot, SaturatedEdgesLeaveTheSnapshot) {
   const auto base = small_grid(5.0);
   std::vector<double> residual(static_cast<std::size_t>(base->num_edges()),
                                5.0);
-  residual[0] = 0.4;  // below the default floor of 1.0
+  residual[0] = 0.4;  // below the floor of 1.0
   residual[3] = 0.999;
   residual[5] = 1.0;  // exactly at the floor: stays
 
@@ -57,15 +58,19 @@ TEST(GraphSnapshot, SaturatedEdgesLeaveTheSnapshot) {
   }
 }
 
-TEST(GraphSnapshot, CustomFloorRaisesTheBar) {
+TEST(GraphSnapshot, FloorKeepsResidualsOfOneAndAbove) {
+  // The floor is the largest normalized demand: a residual of exactly 1.0
+  // stays in the snapshot, the next double below it does not.
   const auto base = small_grid(5.0);
   std::vector<double> residual(static_cast<std::size_t>(base->num_edges()),
                                5.0);
-  residual[1] = 2.0;
-  const GraphSnapshot snap =
-      GraphSnapshot::compile(base, residual, /*min_usable_capacity=*/3.0);
+  residual[1] = std::nextafter(1.0, 0.0);
+  residual[2] = 1.0;
+  const GraphSnapshot snap = GraphSnapshot::compile(base, residual);
   EXPECT_EQ(snap.num_saturated_edges(), 1);
-  EXPECT_DOUBLE_EQ(snap.min_residual(), 5.0);
+  EXPECT_EQ(snap.num_active_edges(), base->num_edges() - 1);
+  EXPECT_EQ(snap.base_edge(1), 2);  // edge 1 dropped, edge 2 kept
+  EXPECT_EQ(snap.min_residual(), 1.0);
 }
 
 TEST(GraphSnapshot, FullySaturatedNetworkCompilesToEdgelessGraph) {
@@ -101,11 +106,6 @@ TEST(GraphSnapshot, RejectsBadInputs) {
   std::vector<double> above(static_cast<std::size_t>(base->num_edges()), 5.0);
   above[2] = 6.0;  // residual above base capacity
   EXPECT_THROW(GraphSnapshot::compile(base, above), std::invalid_argument);
-
-  const std::vector<double> ok(static_cast<std::size_t>(base->num_edges()),
-                               5.0);
-  EXPECT_THROW(GraphSnapshot::compile(base, ok, /*min_usable_capacity=*/0.0),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -105,15 +105,13 @@ TEST(Minimizer, SelectionOrderMatchesBoundedUfpWithoutSaturation) {
   std::vector<Request> reqs = generate_requests(g, gen, rng);
   UfpInstance inst(std::move(g), std::move(reqs));
 
-  BoundedUfpConfig ufp_cfg;
-  ufp_cfg.record_trace = true;
+  const BoundedUfpConfig ufp_cfg;
   const BoundedUfpResult ufp = bounded_ufp(inst, ufp_cfg);
   ASSERT_FALSE(ufp.stopped_by_threshold);
 
   const ExponentialLengthFunction h(ufp_cfg.epsilon, inst.bound_B());
   IterativeMinimizerConfig cfg;
   cfg.function = &h;
-  cfg.record_trace = true;
   const auto minimizer = reasonable_iterative_minimizer(inst, cfg);
 
   ASSERT_EQ(minimizer.trace.size(), ufp.trace.size());
@@ -150,7 +148,6 @@ TEST(Minimizer, TraceScoresAreNonDecreasingUnderH) {
   const ExponentialLengthFunction h(0.5, inst.bound_B());
   IterativeMinimizerConfig cfg;
   cfg.function = &h;
-  cfg.record_trace = true;
   const auto result = reasonable_iterative_minimizer(inst, cfg);
   // h only grows with flow, so without capacity filtering the selected
   // scores form a non-decreasing sequence; saturation can only raise them.

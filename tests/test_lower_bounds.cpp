@@ -159,7 +159,6 @@ TEST(Fig4, TypeOneRequestsAreSelectedFirst) {
   const ExponentialBundleFunction h(0.25, 4.0);
   BundleMinimizerConfig cfg;
   cfg.function = &h;
-  cfg.record_trace = true;
   const auto result = reasonable_bundle_minimizer(fig.instance, cfg);
   for (int i = 0; i < fig.num_type1_requests; ++i) {
     EXPECT_LT(result.trace[static_cast<std::size_t>(i)].request,

@@ -42,9 +42,7 @@ TEST(BoundedMuca, AllSelectedBoundEqualsValueBitwise) {
   // 0.3 + 0.2 + 0.1 is one ulp below 0.1 + 0.2 + 0.3: the all-selected
   // cap must be the value as reported, summed in request order.
   const MucaInstance inst({10}, {{{0}, 0.1}, {{0}, 0.2}, {{0}, 0.3}});
-  BoundedMucaConfig cfg;
-  cfg.record_trace = true;
-  const BoundedMucaResult result = bounded_muca(inst, cfg);
+  const BoundedMucaResult result = bounded_muca(inst);
   ASSERT_EQ(result.trace.size(), 3u);
   EXPECT_EQ(result.trace[0].request, 2);
   EXPECT_EQ(result.trace[1].request, 1);

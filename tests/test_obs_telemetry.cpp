@@ -20,7 +20,6 @@
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/util/json.hpp"
 #include "tufp/util/math.hpp"
-#include "tufp/util/parallel.hpp"
 
 namespace tufp {
 namespace {
@@ -161,7 +160,6 @@ TEST(HistogramJson, ByteIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(t1.empty());
   EXPECT_NE(t1.find("\"count\":"), std::string::npos);
   EXPECT_NE(t1.find("\"buckets\":"), std::string::npos);
-  if (!openmp_available()) GTEST_SKIP() << "no OpenMP in this build";
   const std::string t4 = run_world_histogram_json(4);
   EXPECT_EQ(t1, t4);
 }
@@ -290,7 +288,6 @@ TEST(Telemetry, DetStreamByteIdenticalAcrossThreadCounts) {
   const std::string t1 = run_world_telemetry(1);
   EXPECT_NE(t1.find("\"event\":\"epoch\""), std::string::npos);
   EXPECT_NE(t1.find("\"event\":\"summary\""), std::string::npos);
-  if (!openmp_available()) GTEST_SKIP() << "no OpenMP in this build";
   EXPECT_EQ(t1, run_world_telemetry(4));
 }
 

@@ -80,17 +80,20 @@ TEST(DecisionRecord, JsonIsByteExact) {
 }
 
 TEST(DecisionTrace, RingIsBoundedOldestFirst) {
-  obs::DecisionTrace trace(nullptr, obs::DecisionTrace::Config{3});
-  for (int i = 0; i < 5; ++i) {
+  obs::DecisionTrace trace(nullptr);
+  for (int i = 0; i < 259; ++i) {
     obs::DecisionRecord rec;
     rec.sequence = i;
     trace.record(rec);
   }
-  EXPECT_EQ(trace.records_emitted(), 5);
+  EXPECT_EQ(trace.records_emitted(), 259);
+  // The last 256 lines, oldest first: sequences 3 through 258.
   const std::vector<std::string> ring = trace.ring_snapshot();
-  ASSERT_EQ(ring.size(), 3u);
-  EXPECT_NE(ring[0].find("\"seq\":2"), std::string::npos);
-  EXPECT_NE(ring[2].find("\"seq\":4"), std::string::npos);
+  ASSERT_EQ(ring.size(), 256u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const std::string seq = "\"seq\":" + std::to_string(3 + i) + ",";
+    EXPECT_NE(ring[i].find(seq), std::string::npos) << i;
+  }
 }
 
 TEST(DecisionTrace, SinkReceivesEveryRecordOnDetChannel) {

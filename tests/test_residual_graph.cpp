@@ -41,7 +41,7 @@ std::vector<double> duals_of(ResidualGraph& rg, std::size_t lane = 0) {
 }
 
 TEST(ResidualGraph, EpochCycleUpdatesInPlace) {
-  ResidualGraph rg(make_diamond(), 1.0);
+  ResidualGraph rg(make_diamond());
 
   // The constructor opens epoch 0: all edges active, capacities frozen.
   EXPECT_EQ(rg.num_active(), 3);
@@ -81,7 +81,7 @@ TEST(ResidualGraph, EpochCycleUpdatesInPlace) {
 }
 
 TEST(ResidualGraph, ReclaimReachesTheNextEpoch) {
-  ResidualGraph rg(make_diamond(), 1.0);
+  ResidualGraph rg(make_diamond());
   const std::vector<EdgeId> path{0};
   rg.commit_admission(path, 3.5);
   EXPECT_EQ(rg.residual()[0], 0.5);
@@ -104,7 +104,7 @@ TEST(ResidualGraph, ReclaimReachesTheNextEpoch) {
 }
 
 TEST(ResidualGraph, ResetRestoresBase) {
-  ResidualGraph rg(make_diamond(), 1.0);
+  ResidualGraph rg(make_diamond());
   const std::vector<EdgeId> path{0, 1};
   rg.commit_admission(path, 3.0);
   rg.open_epoch();
@@ -146,7 +146,7 @@ TEST(GenerationMap, AdvanceIsAWholesaleReset) {
 }
 
 TEST(ResidualGraph, OpenEpochEnforcesTheReclaimWriteBackContract) {
-  ResidualGraph rg(make_diamond(), 1.0);
+  ResidualGraph rg(make_diamond());
 
   // A compliant writer: take the span, write, declare the touched edges.
   const std::vector<EdgeId> touched{0};
@@ -207,7 +207,7 @@ void expect_matches_rescan(ResidualGraph& rg) {
   WeightProfile fold;
   for (std::size_t e = 0; e < m; ++e) {
     const double r = rg.residual()[e];
-    const bool on = r >= rg.min_usable_capacity();
+    const bool on = r >= kResidualFloor;
     ASSERT_EQ(bits(rg.epoch_capacities()[e]), bits(r)) << "edge " << e;
     ASSERT_EQ(rg.blocked()[e] == 0, on) << "edge " << e;
     ASSERT_EQ(bits(duals[e]), bits(on ? 1.0 / r : 0.0)) << "edge " << e;
@@ -267,7 +267,7 @@ TEST(ResidualGraph, DirtyListMatchesAFullRescanUnderRandomChurn) {
     Rng rng(seed);
     const std::shared_ptr<const Graph> base = make_mixed(rng);
     const auto m = base->num_edges();
-    ResidualGraph rg(base, 1.0);
+    ResidualGraph rg(base);
     rg.ensure_lanes(kLanes);
     expect_matches_rescan(rg);
     // Long enough that the extremes' stale heap entries get compacted.
@@ -311,7 +311,7 @@ TEST(ResidualGraph, DirtyListMatchesAFullRescanUnderRandomChurn) {
 }
 
 TEST(ResidualGraph, OverlayAndOpenAreExclusive) {
-  ResidualGraph rg(make_diamond(), 1.0);
+  ResidualGraph rg(make_diamond());
   EXPECT_THROW(ResidualGraph::SolveOverlay beyond(rg, 1), std::invalid_argument);
   rg.ensure_lanes(2);
   {

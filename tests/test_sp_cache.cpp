@@ -313,7 +313,6 @@ TEST(SpCache, SolverCountersShowLazySavings) {
   BoundedUfpConfig config;
   config.epsilon = 0.6;
   config.run_to_saturation = true;
-  config.record_trace = true;
   const BoundedUfpResult lazy = bounded_ufp(inst, config);
   const RecomputeAllRun reference = recompute_all_bounded_ufp(inst, config);
   ASSERT_GT(lazy.iterations, 0);

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "tufp/util/parallel.hpp"
-
 namespace tufp::cli {
 
 // "a,b,,c" -> {"a", "b", "c"} (empty tokens skipped).
@@ -78,22 +76,13 @@ auto parse_args(const std::string& tool, Parse parse) {
 }
 
 // The shared --threads contract: 0 is the runtime default and a positive
-// count asks for that many threads; a negative count is a usage error.
-// An explicit positive count in a build without OpenMP is refused too
-// (deterministic output would be identical either way, but wall-clock
-// numbers would not mean what the caller asked for). Identical messages
-// and exit code in every tool.
+// count asks for that many threads; a negative count is a usage error,
+// with the same message and exit code in every tool.
 inline void require_threads_supported(const std::string& tool, int threads) {
   if (threads < 0) {
     std::cerr << tool << ": --threads " << threads
               << " is negative (expected 0 for the runtime default, or a "
                  "thread count)\n";
-    std::exit(2);
-  }
-  if (threads > 0 && !openmp_available()) {
-    std::cerr << tool << ": --threads " << threads
-              << " requires an OpenMP build (rebuild with an OpenMP-capable "
-                 "toolchain, or drop --threads)\n";
     std::exit(2);
   }
 }

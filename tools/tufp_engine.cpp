@@ -24,9 +24,6 @@
 //   --queue N                bounded queue capacity    (default 65536)
 //   --payments none|dual|critical                      (default dual)
 //   --threads N              solver OpenMP threads     (default runtime)
-//                            N > 0 is an error in builds without OpenMP:
-//                            the engine will not silently serialize an
-//                            explicit thread request
 //   --eps X                  solver accuracy parameter (default 1/6)
 // Leases (DESIGN.md §10):
 //   --duration-profile none|fixed|exponential|heavy-tailed|diurnal|
@@ -77,7 +74,6 @@
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/json.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/util/table.hpp"
 #include "tufp/workload/scenarios.hpp"

@@ -19,7 +19,7 @@
 //   --betas b1,b2,...   beta grid, each >= 1 (default 1,2,4,8,16,32)
 //   --worlds N          worlds per family (default 3)
 //   --eps X             primal-dual accuracy parameter (default 1/6)
-//   --threads N         OpenMP threads across cells (errors without OpenMP)
+//   --threads N         OpenMP threads across cells (default runtime)
 //   --json PATH         write the full cell/summary artifact ('-' = stdout)
 //   --csv PATH          write the per-cell series as CSV ('-' = stdout)
 //   --list              print solvers, bound providers and families, exit
@@ -38,7 +38,6 @@
 #include "tufp/lab/sweep.hpp"
 #include "tufp/lab/upper_bound.hpp"
 #include "tufp/sim/world_gen.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/table.hpp"
 
 namespace {

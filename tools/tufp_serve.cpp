@@ -111,7 +111,6 @@
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/util/json.hpp"
 #include "tufp/util/math.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/util/timer.hpp"
 #include "tufp/workload/scenarios.hpp"
