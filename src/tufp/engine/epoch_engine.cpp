@@ -30,12 +30,28 @@ obs::DecisionOutcome outcome_of(RejectReason reason) {
   return obs::DecisionOutcome::kLostAuction;
 }
 
+// Count-based epochs have no time pressure, so shedding load because the
+// queue is smaller than one batch would be a silent config footgun: that
+// queue holds at least a full batch. Time-based mode keeps the configured
+// capacity — there, overflow drops are the (open-loop) semantics.
+std::size_t trigger_queue_capacity(const EpochEngineConfig& config) {
+  if (config.epoch_duration > 0.0) return config.queue_capacity;
+  return std::max(config.queue_capacity,
+                  static_cast<std::size_t>(config.max_batch));
+}
+
+double first_window_end(const EpochEngineConfig& config) {
+  return config.epoch_duration > 0.0 ? config.epoch_duration : kInf;
+}
+
 }  // namespace
 
 EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
                          EpochEngineConfig config)
     : base_(std::move(base_graph)),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      queue_(trigger_queue_capacity(config_)),
+      window_end_(first_window_end(config_)) {
   TUFP_REQUIRE(base_ != nullptr && base_->finalized(),
                "engine requires a finalized base graph");
   TUFP_REQUIRE(base_->num_edges() >= 1, "engine requires a non-empty graph");
@@ -58,6 +74,9 @@ void EpochEngine::reset() {
   metrics_ = EngineMetrics();
   ledger_->clear();
   epoch_ = 0;
+  queue_ = BoundedRequestQueue(queue_.capacity());
+  clock_ = 0.0;
+  window_end_ = first_window_end(config_);
 }
 
 const EpochEngine::BaseBfsTree& EpochEngine::base_bfs(VertexId source) {
@@ -190,71 +209,14 @@ EngineSummary EpochEngine::run(
     RequestStream& stream,
     const std::function<void(const AdmissionReport&)>& on_epoch) {
   WallTimer timer;
-  const bool time_based = config_.epoch_duration > 0.0;
-  // Count-based epochs have no time pressure, so shedding load because the
-  // queue is smaller than one batch would be a silent config footgun; the
-  // queue is sized to hold at least a full batch. Time-based mode keeps
-  // the configured capacity — there, overflow drops are the (open-loop)
-  // semantics.
-  const std::size_t queue_capacity =
-      time_based ? config_.queue_capacity
-                 : std::max(config_.queue_capacity,
-                            static_cast<std::size_t>(config_.max_batch));
-  BoundedRequestQueue queue(queue_capacity);
-  const std::int64_t dropped_before = metrics_.counters().queue_dropped;
-  double epoch_end = time_based ? config_.epoch_duration : kInf;
-
-  TimedRequest pending;
-  bool has_pending = false;
-  bool stream_done = false;
-
-  while (true) {
-    // Ingest arrivals for this epoch window. Time-based epochs take every
-    // arrival before the window closes (open loop: the queue sheds what
-    // does not fit); count-based epochs fill at most one batch.
-    while (!stream_done &&
-           (time_based || queue.size() < static_cast<std::size_t>(
-                                             config_.max_batch))) {
-      if (!has_pending) {
-        if (!stream.next(&pending)) {
-          stream_done = true;
-          break;
-        }
-        has_pending = true;
-        ++metrics_.counters().requests_seen;
-      }
-      if (time_based && pending.arrival_time >= epoch_end) break;
-      queue.push(pending);
-      has_pending = false;
-    }
-    metrics_.counters().queue_dropped = dropped_before + queue.dropped();
-
-    if (queue.empty()) {
-      if (stream_done && !has_pending) break;
-      // Idle window: skip ahead to the window containing the next arrival
-      // instead of clearing empty auctions.
-      if (time_based && has_pending) {
-        const double t = config_.epoch_duration;
-        epoch_end = (std::floor(pending.arrival_time / t) + 1.0) * t;
-      }
-      continue;
-    }
-
-    std::vector<TimedRequest> batch;
-    batch.reserve(static_cast<std::size_t>(config_.max_batch));
-    TimedRequest item;
-    while (static_cast<int>(batch.size()) < config_.max_batch &&
-           queue.pop(&item)) {
-      batch.push_back(std::move(item));
-    }
-
-    const double close_time =
-        time_based ? epoch_end : batch.back().arrival_time;
-    AdmissionReport report = clear_epoch(batch, close_time);
-    report.queue_depth = static_cast<std::int64_t>(queue.size());
+  const EpochObserver observe = [&](const AdmissionReport& report) {
     if (on_epoch) on_epoch(report);
-    if (time_based) epoch_end += config_.epoch_duration;
-  }
+    return true;
+  };
+  TimedRequest request;
+  while (stream.next(&request)) offer(std::move(request), observe);
+  if (config_.epoch_duration > 0.0) advance_clock(window_end_, observe);
+  flush(observe);
 
   EngineSummary summary;
   summary.counters = metrics_.counters();
@@ -268,6 +230,64 @@ EngineSummary EpochEngine::run(
                 summary.wall_seconds
           : 0.0;
   return summary;
+}
+
+bool EpochEngine::offer(TimedRequest request, const EpochObserver& on_epoch) {
+  // The clock moves first: the request may belong to the next window,
+  // which must close without it.
+  if (!advance_clock(request.arrival_time, on_epoch)) return false;
+  request.arrival_time = clock_;
+  ++metrics_.counters().requests_seen;
+  if (!queue_.push(request)) {
+    ++metrics_.counters().queue_dropped;
+    return true;
+  }
+  if (queue_.size() < static_cast<std::size_t>(config_.max_batch)) return true;
+  return clear_batch(clock_, on_epoch);
+}
+
+bool EpochEngine::advance_clock(double t, const EpochObserver& on_epoch) {
+  if (!(t > clock_)) return true;  // behind the clock, or NaN
+  while (window_end_ <= t) {
+    if (queue_.empty()) {
+      // Idle windows: jump to the one holding t instead of clearing empty
+      // auctions.
+      const double d = config_.epoch_duration;
+      window_end_ = (std::floor(t / d) + 1.0) * d;
+      break;
+    }
+    if (!clear_queued(window_end_, on_epoch)) return false;
+    window_end_ += config_.epoch_duration;
+  }
+  clock_ = t;
+  return true;
+}
+
+bool EpochEngine::flush(const EpochObserver& on_epoch) {
+  return clear_queued(clock_, on_epoch);
+}
+
+bool EpochEngine::clear_queued(double close_time,
+                               const EpochObserver& on_epoch) {
+  while (!queue_.empty()) {
+    if (!clear_batch(close_time, on_epoch)) return false;
+  }
+  return true;
+}
+
+bool EpochEngine::clear_batch(double close_time,
+                              const EpochObserver& on_epoch) {
+  std::vector<TimedRequest> batch;
+  batch.reserve(std::min(queue_.size(),
+                         static_cast<std::size_t>(config_.max_batch)));
+  TimedRequest item;
+  while (static_cast<int>(batch.size()) < config_.max_batch &&
+         queue_.pop(&item)) {
+    batch.push_back(std::move(item));
+  }
+  AdmissionReport report = clear_epoch(batch, close_time);
+  report.queue_depth = static_cast<std::int64_t>(queue_.size());
+  return !on_epoch || on_epoch(report);
 }
 
 AdmissionReport EpochEngine::run_epoch(const std::vector<TimedRequest>& batch) {

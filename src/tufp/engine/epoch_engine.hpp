@@ -66,14 +66,18 @@ class DecisionTrace;  // obs/trace.hpp
 enum class PaymentPolicy { kNone, kDualPrice, kCritical };
 
 struct EpochEngineConfig {
-  // Admissions per epoch are capped at max_batch requests. With
-  // epoch_duration > 0 epochs close on the virtual clock (multiples of
-  // epoch_duration seconds) and the bounded queue carries overflow between
-  // windows; with epoch_duration == 0 epochs close by count alone.
+  // The epoch triggers (EpochEngine::offer/advance_clock/flush). An epoch
+  // admits at most max_batch requests, and a queue that reaches max_batch
+  // clears one batch at once. With epoch_duration > 0 every boundary of a
+  // window of that many virtual seconds (its multiples) also clears
+  // everything queued; with epoch_duration == 0 epochs close by count
+  // alone.
   int max_batch = 4096;
   double epoch_duration = 0.0;
-  // In count-based mode the effective capacity is at least max_batch
-  // (nothing is shed when there is no time pressure).
+  // Bounded queue ahead of the triggers; an arrival that finds it full is
+  // shed into queue_dropped. The occupancy trigger keeps at most max_batch
+  // queued, so only a smaller capacity sheds, and count-based mode raises
+  // it to max_batch (nothing is shed when there is no time pressure).
   std::size_t queue_capacity = 1 << 16;
 
   PaymentPolicy payments = PaymentPolicy::kDualPrice;
@@ -155,9 +159,9 @@ struct AdmissionReport {
   int expired_leases = 0;
   std::int64_t active_leases = 0;
   double occupancy = 0.0;
-  // Requests still queued when this epoch's batch was drawn (run() fills
-  // it; external drivers clearing explicit batches set it themselves).
-  // Deterministic: the queue is a pure function of the stream and config.
+  // Requests still queued when the triggers drew this epoch's batch (0
+  // from run_epoch). Deterministic: the queue is a pure function of the
+  // offered requests, the clock readings and the config.
   std::int64_t queue_depth = 0;
   double max_admission_delay = 0.0;  // virtual seconds, deterministic
   double solve_seconds = 0.0;        // wall clock — NOT deterministic
@@ -181,18 +185,45 @@ class EpochEngine {
   EpochEngine(std::shared_ptr<const Graph> base_graph,
               EpochEngineConfig config);
 
-  // Drains `stream` to exhaustion, clearing epochs as configured.
+  // Offers `stream` to exhaustion through offer(). The stream's end is no
+  // clock reading, so the last open window then closes at its own
+  // boundary, and flush() clears what count-based mode left queued.
   // `on_epoch` (optional) observes every report as it is produced.
   EngineSummary run(
       RequestStream& stream,
       const std::function<void(const AdmissionReport&)>& on_epoch = {});
 
+  // Observer of the epochs the triggers below clear, called with each
+  // report in turn. Returning false stops the clearing (tufp_serve stops
+  // on a sanity violation): the trigger returns false at once and leaves
+  // the rest queued.
+  using EpochObserver = std::function<bool(const AdmissionReport&)>;
+
+  // The epoch triggers, over the engine's bounded queue and virtual clock
+  // (the clock starts at 0; reset() empties the queue and rewinds the
+  // clock). run() drives them from a stream, tufp_serve from the wire.
+  // Each returns false when the observer stopped the clearing.
+  //
+  // offer(): advance_clock() to the request's arrival, which is clamped up
+  // to the clock (arrivals are nondecreasing), then queue the request, or
+  // shed it into queue_dropped when the queue is full. Counts it as seen.
+  // A queue that reaches max_batch clears that batch at once, at the clock.
+  bool offer(TimedRequest request, const EpochObserver& on_epoch = {});
+  // Moves the clock forward to t (a t at or behind the clock, or a NaN,
+  // does nothing). With epoch_duration > 0, every window boundary in
+  // (clock, t] clears everything queued, at that boundary; windows that
+  // close on an empty queue are skipped.
+  bool advance_clock(double t, const EpochObserver& on_epoch = {});
+  // Clears everything queued, in batches of at most max_batch, at the
+  // clock.
+  bool flush(const EpochObserver& on_epoch = {});
+  double clock() const { return clock_; }
+
   // Clears one epoch over an explicit batch against the current residual
-  // state. Building block of run(); exposed for tests and custom drivers.
-  // The single-argument form closes at the last arrival in the batch; the
-  // two-argument form closes at an explicit virtual time >= every arrival
-  // (what a time- or occupancy-triggered driver like tufp_serve needs:
-  // the decision instant is the trigger, not the last arrival).
+  // state, outside the triggers' queue and clock; for tests and drivers
+  // that batch their own stream. The single-argument form closes at the
+  // last arrival in the batch; the two-argument form closes at an
+  // explicit virtual time >= every arrival.
   AdmissionReport run_epoch(const std::vector<TimedRequest>& batch);
   AdmissionReport run_epoch(const std::vector<TimedRequest>& batch,
                             double close_time);
@@ -218,21 +249,12 @@ class EpochEngine {
   // The persistent residual store (tests, telemetry). Never null.
   const ResidualGraph* residual_graph() const { return rgraph_.get(); }
 
-  // Stream-level ingestion counters for external drivers (tufp_serve)
-  // that batch their own queue instead of going through run(): requests
-  // pulled from the wire and requests shed by the driver's bounded queue.
-  // run() maintains these itself; mixing run() with external accounting
-  // in one engine would double-count.
-  void record_ingest(std::int64_t requests_seen, std::int64_t queue_dropped) {
-    metrics_.counters().requests_seen += requests_seen;
-    metrics_.counters().queue_dropped += queue_dropped;
-  }
-
-  // Wire-level malformed input shed by an external driver before it could
-  // become a request (framing errors: oversized or truncated lines).
-  // Folded into the same invalid_rejected counter the per-epoch bid
-  // validation feeds — invalid is invalid, whichever layer catches it.
+  // Wire-level malformed input shed by a driver before it could become a
+  // request (framing errors: oversized or truncated lines). Counted as
+  // seen, and folded into the same invalid_rejected counter the per-epoch
+  // bid validation feeds — invalid is invalid, whichever layer catches it.
   void record_invalid(std::int64_t n) {
+    metrics_.counters().requests_seen += n;
     metrics_.counters().invalid_rejected += n;
   }
 
@@ -245,10 +267,14 @@ class EpochEngine {
   void set_decision_trace(obs::DecisionTrace* trace) { trace_ = trace; }
 
   // Forgets all admissions: residual back to base capacities, metrics,
-  // leases and epoch counter to zero.
+  // leases and epoch counter to zero, the triggers' queue emptied and
+  // their clock back to 0.
   void reset();
 
  private:
+  // Triggers: clear everything queued / one batch of it at close_time.
+  bool clear_queued(double close_time, const EpochObserver& on_epoch);
+  bool clear_batch(double close_time, const EpochObserver& on_epoch);
   AdmissionReport clear_epoch(const std::vector<TimedRequest>& batch,
                               double close_time);
   // Fills `payments` per the policy: kDualPrice reads the solve's trace,
@@ -304,6 +330,11 @@ class EpochEngine {
   // the --horizon path — then attributes to the next epoch id).
   std::int64_t trace_epoch_ = -1;
   int epoch_ = 0;
+  // The triggers' queue, virtual clock and next window boundary (kInf in
+  // count-based mode).
+  BoundedRequestQueue queue_;
+  double clock_ = 0.0;
+  double window_end_ = kInf;
 };
 
 }  // namespace tufp

@@ -70,7 +70,7 @@ struct EngineCounters {
   // rejected request is classified at the solver's serial exit into
   // exactly one bucket, so no_path + capacity_blocked + lost_auction +
   // shard_conflict == rejected. Deterministic across kernels and thread
-  // counts; gated exactly by tools/check_trend.py.
+  // counts; pinned byte for byte by the telemetry goldens.
   std::int64_t no_path = 0;
   std::int64_t capacity_blocked = 0;
   std::int64_t lost_auction = 0;

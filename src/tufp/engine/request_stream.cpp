@@ -84,10 +84,7 @@ BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity)
 }
 
 bool BoundedRequestQueue::push(const TimedRequest& request) {
-  if (queue_.size() >= capacity_) {
-    ++dropped_;
-    return false;
-  }
+  if (queue_.size() >= capacity_) return false;
   queue_.push_back(request);
   return true;
 }

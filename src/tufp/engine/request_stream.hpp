@@ -10,9 +10,9 @@
 // seed s offers exactly the requests the batch generator would produce
 // with the same seed.
 //
-// BoundedRequestQueue is the buffer between ingestion and the epoch loop:
-// FIFO with a hard capacity and tail-drop overflow, the standard router
-// discipline. Everything here is deterministic given the seed.
+// BoundedRequestQueue is the buffer between ingestion and the epoch
+// triggers: FIFO with a hard capacity and tail-drop overflow, the standard
+// router discipline. Everything here is deterministic given the seed.
 #pragma once
 
 #include <cstdint>
@@ -100,13 +100,13 @@ class BurstStream final : public RequestStream {
 };
 
 // FIFO buffer with a hard capacity. push() on a full queue rejects the
-// newcomer (tail drop) and counts it; the engine reports the drop count as
-// queue-level load shedding, distinct from auction rejection.
+// newcomer (tail drop); the engine counts it as queue-level load shedding
+// (queue_dropped), distinct from auction rejection.
 class BoundedRequestQueue {
  public:
   explicit BoundedRequestQueue(std::size_t capacity);
 
-  // False when the queue is full (the request is dropped and counted).
+  // False when the queue is full (the request is dropped).
   bool push(const TimedRequest& request);
   // False when the queue is empty.
   bool pop(TimedRequest* out);
@@ -114,12 +114,10 @@ class BoundedRequestQueue {
   std::size_t size() const { return queue_.size(); }
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return queue_.empty(); }
-  std::int64_t dropped() const { return dropped_; }
 
  private:
   std::deque<TimedRequest> queue_;
   std::size_t capacity_;
-  std::int64_t dropped_ = 0;
 };
 
 }  // namespace tufp

@@ -1,7 +1,5 @@
 #include "tufp/graph/bellman_ford.hpp"
 
-#include <algorithm>
-
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
@@ -40,68 +38,6 @@ std::vector<double> bellman_ford(const Graph& graph,
     cur.swap(next);
   }
   return cur;
-}
-
-std::vector<std::vector<double>> hop_profile(const Graph& graph,
-                                             std::span<const double> weights,
-                                             VertexId source, int max_hops) {
-  TUFP_REQUIRE(graph.finalized(), "graph must be finalized");
-  TUFP_REQUIRE(max_hops >= 0, "max_hops must be non-negative");
-  std::vector<std::vector<double>> profile;
-  profile.reserve(static_cast<std::size_t>(max_hops) + 1);
-  std::vector<double> row(static_cast<std::size_t>(graph.num_vertices()), kInf);
-  row[static_cast<std::size_t>(source)] = 0.0;
-  profile.push_back(row);
-  for (int k = 1; k <= max_hops; ++k) {
-    std::vector<double> next;
-    relax_all(graph, weights, profile.back(), next);
-    profile.push_back(std::move(next));
-  }
-  return profile;
-}
-
-Path hop_profile_path(const Graph& graph, std::span<const double> weights,
-                      const std::vector<std::vector<double>>& profile,
-                      VertexId source, VertexId target, int hops) {
-  TUFP_REQUIRE(hops >= 0 && static_cast<std::size_t>(hops) < profile.size(),
-               "hops outside profile");
-  if (profile[static_cast<std::size_t>(hops)][static_cast<std::size_t>(target)] >=
-      kInf) {
-    return {};
-  }
-  Path path;
-  VertexId v = target;
-  int k = hops;
-  while (!(v == source && k == 0)) {
-    TUFP_CHECK(k > 0, "hop profile walk ran out of budget");
-    const double dv = profile[static_cast<std::size_t>(k)][static_cast<std::size_t>(v)];
-    // Prefer staying (same distance with fewer hops) so the reconstructed
-    // path is minimal in hops among equal-weight paths.
-    if (profile[static_cast<std::size_t>(k - 1)][static_cast<std::size_t>(v)] == dv) {
-      --k;
-      continue;
-    }
-    bool stepped = false;
-    for (EdgeId e = 0; e < graph.num_edges() && !stepped; ++e) {
-      const auto [a, b] = graph.endpoints(e);
-      const double w = weights[static_cast<std::size_t>(e)];
-      const auto consider = [&](VertexId u) {
-        const double du =
-            profile[static_cast<std::size_t>(k - 1)][static_cast<std::size_t>(u)];
-        if (du + w == dv) {
-          path.push_back(e);
-          v = u;
-          --k;
-          stepped = true;
-        }
-      };
-      if (b == v) consider(a);
-      if (!stepped && !graph.is_directed() && a == v) consider(b);
-    }
-    TUFP_CHECK(stepped, "hop profile walk found no predecessor");
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace tufp

@@ -1,16 +1,13 @@
 // Bellman–Ford single-source shortest paths.
 //
 // O(nm) reference oracle used by the test suite to cross-check the Dijkstra
-// engine, and by the hop-bounded searches the h1 reasonable function needs
-// (minimize over k of score(sum, k), which requires per-hop-count distance
-// profiles — see ufp/reasonable.hpp).
+// engine.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "tufp/graph/graph.hpp"
-#include "tufp/graph/path.hpp"
 
 namespace tufp {
 
@@ -18,18 +15,5 @@ namespace tufp {
 std::vector<double> bellman_ford(const Graph& graph,
                                  std::span<const double> weights,
                                  VertexId source);
-
-// dist[k][v] = min weight of a walk source->v with at most k edges,
-// for k = 0..max_hops. Row max_hops+1 rows. Walks, not simple paths; with
-// non-negative weights minimal walks are simple, matching S_r.
-std::vector<std::vector<double>> hop_profile(const Graph& graph,
-                                             std::span<const double> weights,
-                                             VertexId source, int max_hops);
-
-// Reconstructs one min-weight path with at most `hops` edges from the
-// profile by greedy backward walking. Returns empty path if unreachable.
-Path hop_profile_path(const Graph& graph, std::span<const double> weights,
-                      const std::vector<std::vector<double>>& profile,
-                      VertexId source, VertexId target, int hops);
 
 }  // namespace tufp

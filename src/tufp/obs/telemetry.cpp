@@ -108,19 +108,23 @@ void EpochTelemetry::on_invalid(std::int64_t epoch, std::string_view reason,
   emit(Channel::kDeterministic, obj.str());
 }
 
+void EpochTelemetry::on_drain(double t, int reclaimed,
+                              std::int64_t active_leases, double occupancy) {
+  JsonObject obj;
+  obj.field("event", "drain")
+      .field("chan", "det")
+      .field("t", t)
+      .field("reclaimed", reclaimed)
+      .field("active_leases", active_leases)
+      .field("occupancy", occupancy);
+  emit(Channel::kDeterministic, obj.str());
+}
+
 void EpochTelemetry::finish(const EngineMetrics& metrics,
                             std::int64_t active_leases, double occupancy,
                             double wall_seconds,
                             double requests_per_second) {
-  {
-    JsonObject hist;
-    hist.field("event", "hist")
-        .field("chan", "det")
-        .field("epoch", epochs_seen_ - 1)
-        .field("name", "admission_delay")
-        .raw("hist", metrics.admission_delay().to_json());
-    emit(Channel::kDeterministic, hist.str());
-  }
+  emit_histogram(metrics);
 
   const EngineCounters& c = metrics.counters();
   JsonObject det;

@@ -2,9 +2,9 @@
 //
 // One JSONL event per epoch, streamed while the engine runs — the
 // trajectory view (occupancy, churn, admitted value over time) that a
-// batch summary cannot give and that tools/check_trend.py diffs against a
-// committed baseline to catch *shape* regressions, not just endpoint
-// regressions.
+// batch summary cannot give, and that the committed serve goldens pin
+// byte for byte, so a *shape* regression fails as surely as an endpoint
+// one.
 //
 // Channel separation is the load-bearing rule, inherited from
 // engine/metrics.hpp and enforced structurally here: every event carries
@@ -96,6 +96,11 @@ class EpochTelemetry {
   // invalid total. Deterministic: a pure function of the input bytes.
   void on_invalid(std::int64_t epoch, std::string_view reason,
                   std::int64_t total_invalid);
+
+  // Emits `drain` (det) — one explicit reclaim at virtual time t (a
+  // daemon `drain`, a --horizon), with the lease gauges after it.
+  void on_drain(double t, int reclaimed, std::int64_t active_leases,
+                double occupancy);
 
   // Final `hist` + `summary` (det) and `summary_wall` (wall) events.
   // Wall-clock figures are passed explicitly (EngineMetrics keeps them,

@@ -26,6 +26,11 @@ namespace tufp::sim {
 
 namespace {
 
+// Bisection-based checks (critical payments) cost O(winners · log 1/tol)
+// full re-solves; worlds with more requests than this skip them and rely
+// on the cheap dual-price pricing path instead.
+constexpr int kCriticalCap = 24;
+
 std::string fmt(double v) {
   std::ostringstream os;
   os.precision(17);
@@ -710,10 +715,9 @@ std::vector<Violation> oracle_capacity_monotone(OracleContext& ctx) {
 
 std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
-  const OracleOptions& options = ctx.options;
   std::vector<Violation> out;
   const int R = world.instance.num_requests();
-  if (R > options.critical_cap) return out;  // bisection cost cap
+  if (R > kCriticalCap) return out;  // bisection cost cap
 
   // One epoch over the fresh network == the paper's one-shot auction.
   SimWorld single = world;
@@ -769,7 +773,6 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
 
 std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
-  const OracleOptions& options = ctx.options;
   std::vector<Violation> out;
   const TemporalRun& none = ctx.run({.payments = PaymentPolicy::kNone});
   const TemporalRun& dual = ctx.run({.payments = PaymentPolicy::kDualPrice});
@@ -822,7 +825,7 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
               " charged revenue " + fmt(epoch.report.revenue));
     }
   }
-  if (world.instance.num_requests() <= options.critical_cap) {
+  if (world.instance.num_requests() <= kCriticalCap) {
     const TemporalRun& critical =
         ctx.run({.payments = PaymentPolicy::kCritical});
     if (admitted_sequences(critical) != base_seq) {
@@ -1191,7 +1194,7 @@ SimPricing sim_price(const UfpInstance& instance,
                      std::vector<double>(
                          static_cast<std::size_t>(instance.num_requests()),
                          0.0)};
-  if (instance.num_requests() <= options.critical_cap) {
+  if (instance.num_requests() <= kCriticalCap) {
     const UfpRule rule = make_bounded_ufp_rule(solver);
     for (int r = 0; r < instance.num_requests(); ++r) {
       if (!run.solution.is_selected(r)) continue;

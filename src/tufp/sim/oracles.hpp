@@ -94,10 +94,6 @@ FaultInjection fault_from_name(const std::string& name);
 
 struct OracleOptions {
   FaultInjection fault = FaultInjection::kNone;
-  // Bisection-based checks (critical payments) cost O(winners · log 1/tol)
-  // full re-solves; worlds with more requests than this skip them and rely
-  // on the cheap dual-price pricing path instead.
-  int critical_cap = 24;
 };
 
 struct Violation {
@@ -150,7 +146,7 @@ SimWorld wrap_instance(UfpInstance instance, const BoundedUfpConfig& solver,
                        int max_batch);
 
 // The sim payment rule: solver allocation plus per-request payments
-// (critical-value when num_requests <= critical_cap, dual-price otherwise),
+// (critical-value for worlds of at most 24 requests, dual-price otherwise),
 // with the configured fault applied. Exposed so tests can pin the fault
 // semantics directly.
 struct SimPricing {

@@ -184,30 +184,5 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15, 16));
 
-TEST(BellmanFord, HopProfileMonotoneInHops) {
-  Graph g = diamond();
-  const std::vector<double> w{1.0, 1.0, 2.0, 0.5};
-  const auto profile = hop_profile(g, w, 0, 3);
-  ASSERT_EQ(profile.size(), 4u);
-  EXPECT_EQ(profile[0][3], kInf);
-  EXPECT_EQ(profile[1][3], kInf);
-  EXPECT_DOUBLE_EQ(profile[2][3], 2.0);
-  EXPECT_DOUBLE_EQ(profile[3][3], 2.0);
-  for (std::size_t k = 1; k < profile.size(); ++k) {
-    for (std::size_t v = 0; v < profile[k].size(); ++v) {
-      EXPECT_LE(profile[k][v], profile[k - 1][v]);
-    }
-  }
-}
-
-TEST(BellmanFord, HopProfilePathReconstruction) {
-  Graph g = diamond();
-  const std::vector<double> w{1.0, 1.0, 2.0, 0.5};
-  const auto profile = hop_profile(g, w, 0, 3);
-  const Path path = hop_profile_path(g, w, profile, 0, 3, 2);
-  EXPECT_EQ(path, (Path{0, 1}));
-  EXPECT_TRUE(hop_profile_path(g, w, profile, 0, 3, 1).empty());
-}
-
 }  // namespace
 }  // namespace tufp

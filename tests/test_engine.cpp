@@ -436,5 +436,81 @@ TEST(EpochEngine, TimeBasedEpochsRespectWindows) {
   }
 }
 
+TEST(EpochEngine, TriggersCloseWindowsOnBoundariesAndSkipIdleOnes) {
+  // offer/advance_clock/flush driven by hand, the way tufp_serve drives
+  // them from the wire: a boundary clears everything queued, a full batch
+  // clears at once, an idle stretch clears nothing.
+  const StreamingScenario scenario =
+      make_streaming_grid_scenario(4, 4, 10.0, ValueModel::kUniform);
+  EpochEngineConfig config;
+  config.max_batch = 3;
+  config.epoch_duration = 0.5;
+  EpochEngine engine(scenario.graph, config);
+
+  PoissonStream stream(scenario.graph, scenario.request_config, 100.0, 8, 5);
+  const auto at = [&](double arrival) {
+    TimedRequest t;
+    EXPECT_TRUE(stream.next(&t));
+    t.arrival_time = arrival;
+    return t;
+  };
+  std::vector<AdmissionReport> reports;
+  const EpochEngine::EpochObserver observe = [&](const AdmissionReport& r) {
+    reports.push_back(r);
+    return true;
+  };
+
+  EXPECT_TRUE(engine.offer(at(0.1), observe));
+  EXPECT_TRUE(engine.offer(at(0.2), observe));
+  EXPECT_TRUE(reports.empty());
+  // The boundary at 0.5 clears both queued requests at once.
+  EXPECT_TRUE(engine.advance_clock(0.7, observe));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].close_time, 0.5);
+  EXPECT_EQ(reports[0].batch_size, 2);
+  EXPECT_EQ(reports[0].queue_depth, 0);
+  EXPECT_EQ(engine.clock(), 0.7);
+
+  // A stale arrival is clamped up to the clock; the third request fills
+  // the batch, which clears at the clock without waiting for 1.0.
+  EXPECT_TRUE(engine.offer(at(0.3), observe));
+  EXPECT_TRUE(engine.offer(at(0.8), observe));
+  EXPECT_TRUE(engine.offer(at(0.9), observe));
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[1].close_time, 0.9);
+  EXPECT_EQ(reports[1].batch_size, 3);
+  EXPECT_EQ(reports[1].max_admission_delay, 0.9 - 0.7);
+
+  // Windows 1.0 through 3.0 close on an empty queue: skipped, so the next
+  // request waits for 3.5, the boundary after its arrival.
+  EXPECT_TRUE(engine.offer(at(3.2), observe));
+  EXPECT_TRUE(engine.advance_clock(3.6, observe));
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_EQ(reports[2].close_time, 3.5);
+  EXPECT_EQ(reports[2].batch_size, 1);
+
+  // flush() clears at the clock, mid-window.
+  EXPECT_TRUE(engine.offer(at(3.7), observe));
+  EXPECT_TRUE(engine.flush(observe));
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports[3].close_time, 3.7);
+  EXPECT_EQ(engine.epochs_run(), 4);
+  EXPECT_EQ(engine.metrics().counters().requests_seen, 7);
+  EXPECT_EQ(engine.metrics().counters().queue_dropped, 0);
+
+  // A NaN reading leaves the clock where it is.
+  EXPECT_TRUE(engine.advance_clock(std::nan(""), observe));
+  EXPECT_EQ(engine.clock(), 3.7);
+
+  // An observer that returns false stops the clearing.
+  EXPECT_TRUE(engine.offer(at(3.8)));
+  EXPECT_FALSE(
+      engine.advance_clock(4.5, [](const AdmissionReport&) { return false; }));
+  EXPECT_EQ(engine.epochs_run(), 5);
+
+  engine.reset();
+  EXPECT_EQ(engine.clock(), 0.0);
+}
+
 }  // namespace
 }  // namespace tufp

@@ -82,7 +82,7 @@ TEST(Telemetry, NullChannelDropsSilently) {
 }
 
 TEST(Telemetry, EveryEventCarriesItsChannelTag) {
-  // The chan field is the contract check_trend.py splits streams by: a
+  // The chan field is the contract readers split streams by: a
   // full epoch + sanity + finish cycle must tag every single line.
   Graph g = Graph::directed(2);
   g.add_edge(0, 1, 10.0);

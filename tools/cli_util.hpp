@@ -7,10 +7,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "tufp/engine/epoch_engine.hpp"
 
 namespace tufp::cli {
 
@@ -73,6 +76,16 @@ auto parse_args(const std::string& tool, Parse parse) {
               << ")\n";
     std::exit(2);
   }
+}
+
+// The --payments names of tufp_engine and tufp_serve. An unknown name
+// gives nullopt, which each tool reports as a usage error with its own
+// usage text.
+inline std::optional<PaymentPolicy> parse_payments(const std::string& name) {
+  if (name == "none") return PaymentPolicy::kNone;
+  if (name == "dual") return PaymentPolicy::kDualPrice;
+  if (name == "critical") return PaymentPolicy::kCritical;
+  return std::nullopt;
 }
 
 // The shared --threads contract: 0 is the runtime default and a positive

@@ -18,9 +18,12 @@
 //   --seed S                                           (default 1)
 // Engine:
 //   --epochs N               target epoch count; sets max_batch =
-//                            ceil(requests/N) in count-based mode (default 10)
-//   --epoch-duration X       time-based epoch window in virtual seconds
-//                            (default 0 = count-based)
+//                            ceil(requests/N), the batch that clears as
+//                            soon as it is queued (default 10)
+//   --epoch-duration X       also clear everything queued at every window
+//                            boundary, multiples of X virtual seconds, by
+//                            the same triggers as tufp_serve (default 0 =
+//                            count-based)
 //   --queue N                bounded queue capacity    (default 65536)
 //   --payments none|dual|critical                      (default dual)
 //   --threads N              solver OpenMP threads     (default runtime)
@@ -64,6 +67,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -105,7 +109,7 @@ struct Options {
   int epochs = 10;
   double epoch_duration = 0.0;
   std::size_t queue = 1 << 16;
-  std::string payments = "dual";
+  PaymentPolicy payments = PaymentPolicy::kDualPrice;
   int threads = 0;
   double eps = 1.0 / 6.0;
 
@@ -165,7 +169,11 @@ Options parse(int argc, char** argv) {
     else if (a == "--epochs") opt.epochs = parse_int(value(i));
     else if (a == "--epoch-duration") opt.epoch_duration = parse_double(value(i));
     else if (a == "--queue") opt.queue = parse_uint64(value(i));
-    else if (a == "--payments") opt.payments = value(i);
+    else if (a == "--payments") {
+      const std::optional<PaymentPolicy> p = cli::parse_payments(value(i));
+      if (!p) usage();
+      opt.payments = *p;
+    }
     else if (a == "--threads") opt.threads = parse_int(value(i));
     else if (a == "--eps") opt.eps = parse_double(value(i));
     else if (a == "--duration-profile") opt.duration_profile = value(i);
@@ -193,13 +201,6 @@ ValueModel parse_value_model(const std::string& name) {
   if (name == "uniform") return ValueModel::kUniform;
   if (name == "zipf") return ValueModel::kZipf;
   if (name == "proportional") return ValueModel::kProportional;
-  usage();
-}
-
-PaymentPolicy parse_payments(const std::string& name) {
-  if (name == "none") return PaymentPolicy::kNone;
-  if (name == "dual") return PaymentPolicy::kDualPrice;
-  if (name == "critical") return PaymentPolicy::kCritical;
   usage();
 }
 
@@ -296,7 +297,7 @@ int main(int argc, char** argv) {
     if (config.max_batch < 1) config.max_batch = 1;
     config.epoch_duration = opt.epoch_duration;
     config.queue_capacity = opt.queue;
-    config.payments = parse_payments(opt.payments);
+    config.payments = opt.payments;
     config.solver.epsilon = opt.eps;
     config.solver.num_threads = opt.threads;
 
@@ -405,14 +406,8 @@ int main(int argc, char** argv) {
       const int reclaimed = engine.reclaim_expired(opt.horizon);
       const std::int64_t active = engine.lease_ledger().active_count();
       if (telemetry) {
-        JsonObject obj;
-        obj.field("event", "drain")
-            .field("chan", "det")
-            .field("t", opt.horizon)
-            .field("reclaimed", reclaimed)
-            .field("active_leases", active)
-            .field("occupancy", engine.metrics().occupancy());
-        telemetry_sink->emit(obs::Channel::kDeterministic, obj.str());
+        telemetry->on_drain(opt.horizon, reclaimed, active,
+                            engine.metrics().occupancy());
       }
       if (!telemetry_to_stdout) {
         std::cout << "horizon=" << Table::format_double(opt.horizon, 2)

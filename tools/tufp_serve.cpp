@@ -2,10 +2,11 @@
 //
 // Long-lived counterpart of the batch tufp_engine CLI: admission requests
 // arrive as newline-delimited commands on stdin (pipe), on a Unix-domain
-// socket, or synthesized from a sim world family; they feed the bounded
-// request queue; epochs clear on an occupancy trigger (queue reaches
-// --max-batch) or a virtual-clock trigger (--epoch-duration windows); and
-// every epoch streams JSONL telemetry (obs/telemetry.hpp, DESIGN.md §11).
+// socket, or synthesized from a sim world family; they feed the engine's
+// bounded request queue (EpochEngine::offer); epochs clear on the
+// engine's occupancy trigger (queue reaches --max-batch) or virtual-clock
+// trigger (--epoch-duration windows); and every epoch streams JSONL
+// telemetry (obs/telemetry.hpp, DESIGN.md §11).
 // With --sanity every-N the PR-5 conservation oracles run *inside the
 // serving loop* (obs/sanity.hpp, the mod_virgule sanity_check idiom): a
 // violation aborts the daemon with a replayable session dump.
@@ -93,6 +94,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -138,7 +140,7 @@ struct Options {
   int max_batch = 64;
   double epoch_duration = 0.0;
   std::size_t queue = 1 << 16;
-  std::string payments = "dual";
+  PaymentPolicy payments = PaymentPolicy::kDualPrice;
   int threads = 0;
   double eps = 1.0 / 6.0;
   double horizon = 0.0;
@@ -193,7 +195,11 @@ Options parse(int argc, char** argv) {
     else if (a == "--max-batch") opt.max_batch = parse_int(value(i));
     else if (a == "--epoch-duration") opt.epoch_duration = parse_double(value(i));
     else if (a == "--queue") opt.queue = parse_uint64(value(i));
-    else if (a == "--payments") opt.payments = value(i);
+    else if (a == "--payments") {
+      const std::optional<PaymentPolicy> p = cli::parse_payments(value(i));
+      if (!p) usage();
+      opt.payments = *p;
+    }
     else if (a == "--threads") opt.threads = parse_int(value(i));
     else if (a == "--eps") opt.eps = parse_double(value(i));
     else if (a == "--horizon") opt.horizon = parse_double(value(i));
@@ -222,18 +228,12 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-PaymentPolicy parse_payments(const std::string& name) {
-  if (name == "none") return PaymentPolicy::kNone;
-  if (name == "dual") return PaymentPolicy::kDualPrice;
-  if (name == "critical") return PaymentPolicy::kCritical;
-  usage();
-}
-
 EpochEngineConfig engine_config(const Options& opt) {
   EpochEngineConfig config;
   config.max_batch = opt.max_batch;
+  config.epoch_duration = opt.epoch_duration;
   config.queue_capacity = opt.queue;
-  config.payments = parse_payments(opt.payments);
+  config.payments = opt.payments;
   config.solver.epsilon = opt.eps;
   config.solver.num_threads = opt.threads;
   if (opt.inject == "leak-expired-capacity") {
@@ -382,10 +382,9 @@ class ServeSession {
   ServeSession(const Options& opt, std::shared_ptr<const Graph> graph,
                obs::TelemetrySink* sink, obs::DecisionTrace* trace)
       : opt_(opt), engine_(std::move(graph), engine_config(opt)),
-        queue_(opt.queue), sink_(sink), trace_(trace),
+        sink_(sink), trace_(trace),
         telemetry_(sink, {opt.hist_every, !opt.det_only}) {
     if (trace_ != nullptr) engine_.set_decision_trace(trace_);
-    if (opt.epoch_duration > 0.0) window_end_ = opt.epoch_duration;
   }
 
   // Returns the process exit code: 0 clean, 3 on a sanity violation.
@@ -445,11 +444,11 @@ class ServeSession {
     try {
       if (cmd == "req") return handle_req(line, tokens);
       if (cmd == "tick" && tokens.size() == 2) {
-        advance_clock(parse_time(tokens[1]));
+        engine_.advance_clock(parse_time(tokens[1]), on_epoch_);
         return true;
       }
       if (cmd == "flush" && tokens.size() == 1) {
-        clear_all_queued(clock_);
+        engine_.flush(on_epoch_);
         return true;
       }
       if (cmd == "sanity" && tokens.size() == 1) {
@@ -483,18 +482,13 @@ class ServeSession {
     timed.request.target = parse_int(tokens[2]);
     timed.request.demand = parse_double(tokens[3]);
     timed.request.value = parse_double(tokens[4]);
-    const double arrival =
-        tokens.size() >= 6 ? parse_time(tokens[5]) : clock_;
+    // Without an arrival the request arrives now; a stale one is clamped
+    // up to the clock by the engine.
+    timed.arrival_time =
+        tokens.size() >= 6 ? parse_time(tokens[5]) : engine_.clock();
     timed.duration = tokens.size() >= 7 ? parse_double(tokens[6]) : kInf;
     timed.sequence = next_sequence_++;
-    // Arrivals are nondecreasing on an open-loop wire: a stale timestamp
-    // means "now". Advance the clock first — the request may belong to
-    // the next virtual-clock window, which must close without it.
-    advance_clock(std::max(arrival, clock_));
-    timed.arrival_time = clock_;
-    const bool queued = queue_.push(timed);
-    engine_.record_ingest(1, queued ? 0 : 1);
-    if (queued) maybe_clear_on_occupancy();
+    engine_.offer(std::move(timed), on_epoch_);
     return !violated_;
   }
 
@@ -503,7 +497,6 @@ class ServeSession {
   // with a deterministic `invalid` telemetry event — a framing error is
   // an observable fact about the session, not a silent stderr warning.
   void shed_invalid(std::string_view reason, const std::string& line) {
-    engine_.record_ingest(1, 0);
     engine_.record_invalid(1);
     telemetry_.on_invalid(engine_.epochs_run(), reason,
                           engine_.metrics().counters().invalid_rejected);
@@ -511,70 +504,25 @@ class ServeSession {
               << " bytes)\n";
   }
 
-  // Virtual-clock trigger: close every window boundary in (clock_, t].
-  void advance_clock(double t) {
-    if (t <= clock_) return;
-    if (opt_.epoch_duration > 0.0) {
-      while (window_end_ <= t) {
-        if (queue_.empty()) {
-          // Idle window: jump to the boundary just before t.
-          const double d = opt_.epoch_duration;
-          window_end_ = (std::floor(t / d) + 1.0) * d;
-          break;
-        }
-        clear_all_queued(window_end_);
-        window_end_ += opt_.epoch_duration;
-        if (violated_) return;
-      }
-    }
-    clock_ = std::max(clock_, t);
-  }
-
-  // Occupancy trigger: the queue reached one full batch.
-  void maybe_clear_on_occupancy() {
-    while (!violated_ &&
-           queue_.size() >= static_cast<std::size_t>(opt_.max_batch)) {
-      clear_batch(clock_);
-    }
-  }
-
-  void clear_all_queued(double close_time) {
-    while (!violated_ && !queue_.empty()) clear_batch(close_time);
-  }
-
-  void clear_batch(double close_time) {
-    std::vector<TimedRequest> batch;
-    batch.reserve(static_cast<std::size_t>(opt_.max_batch));
-    TimedRequest item;
-    while (static_cast<int>(batch.size()) < opt_.max_batch &&
-           queue_.pop(&item)) {
-      batch.push_back(std::move(item));
-    }
-    if (batch.empty()) return;
-    AdmissionReport report = engine_.run_epoch(batch, close_time);
+  // Every epoch the engine's triggers clear: telemetry, then the sanity
+  // cadence. A violation stops the clearing.
+  bool on_epoch(const AdmissionReport& report) {
     unswept_ = true;
-    report.queue_depth = static_cast<std::int64_t>(queue_.size());
     telemetry_.on_epoch(report, engine_.metrics());
-    clock_ = std::max(clock_, close_time);
     if (opt_.sanity_every > 0 &&
         engine_.epochs_run() % opt_.sanity_every == 0) {
       run_sanity();
     }
+    return !violated_;
   }
 
   void drain(double t) {
-    advance_clock(t);
-    if (violated_) return;
-    const int reclaimed = engine_.reclaim_expired(clock_);
+    if (!engine_.advance_clock(t, on_epoch_)) return;
+    const int reclaimed = engine_.reclaim_expired(engine_.clock());
     unswept_ = true;
-    JsonObject obj;
-    obj.field("event", "drain")
-        .field("chan", "det")
-        .field("t", clock_)
-        .field("reclaimed", reclaimed)
-        .field("active_leases", engine_.lease_ledger().active_count())
-        .field("occupancy", engine_.metrics().occupancy());
-    sink_->emit(obs::Channel::kDeterministic, obj.str());
+    telemetry_.on_drain(engine_.clock(), reclaimed,
+                        engine_.lease_ledger().active_count(),
+                        engine_.metrics().occupancy());
     // The reclaim path just ran: exactly when the oracles are worth
     // their cost (a leak can only appear on an expiry).
     if (opt_.sanity_every > 0) run_sanity();
@@ -645,8 +593,7 @@ class ServeSession {
   }
 
   void finish_session() {
-    clear_all_queued(clock_);
-    if (violated_) return;
+    if (!engine_.flush(on_epoch_)) return;
     if (opt_.horizon > 0.0) drain(opt_.horizon);
     if (violated_) return;
     // A last sweep, unless nothing ran since the last one: a horizon or
@@ -682,14 +629,13 @@ class ServeSession {
 
   const Options& opt_;
   EpochEngine engine_;
-  BoundedRequestQueue queue_;
+  const EpochEngine::EpochObserver on_epoch_ =
+      [this](const AdmissionReport& report) { return on_epoch(report); };
   obs::TelemetrySink* sink_;
   obs::DecisionTrace* trace_;  // null without --trace
   obs::EpochTelemetry telemetry_;
   std::vector<std::string> transcript_;
   WallTimer timer_;
-  double clock_ = 0.0;
-  double window_end_ = kInf;  // next virtual-clock window boundary
   std::int64_t next_sequence_ = 0;
   bool violated_ = false;
   // An epoch or a reclaim ran since the last sanity sweep.
@@ -744,7 +690,7 @@ int main(int argc, char** argv) {
 
     // Telemetry sink: `-` splits channels across stdout/stderr (the
     // repo's output discipline); a path receives both channels as one
-    // JSONL stream (check_trend.py separates them by the chan field).
+    // JSONL stream (readers separate them by the chan field).
     std::ofstream file;
     std::unique_ptr<obs::StreamSink> sink;
     if (opt.telemetry == "-") {
