@@ -43,12 +43,19 @@ class GkDualProvider final : public UpperBoundProvider {
     }
     GkConfig config;
     config.epsilon = epsilon_;
-    const GkResult run = garg_konemann_fractional_ufp(instance, config);
-    // A non-converged run's duals are still strictly positive, hence still
-    // a sound certificate after rescaling — just a looser one.
-    if (run.edge_duals.empty()) return {};
-    const DualCertificate cert = best_dual_bound(instance, run.edge_duals);
-    return {cert.upper_bound, true, name()};
+    try {
+      const GkResult run = garg_konemann_fractional_ufp(instance, config);
+      // A non-converged run's duals are still strictly positive, hence
+      // still a sound certificate after rescaling — just a looser one.
+      if (run.edge_duals.empty()) return {};
+      const DualCertificate cert = best_dual_bound(instance, run.edge_duals);
+      return {cert.upper_bound, true, name()};
+    } catch (const std::exception&) {
+      // Duals outside double range (delta/c_e underflows to 0 on huge
+      // capacities, and the certificate needs positive weights): no
+      // certificate here, fall through to claim36.
+      return {};
+    }
   }
 
  private:

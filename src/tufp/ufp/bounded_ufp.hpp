@@ -111,13 +111,14 @@ struct BoundedUfpResult {
 
   // Total shortest-path recomputations (cache entries refilled). The
   // naive loop costs iterations * |remaining| of them; lazy invalidation
-  // only recomputes requests whose cached path touched updated edges
-  // (DESIGN.md §6).
+  // only recomputes requests whose cached path touched updated edges,
+  // and bounded_ufp's lazy scan only those of them that can still decide
+  // a selection (DESIGN.md §4, §6).
   std::int64_t sp_computations = 0;
 
   // Dijkstra tree searches actually run: one per source shard with a
-  // stale entry, so sp_tree_runs <= sp_computations with equality only
-  // when no two stale requests ever share a source.
+  // stale entry in a refresh, one per entry the lazy scan recomputes, so
+  // sp_tree_runs <= sp_computations.
   std::int64_t sp_tree_runs = 0;
 
   // One record per selection, in selection order: every solve fills it
@@ -189,12 +190,15 @@ double bounded_ufp_critical_value(const UfpInstance& instance, int r,
 // with winner_critical_value; bounded_ufp_resume reruns the solve from
 // any checkpoint.
 
-// bounded_ufp over the residual graph, with the same result to the bit,
-// that also keeps its run in `workspace` as deltas: per iteration the
-// cache entries its refresh recomputed and the y and residual of the
-// edges its selection wrote, so O(sum of selected path lengths +
-// recomputations × path length). It also readies one lane of `rgraph`
-// and one replay worker per thread of config.num_threads.
+// bounded_ufp over the residual graph, with the same result to the bit
+// but for the sp counters, that also keeps its run in `workspace` as
+// deltas: per iteration the cache entries its refresh recomputed and the
+// y and residual of the edges its selection wrote, so O(sum of selected
+// path lengths + recomputations × path length). It refreshes every stale
+// entry every iteration, where bounded_ufp scans lazily, so that each
+// checkpoint holds the eager entries a replay resumes from. It also
+// readies one lane of `rgraph` and one replay worker per thread of
+// config.num_threads.
 BoundedUfpResult bounded_ufp_checkpointed(ResidualGraph& rgraph,
                                           std::span<const Request> requests,
                                           const BoundedUfpConfig& config,
@@ -226,11 +230,11 @@ double winner_critical_value(ResidualGraph& rgraph,
                              std::int64_t* sp_computations = nullptr);
 
 // The last checkpointed solve resumed at checkpoint `iteration` (1 up to
-// the iterations it refreshed) on replay worker `worker`: the solve's
-// result bit for bit — the solution, iterations, final_dual_sum,
-// dual_upper_bound and counters — but for the trace, which it leaves
-// empty, and the rejection records, which only the solve keeps. Same
-// requirements as winner_critical_value.
+// the iterations it refreshed) on replay worker `worker`: the
+// checkpointed solve's result bit for bit — the solution, iterations,
+// final_dual_sum, dual_upper_bound and counters — but for the trace,
+// which it leaves empty, and the rejection records, which only the solve
+// keeps. Same requirements as winner_critical_value.
 BoundedUfpResult bounded_ufp_resume(ResidualGraph& rgraph,
                                     std::span<const Request> requests,
                                     const BoundedUfpConfig& config,

@@ -1,10 +1,14 @@
 // Algorithm 1's selection loop (internal header), written once and
 // instantiated in four forms (LoopForm): the solve in bounded_ufp.cpp,
 // and in critical_replay.cpp the checkpointed solve, the eager replay
-// and the pricing replay. Keep the solve alone in its translation unit:
-// with a second form in the same unit SpCache::refresh has two call
-// sites there and the compiler stops inlining it into the solve, which
-// measurably slows the dual-price serving path (DESIGN.md §4).
+// and the pricing replay. The solve and the pricing replay share one
+// lazy scan: after their first refresh they recompute a stale shortest
+// path only when it can still decide the scan (DESIGN.md §4, §6); the
+// checkpointed solve and the eager replay refresh every iteration. Keep
+// the solve alone in its translation unit: with a second form in the
+// same unit SpCache::refresh gains call sites there and the compiler
+// stops inlining it into the solve, which measurably slowed the
+// dual-price serving path (DESIGN.md §4).
 //
 // Line 4's state reaches the loop as LoopArrays. Every cold caller — the
 // UfpInstance solve, the cold critical-value replay — builds it in O(m)
@@ -47,12 +51,13 @@ inline void validate_config(const Substrate& sub,
 
 // The loop's four forms.
 enum class LoopForm {
-  kSolve,         // Algorithm 1
-  kCheckpointed,  // the same solve, logging its checkpoints (SolveLog)
+  kSolve,         // Algorithm 1: one refresh, then the lazy scan
+  kCheckpointed,  // the same solve, refreshed every iteration and logging
+                  // its checkpoints (SolveLog)
   kReplay,        // from line 4 or resumed at a checkpoint, one request
-                  // shadowed
-  kPricing,       // kReplay resumed at the shadow's selection, with a lazy
-                  // scan in place of the refresh (winner_critical_value)
+                  // shadowed, refreshed every iteration
+  kPricing,       // kReplay resumed at the shadow's selection, with the
+                  // lazy scan in place of the refresh (winner_critical_value)
 };
 
 // The request a replay tracks but never selects (-1: none, the run
@@ -198,19 +203,31 @@ struct ResumePoint {
 // solves fill result.trace, one record per selection; the replays leave
 // it empty.
 //
-// kPricing is kReplay resumed, with no refresh: each scan recomputes only
-// the stale entries that can still decide it (Minoux's lazy greedy).
-// y only grows, so a stale entry's cached priority is a lower bound on
-// its eager one, and a current entry's is exact (sp_cache.hpp). The scan
-// takes the (priority, id) minimum over the others, a stale entry at its
-// cached length whatever its last fit verdict, a current one only if it
-// fits; a stale minimum is recomputed and the scan runs again, until the
-// minimum is current. That minimum is the eager scan's winner, at the
-// same priority. The shadow is recomputed only when its cached length
-// wins lower_critical's first probe, or when nothing else fits. The
-// entries recomputed are counted in the result's sp counters, one search
-// each. Winners, thresholds and the shadow's critical value equal
-// kReplay's to the bit; dual_upper_bound is not tracked.
+// kSolve and kPricing scan lazily (Minoux's lazy greedy, DESIGN.md §4):
+// after their first iteration's refresh (a resumed replay's was the
+// logged solve's) they refresh nothing, and each scan recomputes only
+// the stale entries that can still decide it. y only grows, so a stale
+// entry's cached priority is a lower bound on its eager one, and a
+// current entry's is exact (sp_cache.hpp). The scan takes the
+// (priority, id) minimum over the others, a stale entry at its cached
+// length whatever its last fit verdict, a current one only if it fits; a
+// stale minimum is recomputed and the scan runs again, until the minimum
+// is current. That minimum is the eager scan's winner, at the same
+// priority. Claim 3.6's alpha, the minimum over every reachable entry
+// with fit ignored, is then exact too: a stale entry below it would have
+// been a candidate below the winner. The entries recomputed are counted
+// in the result's sp counters, one search each. kPricing recomputes the
+// shadow only when its cached length wins lower_critical's first probe,
+// or when nothing else fits; its winners, thresholds and the shadow's
+// critical value equal kReplay's to the bit.
+//
+// kSolve also leaves the eager loop's exit state, which its rejection
+// records read: an exit with nothing to select refreshes what is still
+// stale, and when a selection's update will lift the dual sum past the
+// threshold, the other remaining entries are refreshed under the
+// pre-update y before it lands, as the eager loop's last refresh was.
+// Its solution, trace, bounds and records equal kCheckpointed's to the
+// bit; only the sp counters differ.
 template <LoopForm kForm>
 BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  const BoundedUfpConfig& config,
@@ -220,8 +237,10 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  [[maybe_unused]] Shadow* shadow = nullptr,
                                  [[maybe_unused]] ResumePoint* resume = nullptr) {
   constexpr bool kLogged = kForm == LoopForm::kCheckpointed;
-  constexpr bool kLazy = kForm == LoopForm::kPricing;
-  constexpr bool kShadow = kForm == LoopForm::kReplay || kLazy;
+  constexpr bool kShadow =
+      kForm == LoopForm::kReplay || kForm == LoopForm::kPricing;
+  constexpr bool kLazy =
+      kForm == LoopForm::kSolve || kForm == LoopForm::kPricing;
   const double B = sub.B;
   const double eps = config.epsilon;
   const int R = static_cast<int>(sub.requests.size());
@@ -262,12 +281,19 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   const std::span<const double> guard_residual =
       config.capacity_guard ? std::span<const double>(residual)
                             : std::span<const double>();
-  // kPricing's one-entry recomputation, through the refresh.
-  [[maybe_unused]] const auto recompute = [&](int r) {
-    cache.refresh(y, edge_stamp, now, std::span<const int>(&r, 1),
-                  guard_residual, &profile, sub.blocked);
-    ++result.sp_computations;
-    ++result.sp_tree_runs;
+  // Recomputes the stale entries among `active` under today's y, counted
+  // in the result.
+  const auto refresh = [&](std::span<const int> active) {
+    cache.refresh(y, edge_stamp, now, active, guard_residual, &profile,
+                  sub.blocked);
+    result.sp_computations +=
+        static_cast<std::int64_t>(cache.recomputed_last_refresh());
+    result.sp_tree_runs += cache.tree_runs_last_refresh();
+  };
+  // Line 11 on one edge, shared by the update and kSolve's look-ahead at
+  // the threshold so that the two agree to the bit.
+  const auto inflated = [&](std::size_t e, double demand) {
+    return y[e] * std::exp(eps * B * demand / sub.capacities[e]);
   };
 
   // Line 5: while (L != empty and sum c_e y_e <= e^{eps(B-1)}).
@@ -278,13 +304,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         break;
       }
       ++now;
-      if constexpr (!kLazy) {
-        cache.refresh(y, edge_stamp, now, remaining, guard_residual, &profile,
-                      sub.blocked);
-        result.sp_computations +=
-            static_cast<std::int64_t>(cache.recomputed_last_refresh());
-        result.sp_tree_runs += cache.tree_runs_last_refresh();
-      }
+      if (!kLazy || now == first_stamp) refresh(remaining);
       if constexpr (kLogged) {
         SolveLog::Iteration& it = log->iterations.emplace_back();
         it.stamp = now;
@@ -309,35 +329,13 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     }
 
     // Line 9: request minimizing (d_r/v_r)|p_r|; deterministic tie-break on
-    // request id. alpha_cert tracks the minimum over *all* remaining
-    // reachable requests (needed for the dual certificate regardless of
-    // which requests the guard filters).
+    // request id. alpha tracks the minimum over *all* remaining reachable
+    // requests (the dual certificate needs it whichever requests the guard
+    // filters).
     int best = -1;
     double best_priority = kInf;
-    if constexpr (kLazy) {
-      for (;;) {
-        for (int r : remaining) {
-          if (r == shadow->request) continue;
-          const auto& entry = cache.entry(r);
-          if (!entry.reachable) continue;
-          const Request& req = sub.requests[static_cast<std::size_t>(r)];
-          const double priority = req.demand / req.value * entry.length;
-          if (!(priority < best_priority)) continue;
-          // A stale "does not fit" may fit on its recomputed path.
-          if (config.capacity_guard && !entry.fits &&
-              cache.current(r, edge_stamp)) {
-            continue;
-          }
-          best_priority = priority;
-          best = r;
-        }
-        if (best < 0 || cache.current(best, edge_stamp)) break;
-        recompute(best);
-        best = -1;
-        best_priority = kInf;
-      }
-    } else {
-      double alpha_cert = kInf;
+    double alpha = kInf;
+    for (;;) {
       for (int r : remaining) {
         if constexpr (kShadow) {
           if (r == shadow->request) continue;
@@ -346,28 +344,35 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         if (!entry.reachable) continue;
         const Request& req = sub.requests[static_cast<std::size_t>(r)];
         const double priority = req.demand / req.value * entry.length;
-        alpha_cert = std::min(alpha_cert, priority);
+        alpha = std::min(alpha, priority);
+        if (!(priority < best_priority)) continue;
         // Guard status is cached in the entry (sp_cache.hpp): it can only
         // change when the entry itself goes stale, so no per-iteration
         // path rescan. Sound here because this loop's residual is
         // monotone non-increasing and every decrement stamps its edge; a
         // driver that ever *returns* capacity mid-run (lease reclaim)
         // must stamp the reclaimed edges too, or this read serves stale
-        // negative verdicts.
-        if (config.capacity_guard && !entry.fits) continue;
-        if (priority < best_priority) {
-          best_priority = priority;
-          best = r;
+        // negative verdicts. A stale "does not fit" may fit on its
+        // recomputed path, so the lazy scan keeps it as a candidate.
+        if (config.capacity_guard && !entry.fits &&
+            (!kLazy || cache.current(r, edge_stamp))) {
+          continue;
         }
+        best_priority = priority;
+        best = r;
       }
+      if (!kLazy || best < 0 || cache.current(best, edge_stamp)) break;
+      refresh(std::span<const int>(&best, 1));
+      best = -1;
+      best_priority = kInf;
+      alpha = kInf;
+    }
 
-      if (alpha_cert < kInf && alpha_cert > 0.0) {
-        // Claim 3.6 machinery: (y/alpha, z) with z_r = v_r for selected
-        // requests is dual feasible, so its value bounds the fractional
-        // OPT.
-        result.dual_upper_bound = std::min(
-            result.dual_upper_bound, dual_sum / alpha_cert + primal_value);
-      }
+    if (alpha < kInf && alpha > 0.0) {
+      // Claim 3.6 machinery: (y/alpha, z) with z_r = v_r for selected
+      // requests is dual feasible, so its value bounds the fractional OPT.
+      result.dual_upper_bound =
+          std::min(result.dual_upper_bound, dual_sum / alpha + primal_value);
     }
 
     if constexpr (kLogged) log->iterations.back().best = best;
@@ -384,7 +389,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
               (best < 0 || can_lower_critical(demand, cached.length,
                                               best_priority, wins_ties,
                                               shadow->critical))) {
-            recompute(w);
+            refresh(std::span<const int>(&w, 1));
           }
         }
         const auto& entry = cache.entry(w);
@@ -401,11 +406,27 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
       }
     }
 
-    if (best < 0) break;  // nothing reachable (or nothing fits under guard)
+    if (best < 0) {
+      // Nothing reachable (or nothing fits under the guard). Only an entry
+      // whose cached priority is not below kInf can still be stale here.
+      if constexpr (kForm == LoopForm::kSolve) refresh(remaining);
+      break;
+    }
 
     // Lines 10-12: inflate weights along the chosen path, commit request.
     const Request& req = sub.requests[static_cast<std::size_t>(best)];
     const auto& entry = cache.entry(best);
+    if constexpr (kForm == LoopForm::kSolve) {
+      if (!config.run_to_saturation) {
+        double after = dual_sum;
+        for (const EdgeId e : entry.path) {
+          const auto ei = static_cast<std::size_t>(e);
+          after += sub.capacities[ei] * (inflated(ei, req.demand) - y[ei]);
+        }
+        // The loop stops at the next line 5: leave the eager exit state.
+        if (after > threshold) refresh(remaining);
+      }
+    }
     const double dual_before = dual_sum;
     for (EdgeId e : entry.path) {
       const auto ei = static_cast<std::size_t>(e);
@@ -414,7 +435,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
       }
       const double cap = sub.capacities[ei];
       const double old_y = y[ei];
-      y[ei] = old_y * std::exp(eps * B * req.demand / cap);
+      y[ei] = inflated(ei, req.demand);
       dual_sum += cap * (y[ei] - old_y);
       edge_stamp[ei] = now;
       residual[ei] -= req.demand;
@@ -462,10 +483,10 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
   // cached entries, the live residual, the epoch-start capacities — is a
   // deterministic function of the admission history, so the records are
   // byte-identical across kernels and thread counts.
-  // Staleness is benign AND deterministic: in saturation mode the loop
-  // exits right after a refresh (entries fresh); under the faithful
-  // threshold any still-fitting request is lost_auction regardless of
-  // whether a late winner touched its path.
+  // The entries are the eager loop's last refresh, in both solves: the
+  // remaining ones current under the y of the last scan, whose winner's
+  // update may have stamped their paths since (the threshold exit). Only
+  // the classification below reads the residual that update left.
   result.rejections.reserve(remaining.size());
   for (const int r : remaining) {  // ascending: erase() keeps the order
     const auto& entry = cache.entry(r);

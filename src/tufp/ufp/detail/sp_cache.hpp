@@ -3,14 +3,21 @@
 //
 // All three algorithms need, every iteration, the shortest s_r -> t_r
 // path under the current dual weights y for every live request (Alg. 1
-// lines 6-8, Alg. 3 lines 4-6). Two facts make caching sound:
+// lines 6-8, Alg. 3 lines 4-6), or at least the one that minimizes the
+// selection priority. Two facts make caching sound:
 //   1. y only ever increases, so path lengths only grow;
 //   2. an update touches exactly the edges of one selected path.
 // Hence a cached shortest path whose edges were not updated since it was
 // computed is still shortest: its own length is unchanged while every
 // competitor is at least as long as before. We track a per-edge update
 // stamp and recompute only requests whose cached path intersects edges
-// stamped after the cache entry.
+// stamped after the cache entry. The same facts make a stale entry's
+// length a lower bound on its fresh one, which lets Bounded-UFP's solve
+// refresh every stale entry only at its first iteration (and before a
+// threshold exit) and then recompute, one request at a time through a
+// one-element refresh(), only the stale entries its lazy scan needs
+// (detail/bounded_ufp_loop.hpp, DESIGN.md §4); its checkpointed solve
+// and eager replay, Repeat and BKV refresh every iteration.
 //
 // Capacity-guard invalidation rides the same stamps (DESIGN.md §6): the
 // solvers decrement residual capacity on exactly the edges they stamp,
@@ -241,8 +248,8 @@ class SpCache {
   // recomputes exactly the reachable entries for which this is false. A
   // current entry is bit for bit what a fresh search under today's y
   // returns, and a stale one's length is a lower bound on today's, since
-  // y only grows (DESIGN.md §4); the pricing replay's lazy scan reads
-  // both (detail/bounded_ufp_loop.hpp).
+  // y only grows (DESIGN.md §4); the lazy scan of the solve and of the
+  // pricing replay reads both (detail/bounded_ufp_loop.hpp).
   bool current(int r, std::span<const std::int64_t> edge_stamp) const {
     return is_current(entries_[static_cast<std::size_t>(r)], edge_stamp);
   }

@@ -61,6 +61,19 @@ TEST(LabUpperBounds, PackingLpGatesOnRequestCountInsteadOfThrowing) {
   EXPECT_FALSE(bound.available);
 }
 
+TEST(LabUpperBounds, GkDualDeclinesWhenItsDualsUnderflow) {
+  // An undirected path of 41 vertices at capacity 1e308: Garg-Konemann's
+  // delta/c_e underflows to 0, and the certificate rejects zero weights.
+  // The provider declines, as packing-lp does, instead of throwing.
+  Graph g = Graph::undirected(41);
+  for (int v = 0; v < 40; ++v) g.add_edge(v, v + 1, 1e308);
+  g.finalize();
+  const UfpInstance inst(std::move(g), {{0, 40, 1.0, 1.0}});
+  lab::UpperBound bound;
+  EXPECT_NO_THROW(bound = lab::make_gk_dual_provider()->bound(inst));
+  EXPECT_FALSE(bound.available);
+}
+
 TEST(LabUpperBounds, GkDualBracketsTheFractionalOptimumFromAbove) {
   for (std::uint64_t seed : {31u, 32u, 33u}) {
     const UfpInstance inst = small_instance(seed, 2.0, 9);
