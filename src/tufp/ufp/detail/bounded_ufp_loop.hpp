@@ -219,7 +219,8 @@ struct ResumePoint {
 // in the result's sp counters, one search each. kPricing recomputes the
 // shadow only when its cached length wins lower_critical's first probe,
 // or when nothing else fits; its winners, thresholds and the shadow's
-// critical value equal kReplay's to the bit.
+// critical value equal kReplay's to the bit; dual_upper_bound is not
+// tracked.
 //
 // kSolve also leaves the eager loop's exit state, which its rejection
 // records read: an exit with nothing to select refreshes what is still
@@ -227,7 +228,10 @@ struct ResumePoint {
 // threshold, the other remaining entries are refreshed under the
 // pre-update y before it lands, as the eager loop's last refresh was.
 // Its solution, trace, bounds and records equal kCheckpointed's to the
-// bit; only the sp counters differ.
+// bit; only the sp counters differ. A cold kSolve builds no records but
+// runs both refreshes too, so that it counts the engine solve's searches:
+// the engine-differential oracle holds the engine's per-epoch sp
+// counters to a cold replay's (sim/oracles.cpp).
 template <LoopForm kForm>
 BoundedUfpResult run_bounded_ufp(const Substrate& sub,
                                  const BoundedUfpConfig& config,
@@ -241,6 +245,8 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
       kForm == LoopForm::kReplay || kForm == LoopForm::kPricing;
   constexpr bool kLazy =
       kForm == LoopForm::kSolve || kForm == LoopForm::kPricing;
+  // kPricing's caller reads only the shadow's critical value.
+  constexpr bool kBound = kForm != LoopForm::kPricing;
   const double B = sub.B;
   const double eps = config.epsilon;
   const int R = static_cast<int>(sub.requests.size());
@@ -290,6 +296,13 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         static_cast<std::int64_t>(cache.recomputed_last_refresh());
     result.sp_tree_runs += cache.tree_runs_last_refresh();
   };
+  // The lazy scan's one-entry recomputation of a stale reachable entry.
+  [[maybe_unused]] const auto recompute = [&](int r) {
+    cache.refresh(y, edge_stamp, now, std::span<const int>(&r, 1),
+                  guard_residual, &profile, sub.blocked);
+    ++result.sp_computations;
+    ++result.sp_tree_runs;
+  };
   // Line 11 on one edge, shared by the update and kSolve's look-ahead at
   // the threshold so that the two agree to the bit.
   const auto inflated = [&](std::size_t e, double demand) {
@@ -304,7 +317,11 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         break;
       }
       ++now;
-      if (!kLazy || now == first_stamp) refresh(remaining);
+      // The lazy solve refreshes at its first iteration only; a resumed
+      // pricing replay's was the logged solve's.
+      if (!kLazy || (kForm == LoopForm::kSolve && now == first_stamp)) {
+        refresh(remaining);
+      }
       if constexpr (kLogged) {
         SolveLog::Iteration& it = log->iterations.emplace_back();
         it.stamp = now;
@@ -334,7 +351,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
     // filters).
     int best = -1;
     double best_priority = kInf;
-    double alpha = kInf;
+    [[maybe_unused]] double alpha = kInf;
     for (;;) {
       for (int r : remaining) {
         if constexpr (kShadow) {
@@ -344,7 +361,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         if (!entry.reachable) continue;
         const Request& req = sub.requests[static_cast<std::size_t>(r)];
         const double priority = req.demand / req.value * entry.length;
-        alpha = std::min(alpha, priority);
+        if constexpr (kBound) alpha = std::min(alpha, priority);
         if (!(priority < best_priority)) continue;
         // Guard status is cached in the entry (sp_cache.hpp): it can only
         // change when the entry itself goes stale, so no per-iteration
@@ -362,17 +379,20 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
         best = r;
       }
       if (!kLazy || best < 0 || cache.current(best, edge_stamp)) break;
-      refresh(std::span<const int>(&best, 1));
+      recompute(best);
       best = -1;
       best_priority = kInf;
-      alpha = kInf;
+      if constexpr (kBound) alpha = kInf;
     }
 
-    if (alpha < kInf && alpha > 0.0) {
-      // Claim 3.6 machinery: (y/alpha, z) with z_r = v_r for selected
-      // requests is dual feasible, so its value bounds the fractional OPT.
-      result.dual_upper_bound =
-          std::min(result.dual_upper_bound, dual_sum / alpha + primal_value);
+    if constexpr (kBound) {
+      if (alpha < kInf && alpha > 0.0) {
+        // Claim 3.6 machinery: (y/alpha, z) with z_r = v_r for selected
+        // requests is dual feasible, so its value bounds the fractional
+        // OPT.
+        result.dual_upper_bound =
+            std::min(result.dual_upper_bound, dual_sum / alpha + primal_value);
+      }
     }
 
     if constexpr (kLogged) log->iterations.back().best = best;
@@ -389,7 +409,7 @@ BoundedUfpResult run_bounded_ufp(const Substrate& sub,
               (best < 0 || can_lower_critical(demand, cached.length,
                                               best_priority, wins_ties,
                                               shadow->critical))) {
-            refresh(std::span<const int>(&w, 1));
+            recompute(w);
           }
         }
         const auto& entry = cache.entry(w);
